@@ -54,18 +54,28 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log1p(-p))
 
 
-def _beta_star(rho_env: DensityMatrix, solver: GibbsSolver,
-               cfg: BetaSolveConfig) -> float:
-    energy = float(np.einsum("ij,ji->", rho_env.mat, solver.h_env.mat).real)
-    return solver.solve_beta(energy, cfg)
+def _reference_distance(state: BipartiteState, gamma: DensityMatrix) -> float:
+    """Trace distance from a state to the product rho_S x gamma."""
+    ref = DensityMatrix._trusted(np.kron(state.rho_sys.mat, gamma.mat))
+    return trace_distance(state.state, ref)
 
 
-def _reference_product(initial: BipartiteState, solver: GibbsSolver,
-                       cfg: BetaSolveConfig) -> tuple[float, BipartiteState]:
-    """The reference rho_S x gamma(beta_star) matching the env energy."""
-    beta_star = _beta_star(initial.rho_env, solver, cfg)
-    mat = np.kron(initial.rho_sys.mat, solver.state(beta_star).mat)
-    return beta_star, BipartiteState._trusted(initial.d_s, initial.d_e, mat)
+def _entropy_gap(initial: BipartiteState, solver: GibbsSolver, beta_star: float) -> float:
+    return (von_neumann_entropy(initial.state)
+            - von_neumann_entropy(initial.rho_sys)
+            - solver.entropy(beta_star))
+
+
+def _continuity_bound(delta: float, dim: int) -> float:
+    # Entropy continuity in trace distance on a dim-level system; the log
+    # factor degenerates to 0 at dim = 2.
+    return -delta * math.log(dim - 1) - binary_entropy(delta) if dim > 2 \
+        else -binary_entropy(delta)
+
+
+def _product_bound(rho_env: DensityMatrix, gamma: DensityMatrix) -> float:
+    # The continuity bound paid in the environment dimension alone.
+    return _continuity_bound(trace_distance(rho_env, gamma), rho_env.dim)
 
 
 def _check_bipartite_env(initial: BipartiteState, solver: GibbsSolver) -> None:
@@ -88,10 +98,7 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix,
     """
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = _beta_star(initial.rho_env, solver, beta_cfg)
-    return (von_neumann_entropy(initial.state)
-            - von_neumann_entropy(initial.rho_sys)
-            - solver.entropy(beta_star))
+    return _entropy_gap(initial, solver, solver.beta_star(initial.rho_env, beta_cfg))
 
 
 def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix,
@@ -99,15 +106,8 @@ def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix,
     """Trace distance between the state and its reference product."""
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    _, ref = _reference_product(initial, solver, beta_cfg)
-    return trace_distance(initial.state, ref.state)
-
-
-def _continuity_bound(delta: float, dim: int) -> float:
-    # Entropy continuity in trace distance on a dim-level system; the log
-    # factor degenerates to 0 at dim = 2.
-    return -delta * math.log(dim - 1) - binary_entropy(delta) if dim > 2 \
-        else -binary_entropy(delta)
+    beta_star = solver.beta_star(initial.rho_env, beta_cfg)
+    return _reference_distance(initial, solver.state(beta_star))
 
 
 def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix,
@@ -117,10 +117,8 @@ def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix,
     Nonpositive, and never above ``entropy_gap_bound`` in magnitude terms:
     entropy_gap_bound >= trace_distance_bound always holds.
     """
-    solver = GibbsSolver(h_env)
-    _check_bipartite_env(initial, solver)
-    delta = distance_to_reference(initial, h_env, beta_cfg)
-    return _continuity_bound(delta, initial.d_s * initial.d_e)
+    return _continuity_bound(distance_to_reference(initial, h_env, beta_cfg),
+                             initial.d_s * initial.d_e)
 
 
 def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
@@ -141,9 +139,7 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
         raise InvalidInput(
             f"environment dimension {rho_env.dim} does not match H ({solver.dim})"
         )
-    beta_star = _beta_star(rho_env, solver, beta_cfg)
-    delta = trace_distance(rho_env, solver.state(beta_star))
-    return _continuity_bound(delta, rho_env.dim)
+    return _product_bound(rho_env, solver.state(solver.beta_star(rho_env, beta_cfg)))
 
 
 class SufficiencyCheck(NamedTuple):
@@ -172,13 +168,12 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
         raise InvalidInput("endpoint states must share dimensions")
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
-    ref_final = DensityMatrix._trusted(
-        np.kron(final.rho_sys.mat, solver.state(beta_tau).mat)
-    )
-    lhs = trace_distance(final.state, ref_final) ** 2
-    beta_star0 = _beta_star(initial.rho_env, solver, beta_cfg)
+    lhs = _reference_distance(final, solver.state(beta_tau)) ** 2
+    beta_star0 = solver.beta_star(initial.rho_env, beta_cfg)
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
-    rhs = 0.5 * (mismatch - trace_distance_bound(initial, h_env, beta_cfg))
+    bound = _continuity_bound(_reference_distance(initial, solver.state(beta_star0)),
+                              initial.d_s * initial.d_e)
+    rhs = 0.5 * (mismatch - bound)
     return SufficiencyCheck(holds=bool(lhs >= rhs), lhs=float(lhs), rhs=float(rhs))
 
 
@@ -194,6 +189,8 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     """
     if not isinstance(final_env, DensityMatrix):
         final_env = DensityMatrix(final_env)
+    if not isinstance(rho_sys, DensityMatrix):
+        DensityMatrix(rho_sys)  # validated, though the check never reads it
     if not isinstance(rho_env, DensityMatrix):
         rho_env = DensityMatrix(rho_env)
     solver = GibbsSolver(h_env)
@@ -202,10 +199,9 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
     lhs = trace_distance(final_env, solver.state(beta_tau)) ** 2
-    beta_star0 = _beta_star(rho_env, solver, beta_cfg)
+    beta_star0 = solver.beta_star(rho_env, beta_cfg)
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
-    bound = product_trace_distance_bound(rho_sys, rho_env, h_env, beta_cfg)
-    rhs = 0.5 * (mismatch - bound)
+    rhs = 0.5 * (mismatch - _product_bound(rho_env, solver.state(beta_star0)))
     return SufficiencyCheck(holds=bool(lhs >= rhs), lhs=float(lhs), rhs=float(rhs))
 
 
@@ -319,20 +315,15 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix,
     """
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = _beta_star(initial.rho_env, solver, beta_cfg)
-    delta = distance_to_reference(initial, h_env, beta_cfg)
-    gap = entropy_gap_bound(initial, h_env, beta_cfg)
-    general = _continuity_bound(delta, initial.d_s * initial.d_e)
-    product = None
-    if is_product_state(initial):
-        product = product_trace_distance_bound(
-            initial.rho_sys, initial.rho_env, h_env, beta_cfg
-        )
+    beta_star = solver.beta_star(initial.rho_env, beta_cfg)
+    gamma = solver.state(beta_star)
+    delta = _reference_distance(initial, gamma)
+    product = _product_bound(initial.rho_env, gamma) if is_product_state(initial) else None
     return BoundReport(
         beta_star=beta_star,
         distance_to_reference=delta,
-        entropy_gap_bound=gap,
-        trace_distance_bound=general,
+        entropy_gap_bound=_entropy_gap(initial, solver, beta_star),
+        trace_distance_bound=_continuity_bound(delta, initial.d_s * initial.d_e),
         product_trace_distance_bound=product,
         is_product=product is not None,
     )

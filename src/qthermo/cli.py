@@ -32,7 +32,6 @@ from .scenario import (
     result_to_json,
     run_scenario,
 )
-from .thermo import GibbsSolver
 from .verify import VerifySuiteConfig, format_results, run_verify
 
 
@@ -144,7 +143,7 @@ def _random_sweep_scenario(rng: np.random.Generator, d_s: int, d_e: int,
     beta0 = rng.uniform(-2.0, 2.0)
     if index % 2 == 0:
         rho_s = rand_density(rng, d_s)
-        gamma = GibbsSolver(h_env).state(beta0)
+        gamma = schedule.gibbs.state(beta0)
         initial = BipartiteState(d_s, d_e, np.kron(rho_s.mat, gamma.mat))
     else:
         initial = rand_bipartite(rng, d_s, d_e)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, IO, Sequence, Union
 
 import numpy as np
@@ -115,6 +116,11 @@ class HamiltonianSchedule:
     @property
     def tau(self) -> float:
         return self.segments[-1].t_end
+
+    @cached_property
+    def gibbs(self) -> GibbsSolver:
+        """The one thermal solver for H_E, built on first use."""
+        return GibbsSolver(self.h_env)
 
     def total_hamiltonian(self, t: float, segment: Segment | None = None) -> np.ndarray:
         """Raw d_s*d_e Hamiltonian h_sys x I + I x h_env + h_int at time t."""
@@ -277,10 +283,8 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         times[k] = seg.t_end  # pin the endpoint against accumulation drift
         slices.append(slice(start_idx, k + 1))
 
-    solver = GibbsSolver(sched.h_env)
-    rho_env = _ptrace_stack(rho, sched.d_s, sched.d_e, "E")
-    env_energy = np.einsum("tkl,lk->t", rho_env, sched.h_env.mat).real.copy()
-    beta_star = solver.solve_beta_many(env_energy, beta_cfg)
+    env_energy = sched.gibbs.mean_energy(_ptrace_stack(rho, sched.d_s, sched.d_e, "E"))
+    beta_star = sched.gibbs.solve_beta_many(env_energy, beta_cfg)
 
     seg_rates = []
     heat_flux = np.empty(total + 1)

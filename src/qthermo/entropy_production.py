@@ -111,15 +111,20 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
         raise InvalidInput("entropy_production expects BipartiteState endpoints")
     if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
         raise InvalidInput("endpoint states must share dimensions")
-    if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
-        raise InvalidInput("endpoint inverse temperatures must be finite")
     solver = GibbsSolver(h_env)
     if solver.dim != initial.d_e:
         raise InvalidInput("environment Hamiltonian does not match the states")
-    d_i = mutual_information(final) - mutual_information(initial)
-    d_env = (relative_entropy(final.rho_env, solver.state(beta_tau))
-             - relative_entropy(initial.rho_env, solver.state(beta0)))
-    return d_i + d_env
+    return (mutual_information(final) - mutual_information(initial)
+            + _env_divergence_change(initial, final, beta0, beta_tau, solver))
+
+
+def _env_divergence_change(initial: BipartiteState, final: BipartiteState,
+                           beta0: float, beta_tau: float, solver: GibbsSolver) -> float:
+    """D(rho_E(tau) || gamma(beta_tau)) - D(rho_E(0) || gamma(beta0))."""
+    if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
+        raise InvalidInput("endpoint inverse temperatures must be finite")
+    return (relative_entropy(final.rho_env, solver.state(beta_tau))
+            - relative_entropy(initial.rho_env, solver.state(beta0)))
 
 
 def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
@@ -131,9 +136,15 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     environment-energy rate (segment-local rates keep boundary jumps of the
     generator out of the quadrature error).
     """
-    d_s_entropy = _system_entropy_change(traj)
+    d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
+                   - von_neumann_entropy(traj.initial.rho_sys))
+    return d_s_entropy + _heat_term(traj, policy)
+
+
+def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
+    """The beta-weighted heat integral of the Clausius form."""
     if isinstance(policy, ConstantBeta):
-        return d_s_entropy + policy.beta * float(traj.env_energy[-1] - traj.env_energy[0])
+        return policy.beta * float(traj.env_energy[-1] - traj.env_energy[0])
     betas = policy_grid_betas(policy, traj)
     if not np.isfinite(betas).all():
         raise InvalidInput(
@@ -143,7 +154,7 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     heat_term = 0.0
     for sl, rates in zip(traj.segment_slices, traj.segment_rates):
         heat_term += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
-    return d_s_entropy + heat_term
+    return heat_term
 
 
 def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
@@ -160,7 +171,7 @@ def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
     betas = policy_grid_betas(policy, traj)
     if not np.isfinite(betas).all():
         raise InvalidInput("temperature_drift_correction needs finite grid betas")
-    solver = GibbsSolver(traj.schedule.h_env)
+    solver = traj.schedule.gibbs
     finite_star = np.isfinite(traj.beta_star)
     if not finite_star.all():
         raise InvalidInput("trajectory has spectral-edge beta_star; drift is undefined")
@@ -175,9 +186,8 @@ def matched_entropy_production(traj: Trajectory) -> float:
     Equals the Clausius form evaluated along beta_star, but is computed from
     endpoint entropies alone so it carries no quadrature error.
     """
-    solver = GibbsSolver(traj.schedule.h_env)
     return _matched_entropy_form(
-        traj.initial, traj.final, solver,
+        traj.initial, traj.final, traj.schedule.gibbs,
         float(traj.beta_star[0]), float(traj.beta_star[-1]),
     )
 
@@ -216,11 +226,9 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
         raise InvalidInput("dt_fd must be positive and finite")
     if not isinstance(h_total, HermitianMatrix):
         h_total = HermitianMatrix(h_total)
-    if not isinstance(h_env, HermitianMatrix):
-        h_env = HermitianMatrix(h_env)
 
     solver = GibbsSolver(h_env)
-    rate_env = env_energy_rate(rho, h_total, h_env)
+    rate_env = env_energy_rate(rho, h_total, solver.h_env)
 
     u = _expi(h_total.mat, dt_fd)
     fwd = BipartiteState._trusted(rho.d_s, rho.d_e, u @ rho.state.mat @ u.conj().T)
@@ -228,8 +236,7 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     ds_dt = (von_neumann_entropy(fwd.rho_sys)
              - von_neumann_entropy(bwd.rho_sys)) / (2.0 * dt_fd)
 
-    env_e = float(np.einsum("ij,ji->", rho.rho_env.mat, solver.h_env.mat).real)
-    beta_star = solver.solve_beta(env_e, beta_cfg)
+    beta_star = solver.beta_star(rho.rho_env, beta_cfg)
     if beta_dot == 0.0 or beta_star == beta:
         mismatch_term = 0.0
     elif math.isinf(beta_star):
@@ -280,32 +287,27 @@ class EPReport:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def _system_entropy_change(traj: Trajectory) -> float:
-    return (von_neumann_entropy(traj.final.rho_sys)
-            - von_neumann_entropy(traj.initial.rho_sys))
-
-
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     """Evaluate every decomposition quantity for one trajectory and policy."""
-    solver = GibbsSolver(traj.schedule.h_env)
+    solver = traj.schedule.gibbs
     beta0, beta_tau = policy_endpoints(policy, traj)
     bs0 = float(traj.beta_star[0])
     bs_tau = float(traj.beta_star[-1])
 
+    # Each endpoint entropy once: joint, system and environment.
     initial, final = traj.initial, traj.final
-    ep = entropy_production(initial, final, beta0, beta_tau, traj.schedule.h_env)
-    cl = clausius_entropy_production(traj, policy)
-    drift = temperature_drift_correction(traj, policy)
-    matched = _matched_entropy_form(initial, final, solver, bs0, bs_tau)
+    sj0, ss0, se0 = map(von_neumann_entropy, (initial.state, initial.rho_sys, initial.rho_env))
+    sj1, ss1, se1 = map(von_neumann_entropy, (final.state, final.rho_sys, final.rho_env))
+    mi_change = (ss1 + se1 - sj1) - (ss0 + se0 - sj0)
+    s_sys, s_env = ss1 - ss0, se1 - se0
+    s_gibbs = (solver.entropy(bs_tau) - se1) - (solver.entropy(bs0) - se0)
 
+    ep = mi_change + _env_divergence_change(initial, final, beta0, beta_tau, solver)
+    cl = s_sys + _heat_term(traj, policy)
+    drift = temperature_drift_correction(traj, policy)
+    matched = s_sys + s_env + s_gibbs
     mism0 = solver.gibbs_relative_entropy(bs0, beta0)
     mism_tau = solver.gibbs_relative_entropy(bs_tau, beta_tau)
-
-    s_sys = _system_entropy_change(traj)
-    s_env = (von_neumann_entropy(final.rho_env)
-             - von_neumann_entropy(initial.rho_env))
-    s_gibbs = ((solver.entropy(bs_tau) - von_neumann_entropy(final.rho_env))
-               - (solver.entropy(bs0) - von_neumann_entropy(initial.rho_env)))
 
     return EPReport(
         entropy_production=ep,
@@ -314,7 +316,7 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
         matched_entropy_production=matched,
         gibbs_mismatch_initial=mism0,
         gibbs_mismatch_final=mism_tau,
-        mutual_info_change=mutual_information(final) - mutual_information(initial),
+        mutual_info_change=mi_change,
         system_entropy_change=s_sys,
         env_entropy_change=s_env,
         gibbs_entropy_change=s_gibbs,

@@ -20,13 +20,13 @@ import numpy as np
 from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import GibbsSolver, effective_beta
+from .thermo import GibbsSolver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
 
 # Agreement required between the closed-form polarization inverse and the
-# generic energy-matching solver inside example_distances.
+# generic thermal energy map inside example_distances.
 _CONSISTENCY_TOL = 1e-9
 
 
@@ -133,20 +133,23 @@ def example_distances(initial: EnvPoint, final: EnvPoint, beta_tau: float,
     the thermal state at its own effective inverse temperature, which the
     coherence alone controls; ``final_distance`` is the distance of the
     final state to the thermal state at the assigned ``beta_tau``.  Both are
-    validated against the generic energy-matching solver: the effective
-    inverse temperature of each point must reproduce its longitudinal
-    coordinate, which pins the ground-state-first basis convention.
+    validated through the generic thermal energy map: the Gibbs energy at
+    each point's closed-form effective inverse temperature must reproduce
+    its longitudinal coordinate as 1 - 2E/gap, which pins the
+    ground-state-first basis convention.
     """
     if not isinstance(initial, EnvPoint) or not isinstance(final, EnvPoint):
         raise InvalidInput("example_distances expects EnvPoint arguments")
-    h_env = env_hamiltonian(gap)
+    solver = GibbsSolver(env_hamiltonian(gap))
     for pt in (initial, final):
-        beta_star = effective_beta(pt.density_matrix(), h_env)
-        r_back = thermal_polarization(beta_star, gap)
-        if abs(r_back - pt.longitudinal) > _CONSISTENCY_TOL:
+        p = pt.longitudinal
+        # The Bloch slack lets |p| exceed 1 by rounding; that is the edge state.
+        beta_star = beta_from_polarization(min(max(p, -1.0), 1.0), gap)
+        p_back = 1.0 - 2.0 * solver.energy(beta_star) / gap
+        if abs(p_back - p) > _CONSISTENCY_TOL:
             raise NumericalError(
-                f"polarization round trip drifted: r(beta*) = {r_back!r} "
-                f"vs p = {pt.longitudinal!r}"
+                f"polarization round trip drifted: 1 - 2E(beta*)/gap = {p_back!r} "
+                f"vs p = {p!r}"
             )
     r_tau = thermal_polarization(beta_tau, gap)
     final_distance = 0.5 * math.hypot(final.longitudinal - r_tau, abs(final.coherence))

@@ -46,7 +46,6 @@ from .entropy_production import (
 from .errors import InvalidInput, ScenarioError
 from .io import matrix_from_json, matrix_to_json
 from .linalg import BipartiteState, DensityMatrix, HermitianMatrix
-from .thermo import GibbsSolver
 
 SCHEMA_VERSION = 1
 
@@ -132,9 +131,9 @@ def _parse_policy(obj, where: str) -> BetaPolicy:
     raise ScenarioError(f"{where}: unknown policy kind {kind!r}")
 
 
-def _parse_initial(obj, d_s: int, d_e: int, h_env: HermitianMatrix,
-                   where: str) -> BipartiteState:
+def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteState:
     obj = _as_obj(obj, where)
+    d_s, d_e = schedule.d_s, schedule.d_e
     kind = _need(obj, "kind", where)
     try:
         if kind == "explicit":
@@ -147,13 +146,13 @@ def _parse_initial(obj, d_s: int, d_e: int, h_env: HermitianMatrix,
         if kind == "product_gibbs":
             rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
             beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
-            gamma = GibbsSolver(h_env).state(beta)
+            gamma = schedule.gibbs.state(beta)
             return BipartiteState(d_s, d_e, np.kron(rho_s.mat, gamma.mat))
         if kind == "perturbed":
             rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
             beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
             chi = _hermitian(_need(obj, "chi", where), f"{where}.chi")
-            return make_perturbed_initial(rho_s, beta, chi, h_env).state
+            return make_perturbed_initial(rho_s, beta, chi, schedule.h_env).state
     except InvalidInput as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown initial kind {kind!r}")
@@ -213,7 +212,7 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
     except InvalidInput as exc:
         raise ScenarioError(f"{source_name}.segments: {exc}") from exc
 
-    initial = _parse_initial(_need(obj, "initial", source_name), d_s, d_e, h_env,
+    initial = _parse_initial(_need(obj, "initial", source_name), schedule,
                              f"{source_name}.initial")
     policy = _parse_policy(_need(obj, "policy", source_name), f"{source_name}.policy")
 
@@ -317,17 +316,17 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(scenario=sc, trajectory=traj, report=report, bounds=bounds)
 
 
+def _policy_to_json(policy: BetaPolicy) -> dict:
+    if isinstance(policy, ConstantBeta):
+        return {"kind": "constant", "beta": policy.beta}
+    if isinstance(policy, EnergyMatching):
+        return {"kind": "energy_matching"}
+    return {"kind": "tabulated", "times": list(policy.times), "betas": list(policy.betas)}
+
+
 def result_to_json(result: ScenarioResult) -> dict:
     """Deterministic report document for one scenario run."""
     sc = result.scenario
-    policy = sc.policy
-    if isinstance(policy, ConstantBeta):
-        policy_obj = {"kind": "constant", "beta": policy.beta}
-    elif isinstance(policy, EnergyMatching):
-        policy_obj = {"kind": "energy_matching"}
-    else:
-        policy_obj = {"kind": "tabulated", "times": list(policy.times),
-                      "betas": list(policy.betas)}
     return {
         "spec_version": SCHEMA_VERSION,
         "scenario": {
@@ -336,7 +335,7 @@ def result_to_json(result: ScenarioResult) -> dict:
             "steps_per_segment": sc.steps_per_segment,
             "segments": len(sc.schedule.segments),
             "tau": sc.schedule.tau,
-            "policy": policy_obj,
+            "policy": _policy_to_json(sc.policy),
             "seed": sc.seed,
         },
         "report": result.report.to_dict(),
@@ -356,14 +355,6 @@ def scenario_to_json(sc: Scenario) -> dict:
             "h_sys": matrix_to_json(seg.h_sys),
             "h_int": matrix_to_json(seg.h_int),
         })
-    policy = sc.policy
-    if isinstance(policy, ConstantBeta):
-        policy_obj = {"kind": "constant", "beta": policy.beta}
-    elif isinstance(policy, EnergyMatching):
-        policy_obj = {"kind": "energy_matching"}
-    else:
-        policy_obj = {"kind": "tabulated", "times": list(policy.times),
-                      "betas": list(policy.betas)}
     return {
         "spec_version": SCHEMA_VERSION,
         "name": sc.name,
@@ -371,7 +362,7 @@ def scenario_to_json(sc: Scenario) -> dict:
         "h_env": matrix_to_json(sc.schedule.h_env),
         "segments": segments,
         "initial": {"kind": "explicit", "state": matrix_to_json(sc.initial.state)},
-        "policy": policy_obj,
+        "policy": _policy_to_json(sc.policy),
         "steps_per_segment": sc.steps_per_segment,
         "seed": sc.seed,
     }

@@ -224,10 +224,29 @@ class GibbsSolver:
         """
         b = np.asarray(betas, dtype=float)
         s = von_neumann_entropy(rho_env)
-        e = float(np.einsum("ij,ji->", rho_env.mat, self.h_env.mat).real)
-        return -s + b * e + self.log_partition(b)
+        return -s + b * self.mean_energy(rho_env.mat) + self.log_partition(b)
 
     # -- energy inversion ----------------------------------------------------
+
+    def mean_energy(self, rho):
+        """tr[rho H] for one matrix, or per matrix of an (n, d, d) stack."""
+        e = np.einsum("...kl,lk->...", rho, self.h_env.mat).real
+        return float(e) if e.ndim == 0 else e
+
+    def beta_star(self, rho_env: DensityMatrix,
+                  cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+        """The inverse temperature whose Gibbs state matches tr[rho_env H].
+
+        Unique because the thermal energy is strictly decreasing in beta.
+        Returns +inf (-inf) when the energy sits at the bottom (top) of the
+        spectrum within ``cfg.abs_tol``; energies outside the spectral range
+        by more than that raise InfeasibleEnergy.
+        """
+        if not isinstance(rho_env, DensityMatrix):
+            rho_env = DensityMatrix(rho_env)
+        if rho_env.dim != self.dim:
+            raise InvalidInput(f"dimension mismatch: state {rho_env.dim} vs H {self.dim}")
+        return self.solve_beta(self.mean_energy(rho_env.mat), cfg)
 
     def solve_beta(self, energy: float, cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
         return float(self.solve_beta_many(np.array([energy]), cfg)[0])
@@ -340,17 +359,5 @@ def gibbs_variance(spec: GibbsSpec) -> float:
 
 def effective_beta(rho_env: DensityMatrix, h_env: HermitianMatrix,
                    cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
-    """The inverse temperature whose Gibbs state matches tr[rho_env H_env].
-
-    Unique because the thermal energy is strictly decreasing in beta.
-    Returns +inf (-inf) when the energy sits at the bottom (top) of the
-    spectrum within ``cfg.abs_tol``; energies outside the spectral range by
-    more than that raise InfeasibleEnergy.
-    """
-    if not isinstance(rho_env, DensityMatrix):
-        rho_env = DensityMatrix(rho_env)
-    solver = GibbsSolver(h_env)
-    if rho_env.dim != solver.dim:
-        raise InvalidInput(f"dimension mismatch: state {rho_env.dim} vs H {solver.dim}")
-    energy = float(np.einsum("ij,ji->", rho_env.mat, solver.h_env.mat).real)
-    return solver.solve_beta(energy, cfg)
+    """``GibbsSolver(h_env).beta_star(rho_env, cfg)`` for a one-off query."""
+    return GibbsSolver(h_env).beta_star(rho_env, cfg)

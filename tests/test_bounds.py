@@ -264,3 +264,29 @@ def test_build_bound_report():
     assert not rep2.is_product
     assert rep2.product_trace_distance_bound is None
     assert rep2.distance_to_reference >= 0.0
+
+    # One beta* per report, yet every field equals its standalone function.
+    for state, report in ((prod, rep), (corr, rep2)):
+        assert report.beta_star == effective_beta(state.rho_env, h_env)
+        assert report.distance_to_reference == distance_to_reference(state, h_env)
+        assert report.entropy_gap_bound == entropy_gap_bound(state, h_env)
+        assert report.trace_distance_bound == trace_distance_bound(state, h_env)
+    assert rep.product_trace_distance_bound == product_trace_distance_bound(
+        prod.rho_sys, prod.rho_env, h_env)
+
+
+def test_build_bound_report_solves_beta_star_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    h_env = rand_env_hamiltonian(rng, 3)
+    prod = rand_product(rng, 2, 3)
+    calls = []
+    solve = GibbsSolver.solve_beta_many
+
+    def counting(self, energies, *args, **kwargs):
+        calls.append(np.size(energies))
+        return solve(self, energies, *args, **kwargs)
+
+    monkeypatch.setattr(GibbsSolver, "solve_beta_many", counting)
+    rep = build_bound_report(prod, h_env)
+    assert rep.is_product
+    assert calls == [1]
