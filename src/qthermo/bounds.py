@@ -32,7 +32,7 @@ from .linalg import (
     _ptrace,
     trace_distance,
 )
-from .thermo import BetaSolveConfig, GibbsSolver, von_neumann_entropy
+from .thermo import BetaSolveConfig, GibbsSolver, _as_beta, von_neumann_entropy
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
 # constraints of a perturbation: vanishing system marginal and vanishing
@@ -238,12 +238,7 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
         rho_sys = DensityMatrix(rho_sys)
     if not isinstance(chi, HermitianMatrix):
         chi = HermitianMatrix(chi)
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise InvalidInput("beta must be a real number or +-inf") from None
-    if math.isnan(beta):
-        raise InvalidInput("beta must be a real number or +-inf")
+    beta = _as_beta(beta)
     solver = GibbsSolver(h_env)
     d_s, d_e = rho_sys.dim, solver.dim
     if chi.dim != d_s * d_e:

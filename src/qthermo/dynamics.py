@@ -166,10 +166,6 @@ class Trajectory:
         return BipartiteState._trusted(self.d_s, self.d_e, self.rho[k])
 
     @property
-    def states(self) -> tuple:
-        return tuple(self.state(k) for k in range(len(self.times)))
-
-    @property
     def initial(self) -> BipartiteState:
         return self.state(0)
 

@@ -18,8 +18,8 @@ from typing import Union
 
 import numpy as np
 
+from .dynamics import Trajectory, env_energy_rate
 from .errors import InvalidInput
-from .dynamics import Trajectory
 from .linalg import BipartiteState, HermitianMatrix, _expi
 from .thermo import (
     BetaSolveConfig,
@@ -54,8 +54,11 @@ class TabulatedBeta:
     betas: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        b = np.asarray(self.betas, dtype=float)
+        try:
+            t = np.asarray(self.times, dtype=float)
+            b = np.asarray(self.betas, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput("tabulated knots must be real numbers") from None
         if t.ndim != 1 or t.shape != b.shape or len(t) < 2:
             raise InvalidInput("tabulated policy needs matching 1-d knots, at least two")
         if not (np.isfinite(t).all() and np.isfinite(b).all()):
@@ -216,8 +219,6 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     exactly zero when ``beta`` equals the state's effective inverse
     temperature or when ``beta_dot`` is zero.
     """
-    from .dynamics import env_energy_rate  # local import keeps module load acyclic
-
     if not isinstance(rho, BipartiteState):
         raise InvalidInput("entropy_production_rate expects a BipartiteState")
     if not (math.isfinite(beta) and math.isfinite(beta_dot)):

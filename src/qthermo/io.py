@@ -1,7 +1,7 @@
-"""Matrix JSON codecs and atomic file output.
+"""Matrix JSON decoding and atomic file output.
 
-Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]} with the
-imaginary block optional on input.  Writers go through a same-directory
+Matrices arrive as {"dim": n, "re": [[...]], "im": [[...]]} with the
+imaginary block optional.  Writers go through a same-directory
 temporary file and ``os.replace`` so partially written outputs never land
 under the final name.
 """
@@ -15,18 +15,6 @@ import tempfile
 import numpy as np
 
 from .errors import ScenarioError
-
-
-def matrix_to_json(mat) -> dict:
-    """Encode a square complex matrix (or wrapper with ``.mat``)."""
-    a = np.asarray(getattr(mat, "mat", mat), dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ScenarioError(f"expected a square matrix, got shape {a.shape}")
-    return {
-        "dim": int(a.shape[0]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:

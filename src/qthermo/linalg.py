@@ -7,11 +7,9 @@ no sparse or iterative machinery is used.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import DomainError, InvalidInput, InvalidState
+from .errors import InvalidInput, InvalidState
 
 # Construction-time tolerances.  Hermiticity is relative to the largest
 # entry magnitude (with a floor of 1), the others are absolute.
@@ -184,32 +182,6 @@ def _ptrace_stack(stack: np.ndarray, d_s: int, d_e: int, keep: str) -> np.ndarra
     return np.einsum("tikil->tkl", r)
 
 
-def eig_hermitian(a: HermitianMatrix) -> tuple[np.ndarray, UnitaryMatrix]:
-    """Eigenvalues (ascending) and a unitary of eigenvectors in columns."""
-    if not isinstance(a, HermitianMatrix):
-        a = HermitianMatrix(a)
-    w, v = np.linalg.eigh(a.mat)
-    return w, UnitaryMatrix(v)
-
-
-def matrix_function(a: HermitianMatrix, f: Callable[[float], float]) -> HermitianMatrix:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    Raises DomainError if ``f`` raises or returns a non-finite value on any
-    eigenvalue.
-    """
-    if not isinstance(a, HermitianMatrix):
-        a = HermitianMatrix(a)
-    w, v = np.linalg.eigh(a.mat)
-    try:
-        fw = np.array([float(f(x)) for x in w])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"scalar function failed on an eigenvalue: {exc}") from exc
-    if not np.isfinite(fw).all():
-        raise DomainError("scalar function returned a non-finite value on an eigenvalue")
-    return HermitianMatrix((v * fw) @ v.conj().T)
-
-
 def tensor_product(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """Kronecker product with the first factor on the major index."""
     if not isinstance(a, HermitianMatrix):
@@ -217,13 +189,6 @@ def tensor_product(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     if not isinstance(b, HermitianMatrix):
         b = HermitianMatrix(b)
     return HermitianMatrix(np.kron(a.mat, b.mat))
-
-
-def partial_trace(rho: BipartiteState, keep: str) -> DensityMatrix:
-    """Trace out one factor; ``keep`` is "S" (system) or "E" (environment)."""
-    if keep not in ("S", "E"):
-        raise InvalidInput(f'keep must be "S" or "E", got {keep!r}')
-    return rho.rho_sys if keep == "S" else rho.rho_env
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -236,15 +201,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return float(min(max(0.5 * np.abs(w).sum(), 0.0), 1.0))
-
-
-def unitary_step(h: HermitianMatrix, dt: float) -> UnitaryMatrix:
-    """The propagator exp(-i H dt), exactly unitary by construction."""
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)
-    if not np.isfinite(dt):
-        raise InvalidInput("dt must be finite")
-    return UnitaryMatrix(_expi(h.mat, dt))
 
 
 def _expi(h: np.ndarray, dt: float) -> np.ndarray:

@@ -17,10 +17,12 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .bounds import binary_entropy
 from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
+from .io import atomic_write_text
 from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import GibbsSolver
+from .thermo import GibbsSolver, _as_beta
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -48,9 +50,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
     gap = float(gap)
     if not (gap > 0 and math.isfinite(gap)):
         raise InvalidInput("gap must be positive and finite")
-    beta = float(beta)
-    if math.isnan(beta):
-        raise InvalidInput("beta must not be NaN")
+    beta = _as_beta(beta)
     if math.isinf(beta):
         return 1.0 if beta > 0 else -1.0
     return math.tanh(0.5 * beta * gap)
@@ -165,13 +165,9 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
     The square root of this value is the radius of the ball outside which
     the sufficient condition holds.
     """
-    from .bounds import binary_entropy  # late import avoids a module cycle
-
     if not isinstance(initial, EnvPoint):
         raise InvalidInput("region_rhs expects an EnvPoint")
-    beta0 = float(beta0)
-    if math.isnan(beta0):
-        raise InvalidInput("beta0 must not be NaN")
+    beta0 = _as_beta(beta0)
     delta = 0.5 * abs(initial.coherence)
     beta_star0 = beta_from_polarization(initial.longitudinal, gap)
     solver = GibbsSolver(env_hamiltonian(gap))
@@ -232,10 +228,7 @@ class RegionGrid:
         if not (gap > 0 and math.isfinite(gap)):
             raise InvalidInput("gap must be positive and finite")
         object.__setattr__(self, "gap", gap)
-        beta0 = float(self.beta0)
-        if math.isnan(beta0):
-            raise InvalidInput("beta0 must not be NaN")
-        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "beta0", _as_beta(self.beta0))
         if not isinstance(self.beta_tau_policy, (ConstantBeta, EnergyMatching)):
             raise InvalidInput("beta_tau_policy must be ConstantBeta or EnergyMatching")
         if not (int(self.s_count) >= 1 and int(self.b_count) >= 1):
@@ -302,8 +295,6 @@ class RegionMap:
                 f"{'true' if c.holds else 'false'},"
                 f"{'true' if c.feasible else 'false'}"
             )
-        from .io import atomic_write_text
-
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,8 +45,9 @@ from .entropy_production import (
     build_report,
 )
 from .errors import InvalidInput, ScenarioError
-from .io import matrix_from_json, matrix_to_json
+from .io import matrix_from_json
 from .linalg import BipartiteState, DensityMatrix, HermitianMatrix
+from .qubit_env import RegionGrid
 
 SCHEMA_VERSION = 1
 
@@ -98,36 +100,49 @@ def _as_obj(value, where: str) -> dict:
     return value
 
 
-def _density(obj, where: str) -> DensityMatrix:
+@contextmanager
+def _field(where: str):
+    """Re-raise an InvalidInput as a ScenarioError naming ``where``.
+
+    A ScenarioError passes through untouched: it already names its field.
+    """
     try:
-        return DensityMatrix(matrix_from_json(_as_obj(obj, where), where))
+        yield
+    except ScenarioError:
+        raise
     except InvalidInput as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _density(obj, where: str) -> DensityMatrix:
+    mat = matrix_from_json(_as_obj(obj, where), where)
+    with _field(where):
+        return DensityMatrix(mat)
 
 
 def _hermitian(obj, where: str) -> HermitianMatrix:
-    try:
-        return HermitianMatrix(matrix_from_json(_as_obj(obj, where), where))
-    except InvalidInput as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    mat = matrix_from_json(_as_obj(obj, where), where)
+    with _field(where):
+        return HermitianMatrix(mat)
 
 
 def _parse_policy(obj, where: str) -> BetaPolicy:
     obj = _as_obj(obj, where)
     kind = _need(obj, "kind", where)
-    try:
+    with _field(where):
         if kind == "constant":
             return ConstantBeta(_as_real(_need(obj, "beta", where), f"{where}.beta"))
         if kind == "energy_matching":
             return EnergyMatching()
         if kind == "tabulated":
-            times = _need(obj, "times", where)
-            betas = _need(obj, "betas", where)
-            if not isinstance(times, list) or not isinstance(betas, list):
-                raise ScenarioError(f"{where}: times and betas must be arrays")
-            return TabulatedBeta(tuple(times), tuple(betas))
-    except InvalidInput as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+            knots = {}
+            for key in ("times", "betas"):
+                values = _need(obj, key, where)
+                if not isinstance(values, list):
+                    raise ScenarioError(f"{where}: times and betas must be arrays")
+                knots[key] = tuple(_as_real(v, f"{where}.{key}[{i}]")
+                                   for i, v in enumerate(values))
+            return TabulatedBeta(**knots)
     raise ScenarioError(f"{where}: unknown policy kind {kind!r}")
 
 
@@ -135,7 +150,7 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
     obj = _as_obj(obj, where)
     d_s, d_e = schedule.d_s, schedule.d_e
     kind = _need(obj, "kind", where)
-    try:
+    with _field(where):
         if kind == "explicit":
             state = _density(_need(obj, "state", where), f"{where}.state")
             return BipartiteState(d_s, d_e, state.mat)
@@ -153,8 +168,6 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
             beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
             chi = _hermitian(_need(obj, "chi", where), f"{where}.chi")
             return make_perturbed_initial(rho_s, beta, chi, schedule.h_env).state
-    except InvalidInput as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown initial kind {kind!r}")
 
 
@@ -198,19 +211,15 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
             raise ScenarioError(
                 f"{where}.h_int: dimension {h_int.dim} != system*environment {d_s * d_e}"
             )
-        try:
+        with _field(where):
             segments.append(Segment(
                 t_start=_as_real(_need(seg, "t_start", where), f"{where}.t_start"),
                 t_end=_as_real(_need(seg, "t_end", where), f"{where}.t_end"),
                 h_sys=h_sys,
                 h_int=h_int,
             ))
-        except InvalidInput as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    try:
+    with _field(f"{source_name}.segments"):
         schedule = HamiltonianSchedule(h_env, segments)
-    except InvalidInput as exc:
-        raise ScenarioError(f"{source_name}.segments: {exc}") from exc
 
     initial = _parse_initial(_need(obj, "initial", source_name), schedule,
                              f"{source_name}.initial")
@@ -239,15 +248,13 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(obj, source_name=path)
 
 
-def parse_region_grid(obj: dict, source_name: str = "grid"):
+def parse_region_grid(obj: dict, source_name: str = "grid") -> RegionGrid:
     """Validate a region-grid JSON document.
 
     Schema: spec_version, gap, beta0, policy (constant or energy_matching),
     coherence_abs, optional initial_longitudinal, and axis objects
     "s"/"b" each holding min, max, count.
     """
-    from .qubit_env import RegionGrid
-
     obj = _as_obj(obj, source_name)
     version = _need(obj, "spec_version", source_name)
     if version != SCHEMA_VERSION:
@@ -272,7 +279,7 @@ def parse_region_grid(obj: dict, source_name: str = "grid"):
     s_min, s_max, s_count = axis("s")
     b_min, b_max, b_count = axis("b")
     p = obj.get("initial_longitudinal")
-    try:
+    with _field(source_name):
         return RegionGrid(
             gap=_as_real(_need(obj, "gap", source_name), f"{source_name}.gap"),
             beta0=_as_real(_need(obj, "beta0", source_name), f"{source_name}.beta0"),
@@ -284,11 +291,9 @@ def parse_region_grid(obj: dict, source_name: str = "grid"):
             initial_longitudinal=None if p is None
             else _as_real(p, f"{source_name}.initial_longitudinal"),
         )
-    except InvalidInput as exc:
-        raise ScenarioError(f"{source_name}: {exc}") from exc
 
 
-def load_region_grid(path: str):
+def load_region_grid(path: str) -> RegionGrid:
     """Read and validate a region-grid JSON file."""
     try:
         with open(path) as fh:
@@ -340,29 +345,4 @@ def result_to_json(result: ScenarioResult) -> dict:
         },
         "report": result.report.to_dict(),
         "bounds": result.bounds.to_dict(),
-    }
-
-
-def scenario_to_json(sc: Scenario) -> dict:
-    """Re-encode a scenario (constant segments only) as a schema document."""
-    segments = []
-    for seg in sc.schedule.segments:
-        if not seg.is_constant:
-            raise ScenarioError("only constant segments can be serialized")
-        segments.append({
-            "t_start": seg.t_start,
-            "t_end": seg.t_end,
-            "h_sys": matrix_to_json(seg.h_sys),
-            "h_int": matrix_to_json(seg.h_int),
-        })
-    return {
-        "spec_version": SCHEMA_VERSION,
-        "name": sc.name,
-        "dims": {"system": sc.d_s, "environment": sc.d_e},
-        "h_env": matrix_to_json(sc.schedule.h_env),
-        "segments": segments,
-        "initial": {"kind": "explicit", "state": matrix_to_json(sc.initial.state)},
-        "policy": _policy_to_json(sc.policy),
-        "steps_per_segment": sc.steps_per_segment,
-        "seed": sc.seed,
     }

@@ -90,10 +90,10 @@ def mutual_information(rho: BipartiteState) -> float:
 class BetaSolveConfig:
     """Tolerances for the effective inverse-temperature root solve.
 
-    ``abs_tol`` bounds the residual |gibbs_energy(beta*) - E| and also sets
-    the band around the spectral edges inside which beta* is reported as
-    +-inf.  ``beta_clamp`` is the magnitude beyond which the bracket search
-    gives up and reports +-inf.
+    ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and also
+    sets the band around the spectral edges inside which beta* is reported
+    as +-inf.  ``beta_clamp`` is the magnitude beyond which the bracket
+    search gives up and reports +-inf.
     """
 
     abs_tol: float = 1e-12
@@ -109,24 +109,15 @@ class BetaSolveConfig:
             raise InvalidInput("beta_clamp must be a positive finite number")
 
 
-@dataclass(frozen=True)
-class GibbsSpec:
-    """An inverse temperature (possibly +-inf) paired with a Hamiltonian."""
-
-    beta: float
-    h_env: HermitianMatrix
-
-    def __post_init__(self):
-        try:
-            beta = float(self.beta)
-        except (TypeError, ValueError):
-            raise InvalidInput("beta must be a real number or +-inf") from None
-        if math.isnan(beta):
-            raise InvalidInput("beta must be a real number or +-inf")
-        object.__setattr__(self, "beta", beta)
-        if not isinstance(self.h_env, HermitianMatrix):
-            object.__setattr__(self, "h_env", HermitianMatrix(self.h_env))
-        GibbsSolver(self.h_env)  # rejects Hamiltonians without two distinct levels
+def _as_beta(beta) -> float:
+    """An inverse temperature as a float; +-inf allowed, NaN and non-reals not."""
+    try:
+        b = float(beta)
+    except (TypeError, ValueError):
+        raise InvalidInput("beta must be a real number or +-inf") from None
+    if math.isnan(b):
+        raise InvalidInput("beta must be a real number or +-inf")
+    return b
 
 
 class GibbsSolver:
@@ -159,6 +150,7 @@ class GibbsSolver:
     # -- population vectors ------------------------------------------------
 
     def populations(self, beta: float) -> np.ndarray:
+        beta = _as_beta(beta)
         if math.isinf(beta):
             w = self.energies
             edge = w[0] if beta > 0 else w[-1]
@@ -177,12 +169,12 @@ class GibbsSolver:
 
     def energy(self, beta):
         if np.ndim(beta) == 0:
-            return float(self.populations(float(beta)) @ self.energies)
+            return float(self.populations(beta) @ self.energies)
         return self._pops_many(np.asarray(beta, dtype=float)) @ self.energies
 
     def variance(self, beta):
         if np.ndim(beta) == 0:
-            p = self.populations(float(beta))
+            p = self.populations(beta)
             e = p @ self.energies
             return float(p @ (self.energies - e) ** 2)
         p = self._pops_many(np.asarray(beta, dtype=float))
@@ -191,12 +183,12 @@ class GibbsSolver:
 
     def entropy(self, beta):
         if np.ndim(beta) == 0:
-            return float(_entropy_from_eigs(self.populations(float(beta))))
+            return float(_entropy_from_eigs(self.populations(beta)))
         return _entropy_from_eigs(self._pops_many(np.asarray(beta, dtype=float)))
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
-        b = np.asarray(beta, dtype=float)
+        b = np.asarray(_as_beta(beta) if np.ndim(beta) == 0 else beta, dtype=float)
         if not np.isfinite(b).all():
             raise InvalidInput("log_partition requires finite beta")
         a = -np.multiply.outer(b, self.energies)
@@ -205,15 +197,17 @@ class GibbsSolver:
         return float(out) if np.ndim(beta) == 0 else out
 
     def state(self, beta: float) -> DensityMatrix:
-        p = self.populations(float(beta))
+        """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
+        state on the extremal eigenspace."""
+        p = self.populations(beta)
         return DensityMatrix((self.basis * p) @ self.basis.conj().T)
 
     # -- relative entropies in the thermal family -----------------------------
 
     def gibbs_relative_entropy(self, beta_a: float, beta_b: float) -> float:
         """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b."""
-        p = self.populations(float(beta_a))
-        q = self.populations(float(beta_b))
+        p = self.populations(beta_a)
+        q = self.populations(beta_b)
         return float(_rel_entr_sum(p, q))
 
     def relative_entropy_profile(self, rho_env: DensityMatrix, betas) -> np.ndarray:
@@ -339,22 +333,6 @@ def _rel_entr_sum(p: np.ndarray, q: np.ndarray) -> float:
     ps = p[mask]
     qs = np.where(q[mask] > 0.0, q[mask], 1.0)
     return float((ps * (np.log(ps) - np.log(qs))).sum())
-
-
-def gibbs_state(spec: GibbsSpec) -> DensityMatrix:
-    """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
-    state on the extremal eigenspace."""
-    return GibbsSolver(spec.h_env).state(spec.beta)
-
-
-def gibbs_energy(spec: GibbsSpec) -> float:
-    """tr[H gamma(beta)], strictly decreasing in beta."""
-    return GibbsSolver(spec.h_env).energy(spec.beta)
-
-
-def gibbs_variance(spec: GibbsSpec) -> float:
-    """Energy variance of the thermal state; 0 only at beta = +-inf."""
-    return GibbsSolver(spec.h_env).variance(spec.beta)
 
 
 def effective_beta(rho_env: DensityMatrix, h_env: HermitianMatrix,

@@ -76,6 +76,9 @@ class VerifySuiteConfig:
             if d_s < 1 or d_e < 2:
                 raise InvalidInput(f"invalid dims ({d_s}, {d_e})")
         object.__setattr__(self, "dims", dims)
+        for name, tol in self.tolerances.items():
+            if not 0.0 <= float(tol) < math.inf:
+                raise InvalidInput(f"tolerance {name}={tol!r} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from qthermo import (
     EnergyMatching,
     EnvPoint,
     GibbsSolver,
-    GibbsSpec,
     HamiltonianSchedule,
     HermitianMatrix,
     RegionGrid,
@@ -34,7 +33,6 @@ from qthermo import (
     env_point_of,
     evolve,
     example_distances,
-    gibbs_state,
     load_scenario,
     mutual_information,
     policy_endpoints,
@@ -88,7 +86,7 @@ def _ramp_case(seed, d_s=2, d_e=2, tau=1.0):
              + rng.uniform(-1.0, 1.0) * np.sin(np.pi * knots / tau + rng.uniform(0, 6)))
     policy = TabulatedBeta(tuple(knots), tuple(betas))
     initial = tensor_product(rand_density(rng, d_s),
-                             gibbs_state(GibbsSpec(float(betas[0]), h_env)))
+                             GibbsSolver(h_env).state(float(betas[0])))
     return sched, policy, BipartiteState(d_s, d_e, initial.mat)
 
 
@@ -238,7 +236,7 @@ def test_acceptance_06_second_law_product_gibbs():
         h_env = rand_env_hamiltonian(rng, d_e)
         beta0 = rng.uniform(-2.0, 2.0)
         initial = BipartiteState(d_s, d_e, tensor_product(
-            rand_density(rng, d_s), gibbs_state(GibbsSpec(beta0, h_env))).mat)
+            rand_density(rng, d_s), GibbsSolver(h_env).state(beta0)).mat)
         u = rand_unitary(rng, d_s * d_e).mat
         final = BipartiteState(d_s, d_e, u @ initial.mat @ u.conj().T)
         constant = entropy_production(initial, final, beta0, beta0, h_env)
@@ -290,7 +288,7 @@ def test_acceptance_08_lower_bound_chain():
             # reversal makes the matched production negative
             beta = rng.uniform(-1.5, 1.5)
             prod = tensor_product(rand_density(rng, d_s),
-                                  gibbs_state(GibbsSpec(beta, h_env)))
+                                  GibbsSolver(h_env).state(beta))
             u0 = rand_unitary(rng, d_s * d_e).mat
             initial = BipartiteState(d_s, d_e, u0 @ prod.mat @ u0.conj().T)
             eps = rng.uniform(0.0, 0.5)
@@ -353,7 +351,7 @@ def test_acceptance_10_sufficiency_no_false_positives():
         h_env = rand_env_hamiltonian(rng, d_e)
         beta0, beta_tau = rng.uniform(-1.5, 1.5, size=2)
         if i % 2 == 0:
-            thermal = gibbs_state(GibbsSpec(beta0, h_env))
+            thermal = GibbsSolver(h_env).state(beta0)
             mix = rng.uniform(0.0, 0.15)
             rho_e = DensityMatrix((1 - mix) * thermal.mat + mix * rand_density(rng, d_e).mat)
             rho_s = rand_density(rng, d_s)
@@ -397,7 +395,7 @@ def test_acceptance_11_energy_monotonicity_roundtrip():
         # spread kept at 0.5 so the beta = +-20 tails stay resolvable
         h_env = rand_env_hamiltonian(rng, d_e, spread=0.5, offset=rng.uniform(-1.0, 1.0))
         beta = rng.uniform(-20.0, 20.0)
-        rho = gibbs_state(GibbsSpec(beta, h_env))
+        rho = GibbsSolver(h_env).state(beta)
         worst_rt = max(worst_rt, abs(effective_beta(rho, h_env) - beta))
     assert worst_rt <= TOL_ROUNDTRIP, f"worst roundtrip error {worst_rt}"
     _line(11, "thermal energy monotonicity",
@@ -422,10 +420,10 @@ def test_acceptance_12_qubit_closed_forms():
         bmag = rng.uniform(0.0, 1.0) * math.sqrt(1 - s * s) * 0.98
         final = EnvPoint(s, complex(bmag))
         dists = example_distances(initial, final, beta_tau, gap)
-        ref0 = gibbs_state(GibbsSpec(beta_from_polarization(p, gap), h_env))
+        ref0 = GibbsSolver(h_env).state(beta_from_polarization(p, gap))
         generic0 = trace_distance(initial.density_matrix(), ref0)
         generic1 = trace_distance(final.density_matrix(),
-                                  gibbs_state(GibbsSpec(beta_tau, h_env)))
+                                  GibbsSolver(h_env).state(beta_tau))
         worst_dist = max(worst_dist, abs(dists.initial_distance - generic0),
                          abs(dists.final_distance - generic1))
         if i % 10 == 0:
@@ -526,7 +524,7 @@ def test_acceptance_14_rate_formula():
                 moved = BipartiteState(2, 2, u @ state.mat @ u.conj().T)
                 beta = float(policy.values(np.array([t + dt]))[0])
                 ref = np.kron(moved.rho_sys.mat,
-                              gibbs_state(GibbsSpec(beta, sched.h_env)).mat)
+                              GibbsSolver(sched.h_env).state(beta).mat)
                 return float(np.real(np.trace(
                     moved.mat @ (sla.logm(moved.mat) - sla.logm(ref)))))
 

@@ -10,7 +10,6 @@ from qthermo import (
     DensityMatrix,
     DomainError,
     GibbsSolver,
-    GibbsSpec,
     HamiltonianSchedule,
     InvalidPerturbation,
     Segment,
@@ -21,7 +20,6 @@ from qthermo import (
     entropy_gap_bound,
     entropy_production,
     evolve,
-    gibbs_state,
     is_product_state,
     make_perturbed_initial,
     matched_entropy_production,
@@ -66,7 +64,7 @@ def test_entropy_gap_identity():
         state = rand_bipartite(rng, 2, 3)
         gap = entropy_gap_bound(state, h_env)
         bstar = effective_beta(state.rho_env, h_env)
-        div = relative_entropy(state.rho_env, gibbs_state(GibbsSpec(bstar, h_env)))
+        div = relative_entropy(state.rho_env, GibbsSolver(h_env).state(bstar))
         assert abs(gap + mutual_information(state) + div) < 1e-9
         assert gap < 1e-12  # never positive
 
@@ -74,7 +72,7 @@ def test_entropy_gap_identity():
 def test_entropy_gap_zero_on_thermal_product():
     rng = np.random.default_rng(1)
     h_env = rand_env_hamiltonian(rng, 4)
-    state = tensor_product(rand_density(rng, 2), gibbs_state(GibbsSpec(0.7, h_env)))
+    state = tensor_product(rand_density(rng, 2), GibbsSolver(h_env).state(0.7))
     gap = entropy_gap_bound(BipartiteState(2, 4, state.mat), h_env)
     assert abs(gap) < 1e-10
 
@@ -86,7 +84,7 @@ def test_distance_to_reference_manual():
         state = rand_bipartite(rng, 2, 3)
         d = distance_to_reference(state, h_env)
         bstar = effective_beta(state.rho_env, h_env)
-        ref = tensor_product(state.rho_sys, gibbs_state(GibbsSpec(bstar, h_env)))
+        ref = tensor_product(state.rho_sys, GibbsSolver(h_env).state(bstar))
         oracle = trace_distance(state.state, DensityMatrix(ref.mat))
         assert abs(d - oracle) < 1e-12
 
@@ -134,7 +132,7 @@ def test_fannes_audenaert_on_reference_pair():
         h_env = rand_env_hamiltonian(rng, 3)
         state = rand_bipartite(rng, 2, 3)
         bstar = effective_beta(state.rho_env, h_env)
-        ref = tensor_product(state.rho_sys, gibbs_state(GibbsSpec(bstar, h_env)))
+        ref = tensor_product(state.rho_sys, GibbsSolver(h_env).state(bstar))
         t = trace_distance(state.state, DensityMatrix(ref.mat))
         lhs = abs(von_neumann_entropy(state.state) - von_neumann_entropy(DensityMatrix(ref.mat)))
         rhs = t * math.log(state.dim - 1) + binary_entropy(t)
@@ -158,7 +156,7 @@ def test_sufficiency_check_is_sound():
         beta0, beta_tau = rng.uniform(-1.5, 1.5, size=2)
         if i % 2 == 0:
             initial = BipartiteState(2, 2, tensor_product(
-                rand_density(rng, 2), gibbs_state(GibbsSpec(beta0, h_env))).mat)
+                rand_density(rng, 2), GibbsSolver(h_env).state(beta0)).mat)
         else:
             initial = rand_bipartite(rng, 2, 2)
         u = rand_unitary(rng, 4).mat
@@ -179,7 +177,7 @@ def test_sufficiency_product_variant_sound():
         h_env = rand_env_hamiltonian(rng, 3)
         beta0, beta_tau = rng.uniform(-1.5, 1.5, size=2)
         rho_s = rand_density(rng, 2)
-        thermal = gibbs_state(GibbsSpec(beta0, h_env))
+        thermal = GibbsSolver(h_env).state(beta0)
         rho_e = DensityMatrix(0.97 * thermal.mat + 0.03 * rand_density(rng, 3).mat)
         initial = BipartiteState(2, 3, tensor_product(rho_s, rho_e).mat)
         u = rand_unitary(rng, 6).mat

@@ -112,10 +112,35 @@ def test_parse_scenario_error_paths():
     obj = _base_scenario()
     obj["initial"]["rho_sys"]["re"] = [[0.7, 0.0], [0.0, 0.9]]  # trace 1.6
     cases.append((obj, "rho_sys"))
+    # tabulated knots take the same numbers as every other numeric field
+    for times, betas, needle in ((["a", 6.0], [1.0, 0.5], "times[0]"),
+                                 ([0.0, 6.0], [1.0, {}], "betas[1]"),
+                                 (["0", 6.0], [1.0, 0.5], "times[0]"),
+                                 ([0.0, 6.0], [True, 0.5], "betas[0]")):
+        obj = _base_scenario()
+        obj["policy"] = {"kind": "tabulated", "times": times, "betas": betas}
+        cases.append((obj, needle))
     for payload, needle in cases:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(payload)
         assert needle in str(err.value)
+
+
+def test_parse_scenario_errors_name_the_field_once():
+    obj = _base_scenario()
+    obj["h_env"] = _matrix([[0.0, 0.0, 0.0]] * 3)
+    obj["h_env"]["dim"] = 2
+    cases = [(obj, "bad.json.h_env")]
+    obj = _base_scenario()
+    obj["initial"]["rho_sys"]["re"] = [[0.7, 0.0], [0.0, 0.9]]  # trace 1.6
+    cases.append((obj, "bad.json.initial"))
+    obj = _base_scenario()
+    obj["policy"]["beta"] = "warm"
+    cases.append((obj, "bad.json.policy"))
+    for payload, path in cases:
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(payload, source_name="bad.json")
+        assert str(err.value).count(path) == 1, str(err.value)
 
 
 def test_parse_scenario_explicit_and_product_initials():
@@ -244,6 +269,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     del obj["policy"]
     truncated.write_text(json.dumps(obj))
     assert main(["simulate", "--scenario", str(truncated)]) == 2
+    # a malformed tabulated knot is invalid input, not a crash
+    obj["policy"] = {"kind": "tabulated", "times": ["a", 6.0], "betas": [1.0, 0.5]}
+    truncated.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(truncated)]) == 2
+    last = capsys.readouterr().err.strip().split("\n")[-1]
+    assert "times[0]" in json.loads(last)["error"]["message"]
 
 
 def test_cli_example_matches_library(tmp_path):
@@ -290,3 +321,7 @@ def test_cli_verify_subcommand(tmp_path):
                  "--tol", "mutual_info_decomposition=0"]) == 1
     # unknown check names are input errors
     assert main(["verify", "--num", "8", "--tol", "bogus=1"]) == 2
+    # so are tolerances no residual can be compared against
+    for bad in ("nan", "inf", "-1"):
+        assert main(["verify", "--num", "8", "--seed", "2",
+                     "--tol", f"mutual_info_decomposition={bad}"]) == 2

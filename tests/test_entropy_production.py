@@ -11,7 +11,6 @@ from qthermo import (
     ConstantBeta,
     EnergyMatching,
     GibbsSolver,
-    GibbsSpec,
     HamiltonianSchedule,
     HermitianMatrix,
     InvalidInput,
@@ -22,7 +21,6 @@ from qthermo import (
     entropy_production,
     entropy_production_rate,
     evolve,
-    gibbs_state,
     matched_entropy_production,
     mutual_information,
     policy_endpoints,
@@ -43,14 +41,14 @@ def _ramp_setup(seed, d_s=2, d_e=2, tau=1.0):
     knots = np.linspace(0.0, tau, 9)
     betas = rng.uniform(-1.0, 1.0) + 0.8 * np.sin(np.pi * knots / tau + rng.uniform(0, 6))
     policy = TabulatedBeta(tuple(knots), tuple(betas))
-    initial = tensor_product(rand_density(rng, d_s), gibbs_state(GibbsSpec(float(betas[0]), h_env)))
+    initial = tensor_product(rand_density(rng, d_s), GibbsSolver(h_env).state(float(betas[0])))
     return rng, sched, policy, BipartiteState(d_s, d_e, initial.mat)
 
 
 def _joint_form_oracle(initial, final, beta0, beta_tau, h_env):
     # Independent form: change of D(rho_SE || rho_S (x) gibbs(beta)), via logm.
     def div(state, beta):
-        ref = np.kron(state.rho_sys.mat, gibbs_state(GibbsSpec(beta, h_env)).mat)
+        ref = np.kron(state.rho_sys.mat, GibbsSolver(h_env).state(beta).mat)
         return float(np.real(np.trace(state.mat @ (sla.logm(state.mat) - sla.logm(ref)))))
 
     return div(final, beta_tau) - div(initial, beta0)
@@ -271,7 +269,7 @@ def test_rate_matches_divergence_derivative():
         moved = BipartiteState(2, 2, u @ state.mat @ u.conj().T)
         beta = float(policy.values(np.array([t + dt]))[0])
         ref = np.kron(moved.rho_sys.mat,
-                      gibbs_state(GibbsSpec(beta, sched.h_env)).mat)
+                      GibbsSolver(sched.h_env).state(beta).mat)
         return float(np.real(np.trace(
             moved.mat @ (sla.logm(moved.mat) - sla.logm(ref)))))
 

@@ -1,4 +1,4 @@
-"""Tests for the Hermitian container types and spectral helpers."""
+"""Tests for the Hermitian container types, marginals and the propagator."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,10 @@ from qthermo import (
     InvalidInput,
     InvalidState,
     UnitaryMatrix,
-    eig_hermitian,
-    matrix_function,
-    partial_trace,
     tensor_product,
     trace_distance,
-    unitary_step,
 )
+from qthermo.linalg import _expi
 from qthermo.rand import rand_bipartite, rand_density, rand_hermitian, rand_unitary
 
 
@@ -82,8 +79,6 @@ def test_bipartite_marginals_match_index_loops():
                     rho_e[i, j] += full[k, i, k, j]
         assert np.max(np.abs(state.rho_sys.mat - rho_s)) < 1e-14
         assert np.max(np.abs(state.rho_env.mat - rho_e)) < 1e-14
-        assert np.max(np.abs(partial_trace(state, "S").mat - rho_s)) < 1e-14
-        assert np.max(np.abs(partial_trace(state, "E").mat - rho_e)) < 1e-14
 
 
 def test_bipartite_dimension_checks():
@@ -103,25 +98,6 @@ def test_tensor_product_marginals_roundtrip():
         state = BipartiteState(2, 3, prod.mat)
         assert np.max(np.abs(state.rho_sys.mat - a.mat)) < 1e-14
         assert np.max(np.abs(state.rho_env.mat - b.mat)) < 1e-14
-
-
-def test_eig_hermitian_reconstructs():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        h = rand_hermitian(rng, 5)
-        w, v = eig_hermitian(h)
-        rebuilt = (v.mat * w) @ v.mat.conj().T
-        assert np.max(np.abs(rebuilt - h.mat)) < 1e-13
-        assert np.all(np.diff(w) >= 0)
-
-
-def test_matrix_function_matches_expm():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        h = rand_hermitian(rng, 4)
-        ours = matrix_function(h, np.exp)
-        oracle = sla.expm(h.mat)
-        assert np.max(np.abs(ours.mat - oracle)) < 1e-12
 
 
 def test_trace_distance_fixed_oracle():
@@ -153,10 +129,10 @@ def test_unitary_step_matches_expm_propagator():
     for _ in range(10):
         h = rand_hermitian(rng, 4)
         dt = 0.37
-        u = unitary_step(h, dt)
+        u = _expi(h.mat, dt)
         oracle = sla.expm(-1j * h.mat * dt)
-        assert isinstance(u, UnitaryMatrix)
-        assert np.max(np.abs(u.mat - oracle)) < 1e-12
+        UnitaryMatrix(u)  # raises unless unitary within TOL_UNITARY
+        assert np.max(np.abs(u - oracle)) < 1e-12
 
 
 def test_rand_unitary_is_unitary():

@@ -14,7 +14,6 @@ from qthermo import (
     EnergyMatching,
     EnvPoint,
     GibbsSolver,
-    GibbsSpec,
     InvalidInput,
     RegionGrid,
     beta_from_polarization,
@@ -24,7 +23,6 @@ from qthermo import (
     env_hamiltonian,
     env_point_of,
     example_distances,
-    gibbs_state,
     region_condition,
     region_lhs,
     region_rhs,
@@ -126,11 +124,11 @@ def test_example_distances_closed_forms():
         final = _random_point(rng, margin=0.02)
         dists = example_distances(initial, final, beta_tau, gap)
         # oracle: generic trace distances on the explicit 2x2 matrices
-        ref0 = gibbs_state(GibbsSpec(beta_from_polarization(p, gap), h))
+        ref0 = GibbsSolver(h).state(beta_from_polarization(p, gap))
         oracle0 = trace_distance(initial.density_matrix(), ref0)
         assert abs(dists.initial_distance - oracle0) < 1e-10
         assert abs(dists.initial_distance - abs(a) / 2) < 1e-10
-        ref1 = gibbs_state(GibbsSpec(beta_tau, h))
+        ref1 = GibbsSolver(h).state(beta_tau)
         oracle1 = trace_distance(final.density_matrix(), ref1)
         assert abs(dists.final_distance - oracle1) < 1e-10
         r = thermal_polarization(beta_tau, gap)
@@ -264,3 +262,12 @@ def test_region_grid_validation():
                       b_min=0, b_max=1, b_count=5, initial_longitudinal=0.2)
     assert abs(grid.initial_point().longitudinal - 0.2) < 1e-15
     assert abs(abs(grid.initial_point().coherence) - 0.1) < 1e-15
+    # beta0 and beta go through the solver's one validation: NaN and
+    # non-reals are input errors, not a bare ValueError or TypeError
+    for bad in (math.nan, "warm", 1.0 + 2.0j):
+        with pytest.raises(InvalidInput):
+            RegionGrid(gap=1.0, beta0=bad, beta_tau_policy=ConstantBeta(0.5),
+                       coherence_abs=0.1, s_min=-1, s_max=1, s_count=5,
+                       b_min=0, b_max=1, b_count=5)
+        with pytest.raises(InvalidInput):
+            thermal_polarization(bad, 1.0)

@@ -12,14 +12,10 @@ from qthermo import (
     BipartiteState,
     DensityMatrix,
     GibbsSolver,
-    GibbsSpec,
     HermitianMatrix,
     InfeasibleEnergy,
     InvalidInput,
     effective_beta,
-    gibbs_energy,
-    gibbs_state,
-    gibbs_variance,
     mutual_information,
     relative_entropy,
     tensor_product,
@@ -123,7 +119,7 @@ def test_gibbs_state_matches_expm():
     for _ in range(10):
         h = rand_env_hamiltonian(rng, 4)
         beta = rng.uniform(-3.0, 3.0)
-        ours = gibbs_state(GibbsSpec(beta, h))
+        ours = GibbsSolver(h).state(beta)
         raw = sla.expm(-beta * h.mat)
         oracle = raw / np.trace(raw)
         assert np.max(np.abs(ours.mat - oracle)) < 1e-12
@@ -179,7 +175,7 @@ def test_effective_beta_on_thermal_states():
     for _ in range(20):
         h = rand_env_hamiltonian(rng, 4)
         beta = rng.uniform(-5.0, 5.0)
-        rho = gibbs_state(GibbsSpec(beta, h))
+        rho = GibbsSolver(h).state(beta)
         found = effective_beta(rho, h)
         assert abs(found - beta) < 1e-10
 
@@ -203,9 +199,7 @@ def test_gibbs_relative_entropy_matches_generic():
         solver = GibbsSolver(h)
         ba, bb = rng.uniform(-4.0, 4.0, size=2)
         ours = solver.gibbs_relative_entropy(ba, bb)
-        oracle = relative_entropy(
-            gibbs_state(GibbsSpec(ba, h)), gibbs_state(GibbsSpec(bb, h))
-        )
+        oracle = relative_entropy(solver.state(ba), solver.state(bb))
         assert abs(ours - oracle) < 1e-11
         assert ours > -1e-13
 
@@ -218,23 +212,23 @@ def test_relative_entropy_profile_matches_pointwise():
     betas = np.linspace(-3.0, 3.0, 21)
     profile = solver.relative_entropy_profile(rho, betas)
     for k, beta in enumerate(betas):
-        oracle = relative_entropy(rho, gibbs_state(GibbsSpec(beta, h)))
+        oracle = relative_entropy(rho, solver.state(beta))
         assert abs(profile[k] - oracle) < 1e-11
 
 
 def test_gibbs_spec_rejects_bad_beta():
-    h = HermitianMatrix(np.diag([0.0, 1.0]))
+    # Every scalar thermal query on the solver validates beta the same way.
+    solver = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
     with pytest.raises(InvalidInput):
-        GibbsSpec(float("nan"), h)
+        solver.state(float("nan"))
     with pytest.raises(InvalidInput):
-        GibbsSpec("warm", h)
+        solver.state("warm")
     with pytest.raises(InvalidInput):
-        GibbsSpec(1.0 + 2.0j, h)
-    # module-level wrappers answer the same numbers as the solver
-    spec = GibbsSpec(0.9, h)
-    solver = GibbsSolver(h)
-    assert abs(gibbs_energy(spec) - solver.energy(0.9)) < 1e-15
-    assert abs(gibbs_variance(spec) - solver.variance(0.9)) < 1e-15
+        solver.state(1.0 + 2.0j)
+    for query in (solver.energy, solver.variance, solver.entropy, solver.log_partition):
+        for bad in (float("nan"), "warm", 1.0 + 2.0j):
+            with pytest.raises(InvalidInput):
+                query(bad)
 
 
 def test_beta_solve_config_validation():
