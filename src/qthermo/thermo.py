@@ -120,6 +120,17 @@ def _as_beta(beta) -> float:
     return b
 
 
+def _finite_betas(beta) -> np.ndarray:
+    """An array of inverse temperatures as floats; NaN, +-inf and non-reals raise."""
+    b = np.asarray(beta)
+    if b.dtype.kind not in "biuf":
+        raise InvalidInput("beta arrays must hold finite real numbers")
+    b = b.astype(float, copy=False)
+    if not np.isfinite(b).all():
+        raise InvalidInput("beta arrays must hold finite real numbers")
+    return b
+
+
 class GibbsSolver:
     """Cached eigensystem of a fixed Hamiltonian answering thermal queries.
 
@@ -165,30 +176,34 @@ class GibbsSolver:
         p /= p.sum(axis=1, keepdims=True)
         return p
 
+    def _moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Thermal energy and variance at finite betas, from one population pass."""
+        p = self._pops_many(beta)
+        e = p @ self.energies
+        return e, np.einsum("ni,ni->n", p, (self.energies[None, :] - e[:, None]) ** 2)
+
     # -- scalar thermal maps -------------------------------------------------
 
     def energy(self, beta):
         if np.ndim(beta) == 0:
             return float(self.populations(beta) @ self.energies)
-        return self._pops_many(np.asarray(beta, dtype=float)) @ self.energies
+        return self._moments(_finite_betas(beta))[0]
 
     def variance(self, beta):
         if np.ndim(beta) == 0:
             p = self.populations(beta)
             e = p @ self.energies
             return float(p @ (self.energies - e) ** 2)
-        p = self._pops_many(np.asarray(beta, dtype=float))
-        e = p @ self.energies
-        return np.einsum("ni,ni->n", p, (self.energies[None, :] - e[:, None]) ** 2)
+        return self._moments(_finite_betas(beta))[1]
 
     def entropy(self, beta):
         if np.ndim(beta) == 0:
             return float(_entropy_from_eigs(self.populations(beta)))
-        return _entropy_from_eigs(self._pops_many(np.asarray(beta, dtype=float)))
+        return _entropy_from_eigs(self._pops_many(_finite_betas(beta)))
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
-        b = np.asarray(_as_beta(beta) if np.ndim(beta) == 0 else beta, dtype=float)
+        b = np.asarray(_as_beta(beta)) if np.ndim(beta) == 0 else _finite_betas(beta)
         if not np.isfinite(b).all():
             raise InvalidInput("log_partition requires finite beta")
         a = -np.multiply.outer(b, self.energies)
@@ -270,46 +285,49 @@ class GibbsSolver:
         n = len(e_target)
         lo = np.full(n, -1.0)
         hi = np.full(n, 1.0)
-        # Grow brackets geometrically: energy is strictly decreasing in beta,
-        # so we need energy(lo) >= E >= energy(hi).
+        # Grow brackets geometrically until energy(lo) > E > energy(hi); energy
+        # is strictly decreasing in beta.  Growing on equality too keeps a root
+        # off the bracket ends, where every Newton step would look like an
+        # escape and fall back to bisection.
         overflow = np.zeros(n, dtype=bool)
-        for _ in range(128):
-            need = (self.energy(lo) < e_target) & ~overflow
-            if not need.any():
-                break
-            lo[need] *= 2.0
-            hit = need & (lo <= -cfg.beta_clamp)
-            overflow |= hit
         underflow = np.zeros(n, dtype=bool)
-        for _ in range(128):
-            need = (self.energy(hi) > e_target) & ~underflow
-            if not need.any():
-                break
-            hi[need] *= 2.0
-            hit = need & (hi >= cfg.beta_clamp)
-            underflow |= hit
+        for end, sign, clamped in ((lo, -1.0, overflow), (hi, 1.0, underflow)):
+            idx = np.arange(n)
+            for _ in range(128):
+                idx = idx[sign * (self._moments(end[idx])[0] - e_target[idx]) >= 0.0]
+                if not idx.size:
+                    break
+                end[idx] *= 2.0
+                hit = np.abs(end[idx]) >= cfg.beta_clamp
+                clamped[idx[hit]] = True
+                idx = idx[~hit]
 
         beta = 0.5 * (lo + hi)
-        done = overflow | underflow
+        live = np.flatnonzero(~(overflow | underflow))
         for _ in range(cfg.max_iter):
-            if done.all():
+            if not live.size:
                 break
-            g = self.energy(beta) - e_target
-            var = self.variance(beta)
-            high = g > 0  # energy too high -> beta too small
-            lo = np.where(~done & high, beta, lo)
-            hi = np.where(~done & ~high, beta, hi)
+            b = beta[live]
+            e, var = self._moments(b)
+            g = e - e_target[live]
             with np.errstate(divide="ignore", invalid="ignore"):
-                cand = beta + g / var
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-            # Newton converges quadratically once bracketed, so a step at
-            # rounding scale means beta is at machine precision.
-            settled = np.abs(cand - beta) <= 1e-14 * (1.0 + np.abs(cand))
-            beta = np.where(done, beta, cand)
-            done |= settled
+                step = g / var
+            # Newton converges quadratically once bracketed, so a raw step at
+            # rounding scale means beta is at machine precision.  Test it before
+            # the bracket fallback: the ends have just moved onto beta, so a
+            # sub-ulp step would otherwise count as an escape.
+            settled = np.abs(step) <= 1e-14 * (1.0 + np.abs(b))
+            high = g > 0  # energy too high -> beta too small
+            b_lo = np.where(high, b, lo[live])
+            b_hi = np.where(high, hi[live], b)
+            cand = b + step
+            bad = ~settled & (~np.isfinite(cand) | (cand <= b_lo) | (cand >= b_hi))
+            beta[live] = np.where(bad, 0.5 * (b_lo + b_hi), cand)
+            lo[live] = b_lo
+            hi[live] = b_hi
+            live = live[~settled]
 
-        residual = np.abs(self.energy(beta) - e_target)
+        residual = np.abs(self._moments(beta)[0] - e_target)
         # Points pushed past the clamp sit against a spectral edge.
         beta = np.where(overflow, -math.inf, beta)
         beta = np.where(underflow, math.inf, beta)

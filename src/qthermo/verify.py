@@ -12,6 +12,7 @@ the configured case count to keep the default suite in the seconds range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +68,15 @@ class VerifySuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_random_scenarios < 1:
+        if _as_int(self.num_random_scenarios, "num_random_scenarios") < 1:
             raise InvalidInput("num_random_scenarios must be >= 1")
-        dims = tuple((int(a), int(b)) for a, b in self.dims)
+        if _as_int(self.seed, "seed") < 0:
+            raise InvalidInput("seed must be >= 0")
+        try:
+            dims = tuple((operator.index(a), operator.index(b)) for a, b in self.dims)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"dims must be (system, environment) integer pairs, "
+                               f"got {self.dims!r}") from None
         if not dims:
             raise InvalidInput("dims must not be empty")
         for d_s, d_e in dims:
@@ -77,8 +84,19 @@ class VerifySuiteConfig:
                 raise InvalidInput(f"invalid dims ({d_s}, {d_e})")
         object.__setattr__(self, "dims", dims)
         for name, tol in self.tolerances.items():
-            if not 0.0 <= float(tol) < math.inf:
+            try:
+                ok = 0.0 <= float(tol) < math.inf
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
                 raise InvalidInput(f"tolerance {name}={tol!r} must be finite and >= 0")
+
+
+def _as_int(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

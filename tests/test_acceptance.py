@@ -30,14 +30,12 @@ from qthermo import (
     entropy_production,
     entropy_production_rate,
     env_hamiltonian,
-    env_point_of,
     evolve,
     example_distances,
     load_scenario,
     mutual_information,
     policy_endpoints,
     product_trace_distance_bound,
-    region_condition,
     relative_entropy,
     sufficient_nonneg_general,
     sufficient_nonneg_product,

@@ -10,6 +10,7 @@ import pytest
 from qthermo import (
     ConstantBeta,
     EnergyMatching,
+    InvalidInput,
     ScenarioError,
     TabulatedBeta,
     VerifySuiteConfig,
@@ -212,6 +213,14 @@ def test_verify_energy_monotonicity_on_narrow_spectra(seed):
 def test_verify_config_validation():
     with pytest.raises(Exception):
         VerifySuiteConfig(num_random_scenarios=0)
+    # malformed values are input errors, not bare TypeError/ValueError
+    for bad in ({"num_random_scenarios": "x"}, {"num_random_scenarios": 2.5},
+                {"tolerances": {"pythagorean": "x"}},
+                {"tolerances": {"pythagorean": None}},
+                {"dims": ((2.5, 3),)}, {"dims": (("a", 3),)}, {"dims": (3,)},
+                {"seed": "x"}, {"seed": -1}):
+        with pytest.raises(InvalidInput):
+            VerifySuiteConfig(**bad)
     with pytest.raises(Exception):
         run_verify(VerifySuiteConfig(num_random_scenarios=5,
                                      tolerances={"no_such_check": 1.0}))
@@ -321,6 +330,7 @@ def test_cli_verify_subcommand(tmp_path):
                  "--tol", "mutual_info_decomposition=0"]) == 1
     # unknown check names are input errors
     assert main(["verify", "--num", "8", "--tol", "bogus=1"]) == 2
+    assert main(["verify", "--num", "8", "--seed", "-1"]) == 2
     # so are tolerances no residual can be compared against
     for bad in ("nan", "inf", "-1"):
         assert main(["verify", "--num", "8", "--seed", "2",

@@ -9,7 +9,6 @@ import pytest
 from qthermo import (
     BipartiteState,
     ConstantBeta,
-    DensityMatrix,
     DomainError,
     EnergyMatching,
     EnvPoint,

@@ -9,7 +9,6 @@ from scipy.special import logsumexp
 
 from qthermo import (
     BetaSolveConfig,
-    BipartiteState,
     DensityMatrix,
     GibbsSolver,
     HermitianMatrix,
@@ -170,6 +169,18 @@ def test_solve_beta_edges_and_failures():
         solver.solve_beta(-0.1)
 
 
+def test_solve_beta_settles_in_few_newton_steps():
+    # A converged Newton step must not be taken for a bracket escape, and a
+    # root on a first bracket end (beta* = -1 below) must not be bisected away.
+    qubit = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
+    found = qubit.solve_beta(qubit.energy(-1.3), BetaSolveConfig(max_iter=20))
+    assert abs(found + 1.3) < 1e-12
+    solver = GibbsSolver(HermitianMatrix(np.diag([0.0, 0.3, 1.1, 2.0])))
+    betas = np.linspace(-3.0, 3.0, 3001)
+    found = solver.solve_beta_many(solver.energy(betas), BetaSolveConfig(max_iter=8))
+    assert np.abs(found - betas).max() < 1e-12
+
+
 def test_effective_beta_on_thermal_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -225,8 +236,11 @@ def test_gibbs_spec_rejects_bad_beta():
         solver.state("warm")
     with pytest.raises(InvalidInput):
         solver.state(1.0 + 2.0j)
+    # Their array forms take finite real betas only.
     for query in (solver.energy, solver.variance, solver.entropy, solver.log_partition):
-        for bad in (float("nan"), "warm", 1.0 + 2.0j):
+        for bad in (float("nan"), "warm", 1.0 + 2.0j,
+                    np.array([0.5, np.nan]), np.array([np.inf]), [-np.inf, 1.0],
+                    np.array([1.0 + 2.0j]), np.array([1.0 + 0.0j]), np.array(["warm"])):
             with pytest.raises(InvalidInput):
                 query(bad)
 
