@@ -2,14 +2,22 @@
 
 A schedule is an ordered list of segments tiling [0, tau]; the environment
 Hamiltonian is fixed for the whole schedule while the system and coupling
-terms may change per segment (or vary continuously via callables).  Each
-substep applies exp(-i H(t + dt/2) dt), which is exactly unitary and
-second-order accurate for time-dependent segments.
+terms may change per segment (or vary continuously via callables).
+
+A constant segment is solved in closed form from one eigendecomposition
+H = V diag(w) V^dag: the state at t_start + k dt is V (rho0 o a_k a_k^dag) V^dag
+with rho0 = V^dag rho(t_start) V and phases a_k = exp(-i w k dt), so every grid
+point is exact to rounding, with nothing accumulated over the steps.  The
+environment energy and the heat flux come straight from rho0 and the phases;
+the joint states themselves are built only when ``Trajectory.rho`` is read.
+A continuously driven segment applies exp(-i H(t + dt/2) dt) per substep,
+which is exactly unitary and second-order accurate.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, IO, Sequence, Union
@@ -122,15 +130,20 @@ class HamiltonianSchedule:
         """The one thermal solver for H_E, built on first use."""
         return GibbsSolver(self.h_env)
 
+    @cached_property
+    def _env_term(self) -> np.ndarray:
+        """I x h_env on the joint space."""
+        return np.kron(np.eye(self.d_s), self.h_env.mat)
+
     def total_hamiltonian(self, t: float, segment: Segment | None = None) -> np.ndarray:
         """Raw d_s*d_e Hamiltonian h_sys x I + I x h_env + h_int at time t."""
         if segment is None:
             segment = self._segment_for(t)
         hs = _term_at(segment.h_sys, t)
         hi = _term_at(segment.h_int, t)
-        return (np.kron(hs, np.eye(self.d_e))
-                + np.kron(np.eye(self.d_s), self.h_env.mat)
-                + hi)
+        d = self.d_s * self.d_e
+        sys_term = (hs[:, None, :, None] * np.eye(self.d_e)[:, None, :]).reshape(d, d)
+        return sys_term + self._env_term + hi
 
     def _segment_for(self, t: float) -> Segment:
         for seg in self.segments:
@@ -139,39 +152,130 @@ class HamiltonianSchedule:
         raise InvalidInput(f"time {t} outside the schedule span [0, {self.tau}]")
 
 
+# Complex entries per temporary when grid points are processed in batches.
+# Temporaries this small are served again from memory the allocator keeps;
+# grid-sized ones take fresh pages on every call, and materializing a whole
+# segment at once was measured slower than a per-step loop at d >= 16.
+_CHUNK_ENTRIES = 1 << 13
+
+
+def _batches(start: int, stop: int, width: int):
+    """Consecutive [k0, k1) ranges of rows of ``width`` entries each."""
+    rows = max(1, _CHUNK_ENTRIES // width)
+    for k0 in range(start, stop, rows):
+        yield k0, min(k0 + rows, stop)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+class _Eigenframe:
+    """A constant segment in the eigenbasis of its Hamiltonian H = V diag(w) V^dag.
+
+    The state k steps of dt into the segment is V (rho0 o a_k a_k^dag) V^dag
+    with rho0 = V^dag rho_start V and a_k = exp(-i (w - w_0) k dt); the shift
+    by w_0 cancels in a_k a_k^dag and keeps the phase arguments small on
+    offset or wide spectra.
+    """
+
+    def __init__(self, h: np.ndarray, rho_start: np.ndarray, dt: float, steps: int):
+        w, self.vecs = np.linalg.eigh(h)
+        self.freqs = w - w[0]
+        self.rho0 = self.vecs.conj().T @ rho_start @ self.vecs
+        self.dt = dt
+        self.steps = steps
+        # a_k = a_{qm} a_r for k = qm + r: a table of m ~ sqrt(steps) rows a_r
+        # and one of a_{qm} per batch replace a complex exponential per grid
+        # point and level, at one rounding per entry, never accumulated.
+        self._m = max(1, math.isqrt(steps))
+        self._low = self._exp(np.arange(self._m))
+        # The end state seeds the next segment and is stored, not recomputed.
+        self.end = _hermitian_part(self._states(steps, steps + 1)[0])
+
+    def _exp(self, k: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * np.multiply.outer(k * self.dt, self.freqs))
+
+    def _phases(self, start: int, stop: int) -> np.ndarray:
+        """Rows a_k for k in [start, stop)."""
+        q0, q1 = start // self._m, (stop - 1) // self._m + 1
+        high = self._exp(np.arange(q0, q1) * self._m)
+        a = (high[:, None, :] * self._low).reshape(-1, len(self.freqs))
+        return a[start - q0 * self._m:stop - q0 * self._m]
+
+    def expectations(self, ops: np.ndarray) -> np.ndarray:
+        """tr[rho_k A] at k = 0..steps for each A, given as V^dag A V in an (m, d, d) stack.
+
+        tr[rho_k A] = sum_ij a_i (rho0 o A~^T)_ij conj(a_j): an (n, d) @ (d, d)
+        product per operator, never a state.
+        """
+        weights = self.rho0 * ops.transpose(0, 2, 1)
+        out = np.empty((len(ops), self.steps + 1))
+        for k0, k1 in _batches(0, self.steps + 1, len(self.freqs)):
+            a = self._phases(k0, k1)
+            out[:, k0:k1] = np.einsum("mkj,kj->mk", a @ weights, a.conj()).real
+        return out
+
+    def _states(self, start: int, stop: int) -> np.ndarray:
+        a = self._phases(start, stop)
+        n, d = a.shape
+        mixed = self.rho0 * (a[:, :, None] * a.conj()[:, None, :])
+        # V X V^dag = (X V^dag)^dag V^dag for Hermitian X: two (n d, d) @ (d, d)
+        # products rather than 2n small ones.
+        vh = self.vecs.conj().T
+        half = (mixed.reshape(n * d, d) @ vh).reshape(n, d, d)
+        return (half.conj().transpose(0, 2, 1).reshape(n * d, d) @ vh).reshape(n, d, d)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the states at k = 1..steps into out[1:]; out[0] is the start."""
+        for k0, k1 in _batches(1, self.steps, out.shape[1] ** 2):
+            out[k0:k1] = self._states(k0, k1)
+        out[self.steps] = self.end
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Grid of evolved joint states plus cached thermodynamic observables.
+    """Thermodynamic observables on the time grid, joint states on demand.
 
     ``heat_flux`` holds dQ/dt = -d/dt tr[rho_E H_E]; at interior segment
     boundaries, where the generator may jump, the cached value is the
     right-limit and per-segment rates are kept separately for quadrature.
+    ``initial`` and ``final`` are stored; the (K+1, d, d) stack ``rho`` is
+    built from the per-segment data the first time it is read.
     """
 
     d_s: int
     d_e: int
     times: np.ndarray
-    rho: np.ndarray          # (K+1, d, d) complex, read-only
     env_energy: np.ndarray
     beta_star: np.ndarray
     heat_flux: np.ndarray
     schedule: HamiltonianSchedule
     segment_slices: tuple    # slice into the grid per segment, endpoints inclusive
     segment_rates: tuple     # d/dt tr[rho_E H_E] per segment grid point
+    initial: BipartiteState
+    final: BipartiteState
+    _segment_states: tuple   # per segment: an _Eigenframe, or the driven (n+1, d, d) stack
 
     def __len__(self) -> int:
         return len(self.times)
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """(K+1, d, d) complex joint states, read-only, built on first access."""
+        d = self.d_s * self.d_e
+        rho = np.empty((len(self.times), d, d), dtype=complex)
+        rho[0] = self.initial.mat
+        for sl, src in zip(self.segment_slices, self._segment_states):
+            if isinstance(src, np.ndarray):
+                rho[sl] = src
+            else:
+                src.fill(rho[sl])
+        rho.setflags(write=False)
+        return rho
+
     def state(self, k: int) -> BipartiteState:
         return BipartiteState._trusted(self.d_s, self.d_e, self.rho[k])
-
-    @property
-    def initial(self) -> BipartiteState:
-        return self.state(0)
-
-    @property
-    def final(self) -> BipartiteState:
-        return self.state(len(self.times) - 1)
 
     def system_entropies(self) -> np.ndarray:
         lam = np.linalg.eigvalsh(_ptrace_stack(self.rho, self.d_s, self.d_e, "S"))
@@ -205,10 +309,9 @@ class Trajectory:
             ])
 
 
-def _rate_operator(h_total: np.ndarray, h_env: np.ndarray, d_s: int) -> np.ndarray:
+def _rate_operator(h_total: np.ndarray, env_term: np.ndarray) -> np.ndarray:
     # tr[rho * R] with R = -i [I x H_E, H] equals d/dt tr[rho_E H_E].
-    m = np.kron(np.eye(d_s), h_env)
-    return -1j * (m @ h_total - h_total @ m)
+    return -1j * (env_term @ h_total - h_total @ env_term)
 
 
 def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
@@ -225,8 +328,40 @@ def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
         h_env = HermitianMatrix(h_env)
     if h_total.dim != rho.dim or h_env.dim != rho.d_e:
         raise InvalidInput("Hamiltonian dimensions do not match the state")
-    r = _rate_operator(h_total.mat, h_env.mat, rho.d_s)
+    r = _rate_operator(h_total.mat, np.kron(np.eye(rho.d_s), h_env.mat))
     return float(np.einsum("ij,ji->", rho.state.mat, r).real)
+
+
+def _constant_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
+                      dt: float, steps: int):
+    """Closed-form segment: its eigenframe, env energies and energy rates."""
+    frame = _Eigenframe(sched.total_hamiltonian(seg.t_start, seg), rho_start, dt, steps)
+    env = frame.vecs.conj().T @ sched._env_term @ frame.vecs
+    # V^dag R V for R = -i [I x H_E, H]: H is diagonal in this frame, so the
+    # commutator scales each entry by a level difference.
+    rate = -1j * env * (frame.freqs[None, :] - frame.freqs[:, None])
+    energies, rates = frame.expectations(np.stack([env, rate]))
+    return frame, energies, rates
+
+
+def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
+                    dt: float, times: np.ndarray):
+    """Midpoint-propagated segment: its state stack, env energies and energy rates."""
+    steps = len(times) - 1
+    stack = np.empty((steps + 1,) + rho_start.shape, dtype=complex)
+    stack[0] = rho_start
+    for i in range(steps):
+        u = _expi(sched.total_hamiltonian(seg.t_start + (i + 0.5) * dt, seg), dt)
+        stack[i + 1] = u @ stack[i] @ u.conj().T
+    stack[-1] = _hermitian_part(stack[-1])
+    stack.setflags(write=False)
+    energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
+    rates = np.array([
+        float(np.einsum("ij,ji->", stack[j],
+                        _rate_operator(sched.total_hamiltonian(t, seg), sched._env_term)).real)
+        for j, t in enumerate(times)
+    ])
+    return stack, energies, rates
 
 
 def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
@@ -234,9 +369,13 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
            beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> Trajectory:
     """Propagate the joint state over the schedule grid.
 
-    Constant segments use one exact propagator per segment; time-dependent
-    segments use the midpoint Hamiltonian per substep.  The effective inverse
-    temperature is solved at every grid point.
+    Each constant segment costs one eigendecomposition of its Hamiltonian
+    and no per-step loop: environment energy and heat flux at its grid
+    points are evaluated in closed form, exact to rounding with no error
+    accumulated over the steps.  Time-dependent segments use the midpoint
+    Hamiltonian per substep.  The effective inverse temperature is solved
+    at every grid point.  Joint states are kept per segment and assembled
+    into ``Trajectory.rho`` only when it is read.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")
@@ -245,71 +384,55 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
             f"initial state dims ({initial.d_s},{initial.d_e}) do not match "
             f"schedule dims ({sched.d_s},{sched.d_e})"
         )
+    if isinstance(steps_per_segment, bool) or \
+            not isinstance(steps_per_segment, (int, np.integer)):
+        raise InvalidInput(
+            f"steps_per_segment must be an integer, got {steps_per_segment!r}"
+        )
     steps = int(steps_per_segment)
     if steps < 1:
         raise InvalidInput("steps_per_segment must be at least 1")
 
-    d = initial.dim
-    nseg = len(sched.segments)
-    total = nseg * steps
-    rho = np.empty((total + 1, d, d), dtype=complex)
-    rho[0] = initial.state.mat
+    total = len(sched.segments) * steps
     times = np.empty(total + 1)
     times[0] = 0.0
-
-    slices = []
-    k = 0
-    for seg in sched.segments:
-        dt = (seg.t_end - seg.t_start) / steps
-        start_idx = k
-        if seg.is_constant:
-            u = _expi(sched.total_hamiltonian(seg.t_start, seg), dt)
-            uh = u.conj().T
-            for i in range(steps):
-                rho[k + 1] = u @ rho[k] @ uh
-                times[k + 1] = seg.t_start + (i + 1) * dt
-                k += 1
-        else:
-            for i in range(steps):
-                tm = seg.t_start + (i + 0.5) * dt
-                u = _expi(sched.total_hamiltonian(tm, seg), dt)
-                rho[k + 1] = u @ rho[k] @ u.conj().T
-                times[k + 1] = seg.t_start + (i + 1) * dt
-                k += 1
-        times[k] = seg.t_end  # pin the endpoint against accumulation drift
-        slices.append(slice(start_idx, k + 1))
-
-    env_energy = sched.gibbs.mean_energy(_ptrace_stack(rho, sched.d_s, sched.d_e, "E"))
-    beta_star = sched.gibbs.solve_beta_many(env_energy, beta_cfg)
-
-    seg_rates = []
+    env_energy = np.empty(total + 1)
     heat_flux = np.empty(total + 1)
-    for seg, sl in zip(sched.segments, slices):
-        if seg.is_constant:
-            r = _rate_operator(sched.total_hamiltonian(seg.t_start, seg),
-                               sched.h_env.mat, sched.d_s)
-            rates = np.einsum("tij,ji->t", rho[sl], r).real
-        else:
-            rates = np.array([
-                float(np.einsum("ij,ji->", rho[j],
-                                _rate_operator(sched.total_hamiltonian(times[j], seg),
-                                               sched.h_env.mat, sched.d_s)).real)
-                for j in range(sl.start, sl.stop)
-            ])
-        seg_rates.append(rates)
-        heat_flux[sl] = -rates  # later segments overwrite shared boundaries
 
-    for arr in (rho, times, env_energy, beta_star, heat_flux):
+    rho = initial.state.mat
+    slices, seg_rates, seg_states = [], [], []
+    for j, seg in enumerate(sched.segments):
+        dt = (seg.t_end - seg.t_start) / steps
+        sl = slice(j * steps, (j + 1) * steps + 1)
+        times[sl.start + 1:sl.stop] = seg.t_start + np.arange(1, steps + 1) * dt
+        times[sl.stop - 1] = seg.t_end  # pin the endpoint against rounding drift
+        if seg.is_constant:
+            src, energies, rates = _constant_segment(sched, seg, rho, dt, steps)
+            rho = src.end
+        else:
+            src, energies, rates = _driven_segment(sched, seg, rho, dt, times[sl])
+            rho = src[-1]
+        # Later segments overwrite shared boundaries.
+        env_energy[sl] = energies
+        heat_flux[sl] = -rates
+        slices.append(sl)
+        seg_rates.append(rates)
+        seg_states.append(src)
+
+    beta_star = sched.gibbs.solve_beta_many(env_energy, beta_cfg)
+    for arr in (times, env_energy, beta_star, heat_flux):
         arr.setflags(write=False)
     return Trajectory(
         d_s=sched.d_s,
         d_e=sched.d_e,
         times=times,
-        rho=rho,
         env_energy=env_energy,
         beta_star=beta_star,
         heat_flux=heat_flux,
         schedule=sched,
         segment_slices=tuple(slices),
         segment_rates=tuple(seg_rates),
+        initial=initial,
+        final=BipartiteState._trusted(sched.d_s, sched.d_e, rho),
+        _segment_states=tuple(seg_states),
     )

@@ -25,7 +25,6 @@ from .thermo import (
     BetaSolveConfig,
     GibbsSolver,
     mutual_information,
-    relative_entropy,
     von_neumann_entropy,
 )
 
@@ -123,11 +122,15 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
 
 def _env_divergence_change(initial: BipartiteState, final: BipartiteState,
                            beta0: float, beta_tau: float, solver: GibbsSolver) -> float:
-    """D(rho_E(tau) || gamma(beta_tau)) - D(rho_E(0) || gamma(beta0))."""
+    """D(rho_E(tau) || gamma(beta_tau)) - D(rho_E(0) || gamma(beta0)).
+
+    Both divergences go through the log-partition identity, so Gibbs levels
+    that underflow on a wide spectrum cannot fake a support violation.
+    """
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
-    return (relative_entropy(final.rho_env, solver.state(beta_tau))
-            - relative_entropy(initial.rho_env, solver.state(beta0)))
+    return float(solver.relative_entropy_profile(final.rho_env, beta_tau)
+                 - solver.relative_entropy_profile(initial.rho_env, beta0))
 
 
 def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:

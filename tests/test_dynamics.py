@@ -1,6 +1,7 @@
 """Tests for schedules, unitary propagation, and trajectory bookkeeping."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from qthermo import (
     effective_beta,
     env_energy_rate,
     evolve,
+    load_scenario,
     mutual_information,
+    run_scenario,
     tensor_product,
     von_neumann_entropy,
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
+
+BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
 
 
 def _exchange_schedule(d_s=2, d_e=2, tau=1.0, coupling=0.35, seed=0):
@@ -58,16 +63,18 @@ def test_schedule_requires_contiguous_segments():
 
 
 def test_total_hamiltonian_assembly():
-    # H(t) = h_sys (x) 1 + 1 (x) h_env + h_int, checked entrywise.
-    sched, _ = _exchange_schedule(seed=1)
-    seg = sched.segments[0]
-    h = sched.total_hamiltonian(0.3)
-    oracle = (
-        np.kron(seg.h_sys.mat, np.eye(2))
-        + np.kron(np.eye(2), sched.h_env.mat)
-        + seg.h_int.mat
-    )
-    assert np.max(np.abs(h - oracle)) < 1e-15
+    # H(t) = h_sys (x) 1 + 1 (x) h_env + h_int, equal to the Kronecker form
+    # bit for bit, including on unequal factors.
+    for d_s, d_e, seed in ((2, 2, 1), (3, 4, 15)):
+        sched, _ = _exchange_schedule(d_s=d_s, d_e=d_e, seed=seed)
+        seg = sched.segments[0]
+        h = sched.total_hamiltonian(0.3)
+        oracle = (
+            np.kron(seg.h_sys.mat, np.eye(d_e))
+            + np.kron(np.eye(d_s), sched.h_env.mat)
+            + seg.h_int.mat
+        )
+        assert np.array_equal(h, oracle)
 
 
 def test_evolve_preserves_state_validity():
@@ -223,5 +230,110 @@ def test_evolve_rejects_mismatched_state():
     with pytest.raises(InvalidInput):
         evolve(wrong, sched, steps_per_segment=5)
     good = rand_bipartite(rng, 2, 2)
-    with pytest.raises(InvalidInput):
-        evolve(good, sched, steps_per_segment=0)
+    for steps in (0, 2.7, 10.0, "10", True, None):
+        with pytest.raises(InvalidInput):
+            evolve(good, sched, steps_per_segment=steps)
+    assert len(evolve(good, sched, steps_per_segment=np.int64(3))) == 4
+
+
+def _expm_oracle(sched, initial, steps):
+    """Grid states, env energies and heat fluxes from scipy expm propagators."""
+    env_term = np.kron(np.eye(sched.d_s), sched.h_env.mat)
+    rho, states, energies, fluxes = initial.mat, [], [], []
+    for seg in sched.segments:
+        h = sched.total_hamiltonian(seg.t_start, seg)
+        r = -1j * (env_term @ h - h @ env_term)
+        dt = (seg.t_end - seg.t_start) / steps
+        start = rho
+        seg_states = []
+        for k in range(steps + 1):
+            u = sla.expm(-1j * h * (k * dt))
+            seg_states.append(u @ start @ u.conj().T)
+        rho = seg_states[-1]
+        if states:  # the shared boundary carries the later segment's rate
+            states.pop(), energies.pop(), fluxes.pop()
+        for x in seg_states:
+            states.append(x)
+            energies.append(np.trace(x @ env_term).real)
+            fluxes.append(-np.trace(x @ r).real)
+    return np.array(states), np.array(energies), np.array(fluxes)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_constant_segments_match_expm_at_every_grid_point(offset):
+    # Three constant segments at 4x8; the offset shifts H by offset * I,
+    # which the closed form must cancel exactly in its phases.
+    rng = np.random.default_rng(13)
+    d_s, d_e, steps = 4, 8, 12
+    h_env = rand_env_hamiltonian(rng, d_e)
+    segs, t = [], 0.0
+    for length in (0.6, 0.9, 0.75):
+        h_int = rand_hermitian(rng, d_s * d_e, scale=0.4).mat + offset * np.eye(d_s * d_e)
+        segs.append(Segment(t, t + length, rand_hermitian(rng, d_s, scale=0.5), h_int))
+        t += length
+    sched = HamiltonianSchedule(h_env, segs)
+    initial = rand_bipartite(rng, d_s, d_e)
+    traj = evolve(initial, sched, steps_per_segment=steps)
+    states, energies, fluxes = _expm_oracle(sched, initial, steps)
+    assert len(traj) == len(states) == 3 * steps + 1
+    assert np.max(np.abs(traj.rho - states)) < 1e-11
+    assert np.max(np.abs(traj.env_energy - energies)) < 1e-11
+    assert np.max(np.abs(traj.heat_flux - fluxes)) < 1e-11
+    assert np.max(np.abs(traj.final.mat - states[-1])) < 1e-11
+
+
+def test_constant_driven_constant_boundaries_agree():
+    rng = np.random.default_rng(14)
+    d_s, d_e, steps = 2, 3, 40
+    h_env = rand_env_hamiltonian(rng, d_e)
+    base = rand_hermitian(rng, d_s * d_e, scale=0.3).mat
+    drive = rand_hermitian(rng, d_s * d_e, scale=0.2).mat
+
+    def h_int(t):
+        return HermitianMatrix(base + np.sin(2.0 * t) * drive)
+
+    segs = (
+        Segment(0.0, 0.7, rand_hermitian(rng, d_s, scale=0.5), rand_hermitian(rng, 6, scale=0.3)),
+        Segment(0.7, 1.5, rand_hermitian(rng, d_s, scale=0.5), h_int),
+        Segment(1.5, 2.0, rand_hermitian(rng, d_s, scale=0.5), rand_hermitian(rng, 6, scale=0.3)),
+    )
+    sched = HamiltonianSchedule(h_env, segs)
+    initial = rand_bipartite(rng, d_s, d_e)
+    traj = evolve(initial, sched, steps_per_segment=steps)
+    assert "rho" not in traj.__dict__
+    rho = traj.rho
+    assert not rho.flags.writeable
+    # Each constant segment is exact from the state its predecessor left.
+    for seg, sl in zip((segs[0], segs[2]), (traj.segment_slices[0], traj.segment_slices[2])):
+        u = sla.expm(-1j * sched.total_hamiltonian(seg.t_start, seg) * (seg.t_end - seg.t_start))
+        oracle = u @ rho[sl.start] @ u.conj().T
+        assert np.max(np.abs(rho[sl.stop - 1] - oracle)) < 1e-12
+    assert np.array_equal(rho[0], initial.mat)
+    assert np.array_equal(rho[-1], traj.final.mat)
+    # At each shared boundary both segments see the same state: the energy is
+    # continuous, and each side's rate is its own generator's rate there.
+    for left, right, a, b in zip(segs, segs[1:], traj.segment_slices,
+                                 traj.segment_slices[1:]):
+        k = a.stop - 1
+        assert k == b.start
+        state = traj.state(k)
+        energy = float(np.trace(state.rho_env.mat @ h_env.mat).real)
+        assert abs(traj.env_energy[k] - energy) < 1e-12
+        t_k = float(traj.times[k])
+        for seg, rates, idx in ((left, traj.segment_rates[a.start // steps], -1),
+                                (right, traj.segment_rates[b.start // steps], 0)):
+            h_tot = HermitianMatrix(sched.total_hamiltonian(t_k, seg))
+            assert abs(rates[idx] - env_energy_rate(state, h_tot, h_env)) < 1e-12
+        assert traj.heat_flux[k] == -traj.segment_rates[b.start // steps][0]
+
+
+def test_run_scenario_leaves_the_state_stack_unbuilt():
+    sc = load_scenario(str(BUNDLED))
+    result = run_scenario(sc)
+    traj = result.trajectory
+    assert "rho" not in traj.__dict__
+    assert np.array_equal(traj.initial.mat, sc.initial.mat)
+    assert np.isfinite(result.report.entropy_production)
+    assert "rho" not in traj.__dict__
+    assert np.array_equal(traj.rho[-1], traj.final.mat)
+    assert "rho" in traj.__dict__

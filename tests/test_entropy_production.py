@@ -1,6 +1,8 @@
 """Tests for the entropy production decomposition and its rate form."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from qthermo import (
     evolve,
     matched_entropy_production,
     mutual_information,
+    parse_scenario,
     policy_endpoints,
     policy_grid_betas,
+    run_scenario,
     temperature_drift_correction,
     tensor_product,
     von_neumann_entropy,
@@ -119,6 +123,29 @@ def test_entropy_production_zero_for_identity_process():
     state = rand_bipartite(rng, 2, 3)
     for beta in (-1.3, 0.0, 2.4):
         assert abs(entropy_production(state, state, beta, beta, h_env)) < 1e-12
+
+
+def test_entropy_production_finite_on_wide_env_gap():
+    # The bundled scenario with H_E scaled by 1e3: the Gibbs state's excited
+    # level underflows, which once tripped the support test and gave inf.
+    path = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
+    doc = json.loads(path.read_text())
+    doc["h_env"]["re"] = (1e3 * np.array(doc["h_env"]["re"])).tolist()
+    result = run_scenario(parse_scenario(doc))
+    traj, beta = result.trajectory, result.scenario.policy.beta
+    w = np.linalg.eigvalsh(doc["h_env"]["re"])
+    ln_z = -beta * w[0] + math.log(np.exp(-beta * (w - w[0])).sum())
+
+    def divergence(state):
+        # D(rho_E || gamma_beta) = -S(rho_E) + beta tr[rho_E H_E] + ln Z(beta)
+        energy = np.trace(state.rho_env.mat @ np.diag(w)).real
+        return -von_neumann_entropy(state.rho_env) + beta * energy + ln_z
+
+    oracle = (mutual_information(traj.final) - mutual_information(traj.initial)
+              + divergence(traj.final) - divergence(traj.initial))
+    ep = result.report.entropy_production
+    assert math.isfinite(ep) and ep > 0.0
+    assert abs(ep - oracle) < 1e-12
 
 
 def test_entropy_production_input_checks():
