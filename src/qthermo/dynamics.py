@@ -11,7 +11,11 @@ point is exact to rounding, with nothing accumulated over the steps.  The
 environment energy and the heat flux come straight from rho0 and the phases;
 the joint states themselves are built only when ``Trajectory.rho`` is read.
 A continuously driven segment applies exp(-i H(t + dt/2) dt) per substep,
-which is exactly unitary and second-order accurate.
+which is exactly unitary and second-order accurate.  Its midpoint
+Hamiltonians are assembled and diagonalized as stacks, a bounded chunk of
+substeps at a time, leaving two matrix products per substep in the loop.  Its
+heat flux needs only h_int: I x h_env commutes with h_sys x I and with itself,
+so the rate operator is -i [I x h_env, h_int(t)].
 """
 
 from __future__ import annotations
@@ -25,12 +29,7 @@ from typing import Callable, IO, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
-from .linalg import (
-    BipartiteState,
-    HermitianMatrix,
-    _expi,
-    _ptrace_stack,
-)
+from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
 from .thermo import BetaSolveConfig, GibbsSolver, _entropy_from_eigs
 
 # Segment endpoints may disagree with their neighbours by at most this much.
@@ -47,13 +46,26 @@ def _coerce_term(term) -> HamiltonianTerm:
     return HermitianMatrix(term)
 
 
-def _term_at(term: HamiltonianTerm, t: float) -> np.ndarray:
+def _term_value(term: HamiltonianTerm, t: float) -> HermitianMatrix:
+    value = term(t) if callable(term) else term
+    return value if isinstance(value, HermitianMatrix) else HermitianMatrix(value)
+
+
+def _term_at(term: HamiltonianTerm, t: float, dim: int, name: str) -> np.ndarray:
+    """The raw (dim, dim) value of ``term`` at time t."""
+    value = _term_value(term, t)
+    if value.dim != dim:
+        raise InvalidSchedule(
+            f"{name} at t={t} is {value.dim}x{value.dim}, expected {dim}x{dim}"
+        )
+    return value.mat
+
+
+def _term_stack(term: HamiltonianTerm, times, dim: int, name: str) -> np.ndarray:
+    """``term`` at each time as an (n, dim, dim) stack; a fixed term is one row."""
     if callable(term):
-        value = term(t)
-        if not isinstance(value, HermitianMatrix):
-            value = HermitianMatrix(value)
-        return value.mat
-    return term.mat
+        return np.stack([_term_at(term, float(t), dim, name) for t in times])
+    return term.mat[None]
 
 
 @dataclass(frozen=True)
@@ -108,18 +120,10 @@ class HamiltonianSchedule:
         self.h_env = h_env
         self.segments = segments
         self.d_e = h_env.dim
-        d_s = _term_at(segments[0].h_sys, segments[0].t_start).shape[0]
-        self.d_s = int(d_s)
+        self.d_s = _term_value(segments[0].h_sys, segments[0].t_start).dim
         for seg in segments:
-            hs = _term_at(seg.h_sys, seg.t_start)
-            hi = _term_at(seg.h_int, seg.t_start)
-            if hs.shape[0] != self.d_s:
-                raise InvalidSchedule("system dimension changes between segments")
-            if hi.shape[0] != self.d_s * self.d_e:
-                raise InvalidSchedule(
-                    f"coupling dimension {hi.shape[0]} does not match "
-                    f"d_s*d_e = {self.d_s * self.d_e}"
-                )
+            _term_at(seg.h_sys, seg.t_start, self.d_s, "h_sys")
+            _term_at(seg.h_int, seg.t_start, self.d_s * self.d_e, "h_int")
 
     @property
     def tau(self) -> float:
@@ -139,10 +143,18 @@ class HamiltonianSchedule:
         """Raw d_s*d_e Hamiltonian h_sys x I + I x h_env + h_int at time t."""
         if segment is None:
             segment = self._segment_for(t)
-        hs = _term_at(segment.h_sys, t)
-        hi = _term_at(segment.h_int, t)
+        return self._hamiltonians(segment, (t,))[0]
+
+    def _hamiltonians(self, segment: Segment, times) -> np.ndarray:
+        """Raw Hamiltonians of ``segment`` at each time as an (n, d, d) stack.
+
+        Each callable term is evaluated once per time; a segment without one
+        gives a single row.
+        """
         d = self.d_s * self.d_e
-        sys_term = (hs[:, None, :, None] * np.eye(self.d_e)[:, None, :]).reshape(d, d)
+        hs = _term_stack(segment.h_sys, times, self.d_s, "h_sys")
+        hi = _term_stack(segment.h_int, times, d, "h_int")
+        sys_term = (hs[:, :, None, :, None] * np.eye(self.d_e)[:, None, :]).reshape(-1, d, d)
         return sys_term + self._env_term + hi
 
     def _segment_for(self, t: float) -> Segment:
@@ -275,7 +287,18 @@ class Trajectory:
         return rho
 
     def state(self, k: int) -> BipartiteState:
-        return BipartiteState._trusted(self.d_s, self.d_e, self.rho[k])
+        """The joint state at grid point k, built alone without the stack."""
+        k = range(len(self.times))[k]
+        mat = self.initial.mat
+        for sl, src in zip(self.segment_slices, self._segment_states):
+            if sl.start < k < sl.stop:
+                i = k - sl.start
+                if isinstance(src, np.ndarray):
+                    mat = src[i]
+                else:
+                    mat = src.end if i == src.steps else src._states(i, i + 1)[0]
+                break
+        return BipartiteState._trusted(self.d_s, self.d_e, mat)
 
     def system_entropies(self) -> np.ndarray:
         lam = np.linalg.eigvalsh(_ptrace_stack(self.rho, self.d_s, self.d_e, "S"))
@@ -309,9 +332,10 @@ class Trajectory:
             ])
 
 
-def _rate_operator(h_total: np.ndarray, env_term: np.ndarray) -> np.ndarray:
-    # tr[rho * R] with R = -i [I x H_E, H] equals d/dt tr[rho_E H_E].
-    return -1j * (env_term @ h_total - h_total @ env_term)
+def _rate_operator(h: np.ndarray, env_term: np.ndarray) -> np.ndarray:
+    # tr[rho * R] with R = -i [I x H_E, H] equals d/dt tr[rho_E H_E]; h may be
+    # an (n, d, d) stack, and any term commuting with I x H_E may be left out.
+    return -1j * (env_term @ h - h @ env_term)
 
 
 def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
@@ -348,19 +372,24 @@ def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndar
                     dt: float, times: np.ndarray):
     """Midpoint-propagated segment: its state stack, env energies and energy rates."""
     steps = len(times) - 1
-    stack = np.empty((steps + 1,) + rho_start.shape, dtype=complex)
+    d = rho_start.shape[0]
+    stack = np.empty((steps + 1, d, d), dtype=complex)
     stack[0] = rho_start
-    for i in range(steps):
-        u = _expi(sched.total_hamiltonian(seg.t_start + (i + 0.5) * dt, seg), dt)
-        stack[i + 1] = u @ stack[i] @ u.conj().T
+    for k0, k1 in _batches(0, steps, d * d):
+        mids = seg.t_start + (np.arange(k0, k1) + 0.5) * dt
+        w, v = np.linalg.eigh(sched._hamiltonians(seg, mids))
+        u = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        uh = u.conj().transpose(0, 2, 1)
+        for i in range(k0, k1):
+            stack[i + 1] = u[i - k0] @ stack[i] @ uh[i - k0]
     stack[-1] = _hermitian_part(stack[-1])
     stack.setflags(write=False)
     energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
-    rates = np.array([
-        float(np.einsum("ij,ji->", stack[j],
-                        _rate_operator(sched.total_hamiltonian(t, seg), sched._env_term)).real)
-        for j, t in enumerate(times)
-    ])
+    rates = np.empty(steps + 1)
+    for k0, k1 in _batches(0, steps + 1, d * d):
+        h_int = _term_stack(seg.h_int, times[k0:k1], d, "h_int")
+        r = _rate_operator(h_int, sched._env_term)
+        rates[k0:k1] = np.einsum("kij,kji->k", stack[k0:k1], r).real
     return stack, energies, rates
 
 

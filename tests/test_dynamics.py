@@ -24,6 +24,7 @@ from qthermo import (
     tensor_product,
     von_neumann_entropy,
 )
+from qthermo.linalg import _expi
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
@@ -337,3 +338,92 @@ def test_run_scenario_leaves_the_state_stack_unbuilt():
     assert "rho" not in traj.__dict__
     assert np.array_equal(traj.rho[-1], traj.final.mat)
     assert "rho" in traj.__dict__
+
+
+def _driven_schedule(rng, d_s, d_e, drive_int, length=1.3):
+    """One segment driven by sin(omega t) V through h_sys or h_int."""
+    h_env = rand_env_hamiltonian(rng, d_e)
+    h_sys = rand_hermitian(rng, d_s, scale=0.5)
+    h_int = rand_hermitian(rng, d_s * d_e, scale=0.3)
+    base = h_int if drive_int else h_sys
+    drive = rand_hermitian(rng, base.dim, scale=0.3).mat
+    calls = []
+
+    def term(t):
+        calls.append(t)
+        return HermitianMatrix(base.mat + np.sin(2.3 * t) * drive)
+
+    seg = Segment(0.0, length, term if not drive_int else h_sys, term if drive_int else h_int)
+    return HamiltonianSchedule(h_env, (seg,)), calls
+
+
+@pytest.mark.parametrize("drive_int", [False, True])
+def test_driven_segment_matches_per_step_reference(drive_int):
+    # The per-step loop the stacked segment replaced: one exp(-i H(t+dt/2) dt)
+    # per substep, and each rate from the full Hamiltonian at its grid time.
+    # At 3x4 and 150 steps the segment spans several chunks.
+    rng = np.random.default_rng(16)
+    d_s, d_e, steps = 3, 4, 150
+    sched, _ = _driven_schedule(rng, d_s, d_e, drive_int)
+    seg = sched.segments[0]
+    initial = rand_bipartite(rng, d_s, d_e)
+    traj = evolve(initial, sched, steps_per_segment=steps)
+    dt = seg.t_end / steps
+    states = [initial.mat]
+    for i in range(steps):
+        u = _expi(sched.total_hamiltonian((i + 0.5) * dt, seg), dt)
+        states.append(u @ states[-1] @ u.conj().T)
+    rates = [
+        env_energy_rate(BipartiteState(d_s, d_e, x),
+                        HermitianMatrix(sched.total_hamiltonian(t, seg)), sched.h_env)
+        for x, t in zip(states, traj.times)
+    ]
+    assert np.max(np.abs(traj.rho - np.array(states))) < 1e-12
+    assert np.max(np.abs(traj.segment_rates[0] - rates)) < 1e-12
+
+
+def test_sys_driven_segment_calls_its_drive_once_per_step():
+    # Rates need only h_int, so a drive on h_sys is read at the midpoints only.
+    rng = np.random.default_rng(17)
+    sched, calls = _driven_schedule(rng, 2, 3, drive_int=False)
+    initial = rand_bipartite(rng, 2, 3)
+    calls.clear()
+    evolve(initial, sched, steps_per_segment=40)
+    assert len(calls) == 40
+
+
+def test_callable_term_changing_shape_is_an_invalid_schedule():
+    h_sys = HermitianMatrix(np.diag([0.0, 1.0]))
+
+    def h_int(t):
+        return np.zeros((4, 4)) if t < 0.5 else np.zeros((3, 3))
+
+    sched = HamiltonianSchedule(h_sys, (Segment(0.0, 1.0, h_sys, h_int),))
+    initial = rand_bipartite(np.random.default_rng(18), 2, 2)
+    with pytest.raises(InvalidSchedule, match="h_int at t=0.55"):
+        evolve(initial, sched, steps_per_segment=10)
+
+
+def test_state_builds_one_grid_point_without_the_stack():
+    rng = np.random.default_rng(19)
+    d_s, d_e, steps = 2, 3, 25
+    h_env = rand_env_hamiltonian(rng, d_e)
+    base = rand_hermitian(rng, d_s * d_e, scale=0.3).mat
+
+    def h_int(t):
+        return HermitianMatrix(np.cos(1.7 * t) * base)
+
+    segs = (
+        Segment(0.0, 0.6, rand_hermitian(rng, d_s, scale=0.5), rand_hermitian(rng, 6, scale=0.3)),
+        Segment(0.6, 1.4, rand_hermitian(rng, d_s, scale=0.5), h_int),
+        Segment(1.4, 2.0, rand_hermitian(rng, d_s, scale=0.5), rand_hermitian(rng, 6, scale=0.3)),
+    )
+    traj = evolve(rand_bipartite(rng, d_s, d_e), HamiltonianSchedule(h_env, segs), steps)
+    n = len(traj)
+    states = [traj.state(k).mat for k in range(n)]
+    negative = [traj.state(k).mat for k in range(-n, 0)]
+    with pytest.raises(IndexError):
+        traj.state(n)
+    assert "rho" not in traj.__dict__
+    assert np.max(np.abs(np.array(states) - traj.rho)) <= 1e-14
+    assert np.array_equal(np.array(negative), np.array(states))
