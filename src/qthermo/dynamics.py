@@ -402,8 +402,11 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     and no per-step loop: environment energy and heat flux at its grid
     points are evaluated in closed form, exact to rounding with no error
     accumulated over the steps.  Time-dependent segments use the midpoint
-    Hamiltonian per substep.  The effective inverse temperature is solved
-    at every grid point.  Joint states are kept per segment and assembled
+    Hamiltonian per substep, assembled, diagonalized and exponentiated as
+    stacks a bounded chunk of substeps at a time; their heat flux is
+    evaluated from h_int alone, since only the coupling fails to commute
+    with I x H_E.  The effective inverse temperature is solved at every
+    grid point.  Joint states are kept per segment and assembled
     into ``Trajectory.rho`` only when it is read.
     """
     if not isinstance(initial, BipartiteState):

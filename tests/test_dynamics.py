@@ -340,7 +340,7 @@ def test_run_scenario_leaves_the_state_stack_unbuilt():
     assert "rho" in traj.__dict__
 
 
-def _driven_schedule(rng, d_s, d_e, drive_int, length=1.3):
+def _driven_schedule(rng, d_s, d_e, drive_int):
     """One segment driven by sin(omega t) V through h_sys or h_int."""
     h_env = rand_env_hamiltonian(rng, d_e)
     h_sys = rand_hermitian(rng, d_s, scale=0.5)
@@ -353,8 +353,8 @@ def _driven_schedule(rng, d_s, d_e, drive_int, length=1.3):
         calls.append(t)
         return HermitianMatrix(base.mat + np.sin(2.3 * t) * drive)
 
-    seg = Segment(0.0, length, term if not drive_int else h_sys, term if drive_int else h_int)
-    return HamiltonianSchedule(h_env, (seg,)), calls
+    h_sys, h_int = (h_sys, term) if drive_int else (term, h_int)
+    return HamiltonianSchedule(h_env, (Segment(0.0, 1.3, h_sys, h_int),)), calls
 
 
 @pytest.mark.parametrize("drive_int", [False, True])
