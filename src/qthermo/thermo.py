@@ -90,10 +90,10 @@ def mutual_information(rho: BipartiteState) -> float:
 class BetaSolveConfig:
     """Tolerances for the effective inverse-temperature root solve.
 
-    ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and also
-    sets the band around the spectral edges inside which beta* is reported
-    as +-inf.  ``beta_clamp`` is the magnitude beyond which the bracket
-    search gives up and reports +-inf.
+    ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and is
+    the slack by which a target may pass a spectral edge before it raises
+    InfeasibleEnergy; it sets no band in which beta* is reported as +-inf.
+    ``beta_clamp`` is the magnitude beyond which beta* is reported as +-inf.
     """
 
     abs_tol: float = 1e-12
@@ -135,9 +135,14 @@ class GibbsSolver:
     """Cached eigensystem of a fixed Hamiltonian answering thermal queries.
 
     All scalar maps (energy, variance, entropy, log-partition) accept either
-    a float or an array of finite inverse temperatures; the energy inversion
-    ``solve_beta`` additionally handles the spectral-edge cases by reporting
-    +-inf inside an ``abs_tol`` band.
+    a float or an array of finite inverse temperatures.  The energy inversion
+    measures a target E from the near spectral edge: below the beta = 0
+    energy (the level mean), beta >= 0 with gaps eps = w - w_0 and
+    u = E - w_0; above it, beta < 0 with eps = w_top - w and u = w_top - E.
+    x = |beta| then solves U(x) = sum eps e^{-x eps} / sum e^{-x eps} = u,
+    where no exponent is positive: x = ln((D - u)/u)/D on a qubit of gap D,
+    else safeguarded Newton on ln U(x) - ln u from x = 0.  beta* is +-inf
+    only for u <= 0 or |beta*| beyond ``beta_clamp``.
     """
 
     def __init__(self, h_env: HermitianMatrix):
@@ -153,6 +158,13 @@ class GibbsSolver:
         self.energies = w
         self.basis = v
         self._degen_atol = _DEGEN_TOL * scale
+        # On Python floats, which the one-target solve reads: the level mean,
+        # the edges, and per side (0: from the ground level, 1: from the top
+        # level) the count of zero gaps and the positive gaps, ascending.
+        wl = w.tolist()
+        self._mid, self._edges = sum(wl) / len(wl), (wl[0], wl[-1])
+        self._gaps = tuple((float(g.count(0.0)), [x for x in g if x > 0.0])
+                           for g in ([x - wl[0] for x in wl], [wl[-1] - x for x in wl[::-1]]))
 
     @property
     def dim(self) -> int:
@@ -220,10 +232,19 @@ class GibbsSolver:
     # -- relative entropies in the thermal family -----------------------------
 
     def gibbs_relative_entropy(self, beta_a: float, beta_b: float) -> float:
-        """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b."""
+        """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b.
+
+        Finite beta_b uses log-populations -beta_b eps - ln Z~ over the gaps eps
+        from the level beta_b favours, so none underflows to ln 0.
+        """
         p = self.populations(beta_a)
-        q = self.populations(beta_b)
-        return float(_rel_entr_sum(p, q))
+        beta_b = _as_beta(beta_b)
+        if math.isinf(beta_b):
+            return float(_rel_entr_sum(p, self.populations(beta_b)))
+        a = -beta_b * (self.energies - self._edges[beta_b < 0.0])
+        log_q = a - math.log(np.exp(a).sum())
+        on = p > 0.0
+        return float(p[on] @ (np.log(p[on]) - log_q[on]))
 
     def relative_entropy_profile(self, rho_env: DensityMatrix, betas) -> np.ndarray:
         """D(rho_env || gamma(beta)) over an array of finite betas.
@@ -247,9 +268,9 @@ class GibbsSolver:
         """The inverse temperature whose Gibbs state matches tr[rho_env H].
 
         Unique because the thermal energy is strictly decreasing in beta.
-        Returns +inf (-inf) when the energy sits at the bottom (top) of the
-        spectrum within ``cfg.abs_tol``; energies outside the spectral range
-        by more than that raise InfeasibleEnergy.
+        Returns +inf (-inf) only when the energy sits at or below the bottom
+        (at or above the top) of the spectrum; energies outside the spectral
+        range by more than ``cfg.abs_tol`` raise InfeasibleEnergy.
         """
         if not isinstance(rho_env, DensityMatrix):
             rho_env = DensityMatrix(rho_env)
@@ -261,83 +282,126 @@ class GibbsSolver:
         return float(self.solve_beta_many(np.array([energy]), cfg)[0])
 
     def solve_beta_many(self, energies, cfg: BetaSolveConfig = BetaSolveConfig()) -> np.ndarray:
-        e_target = np.asarray(energies, dtype=float).copy()
+        """beta* for each target energy; one target takes a float path."""
+        e_target = np.asarray(energies, dtype=float)
         if not np.isfinite(e_target).all():
             raise InvalidInput("target energies must be finite")
-        w = self.energies
-        emin, emax = float(w[0]), float(w[-1])
-        if (e_target < emin - cfg.abs_tol).any() or (e_target > emax + cfg.abs_tol).any():
-            worst = float(np.max(np.maximum(emin - e_target, e_target - emax)))
-            raise InfeasibleEnergy(
-                f"target energy escapes [{emin:.12g}, {emax:.12g}] by {worst:.3e}"
-            )
+        if e_target.size == 1:
+            return np.full(e_target.shape, self._solve_one(e_target.item(), cfg))
         out = np.empty_like(e_target)
-        at_min = e_target <= emin + cfg.abs_tol
-        at_max = e_target >= emax - cfg.abs_tol
-        out[at_min] = math.inf
-        out[at_max] = -math.inf
-        active = ~(at_min | at_max)
-        if active.any():
-            out[active] = self._invert_energy(e_target[active], cfg)
+        top = e_target > self._mid
+        for side, mask in ((False, ~top), (True, top)):
+            if mask.any():
+                out[mask] = self._invert_energy(e_target[mask], side, cfg)
         return out
 
-    def _invert_energy(self, e_target: np.ndarray, cfg: BetaSolveConfig) -> np.ndarray:
-        n = len(e_target)
-        lo = np.full(n, -1.0)
-        hi = np.full(n, 1.0)
-        # Grow brackets geometrically until energy(lo) > E > energy(hi); energy
-        # is strictly decreasing in beta.  Growing on equality too keeps a root
-        # off the bracket ends, where every Newton step would look like an
-        # escape and fall back to bisection.
-        overflow = np.zeros(n, dtype=bool)
-        underflow = np.zeros(n, dtype=bool)
-        for end, sign, clamped in ((lo, -1.0, overflow), (hi, 1.0, underflow)):
-            idx = np.arange(n)
-            for _ in range(128):
-                idx = idx[sign * (self._moments(end[idx])[0] - e_target[idx]) >= 0.0]
-                if not idx.size:
-                    break
-                end[idx] *= 2.0
-                hit = np.abs(end[idx]) >= cfg.beta_clamp
-                clamped[idx[hit]] = True
-                idx = idx[~hit]
+    def _near_edge(self, e, top: bool, cfg: BetaSolveConfig):
+        """Sign of beta, gaps and u for targets e (float or array) on one side."""
+        u = self._edges[1] - e if top else e - self._edges[0]
+        worst = -(u.min() if isinstance(u, np.ndarray) else u)
+        if worst > cfg.abs_tol:
+            raise InfeasibleEnergy(f"target energy escapes [{self._edges[0]:.12g}, "
+                                   f"{self._edges[1]:.12g}] by {worst:.3e}")
+        return (-1.0 if top else 1.0), self._gaps[top], u
 
-        beta = 0.5 * (lo + hi)
-        live = np.flatnonzero(~(overflow | underflow))
-        for _ in range(cfg.max_iter):
-            if not live.size:
+    def _solve_one(self, e: float, cfg: BetaSolveConfig) -> float:
+        """``_invert_energy`` for one target, on Python floats."""
+        sign, (g0, eps), u = self._near_edge(e, e > self._mid, cfg)
+        if u <= 0.0:
+            return sign * math.inf
+        x = float(_qubit_x(u, eps[0])) if self.dim == 2 else 0.0
+        lo, hi = 0.0, math.inf
+        for _ in range(cfg.max_iter if self.dim > 2 else 0):
+            ln_big_u, u_over_var = _edge_moments(x, g0, eps)[1:]
+            step = (ln_big_u - math.log(u)) * u_over_var
+            if abs(step) <= 1e-14 * (1.0 + x):
+                x += step
                 break
-            b = beta[live]
-            e, var = self._moments(b)
-            g = e - e_target[live]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / var
-            # Newton converges quadratically once bracketed, so a raw step at
-            # rounding scale means beta is at machine precision.  Test it before
-            # the bracket fallback: the ends have just moved onto beta, so a
-            # sub-ulp step would otherwise count as an escape.
-            settled = np.abs(step) <= 1e-14 * (1.0 + np.abs(b))
-            high = g > 0  # energy too high -> beta too small
-            b_lo = np.where(high, b, lo[live])
-            b_hi = np.where(high, hi[live], b)
-            cand = b + step
-            bad = ~settled & (~np.isfinite(cand) | (cand <= b_lo) | (cand >= b_hi))
-            beta[live] = np.where(bad, 0.5 * (b_lo + b_hi), cand)
-            lo[live] = b_lo
-            hi[live] = b_hi
-            live = live[~settled]
+            lo, hi = (x, hi) if step > 0.0 else (lo, x)
+            if lo < x + step < hi:
+                x += step
+            else:
+                x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+        if x >= cfg.beta_clamp:
+            return sign * math.inf
+        _check_residual(abs(_edge_moments(x, g0, eps)[0] - u), cfg)
+        return sign * x
 
-        residual = np.abs(self._moments(beta)[0] - e_target)
-        # Points pushed past the clamp sit against a spectral edge.
-        beta = np.where(overflow, -math.inf, beta)
-        beta = np.where(underflow, math.inf, beta)
-        residual = np.where(overflow | underflow, 0.0, residual)
-        if (residual > cfg.abs_tol).any():
-            raise ConvergenceError(
-                f"energy inversion residual {float(residual.max()):.3e} exceeds "
-                f"abs_tol {cfg.abs_tol:g} after {cfg.max_iter} iterations"
-            )
-        return beta
+    def _invert_energy(self, e_target: np.ndarray, top: bool, cfg: BetaSolveConfig) -> np.ndarray:
+        """beta* for an array of targets on one side of the beta = 0 energy."""
+        sign, (g0, eps), u = self._near_edge(e_target, top, cfg)
+        gaps = (g0, np.array(eps), np.power.outer(eps, (0, 1, 2)))
+        ok = u > 0.0
+        x = np.full(u.shape, math.inf)
+        if self.dim == 2:
+            x[ok] = _qubit_x(u[ok], eps[0])
+        elif ok.any():
+            idx = np.flatnonzero(ok)
+            b, lo, hi = np.zeros(idx.size), np.zeros(idx.size), np.full(idx.size, math.inf)
+            ln_u = np.log(u[idx])
+            for _ in range(cfg.max_iter):
+                ln_big_u, u_over_var = _edge_moments_many(b, gaps)[1:]
+                with np.errstate(invalid="ignore"):  # 0 * inf at an exact root
+                    step = (ln_big_u - ln_u) * u_over_var
+                # A step at rounding scale means x is at machine precision.
+                settled = np.abs(step) <= 1e-14 * (1.0 + b)
+                lo, hi = np.where(step > 0.0, b, lo), np.where(step > 0.0, hi, b)
+                cand = b + step
+                inside = settled | ((lo < cand) & (cand < hi))
+                b = np.where(inside, cand,
+                             np.where(hi == math.inf, 2.0 * b + 1.0, 0.5 * (lo + hi)))
+                if settled.any():
+                    x[idx[settled]] = b[settled]
+                    idx, b, lo, hi, ln_u = (v[~settled] for v in (idx, b, lo, hi, ln_u))
+                    if not idx.size:
+                        break
+            x[idx] = b
+        solved = x < cfg.beta_clamp
+        residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
+        _check_residual(float(residual.max(initial=0.0)), cfg)
+        return sign * np.where(solved, x, math.inf)
+
+
+def _qubit_x(u, gap):
+    """The root of U(x) = u on a qubit, ln((gap - u)/u)/gap, for u in (0, gap/2]:
+    by log1p near beta = 0, by a difference of logs where the ratio is large."""
+    with np.errstate(over="ignore"):
+        return np.where(4.0 * u < gap, np.log(gap - u) - np.log(u),
+                        np.log1p((gap - 2.0 * u) / u)) / gap
+
+
+def _edge_moments(x: float, g0: float, eps: list) -> tuple[float, float, float]:
+    """U(x), ln U(x) and U/Var(x) at x >= 0 from ``g0`` zero gaps and the
+    ascending positive gaps ``eps``.  The sums S, Q run over e^{-x (eps_k -
+    eps_1)}, which cannot all underflow, so ln U never meets ln 0; U/Var is
+    inf, sending Newton to its bracket, only where Var underflows."""
+    c = math.exp(-x * eps[0])
+    r_sum = s_sum = q_sum = 0.0
+    for e in eps:
+        r = math.exp(-x * (e - eps[0]))
+        r_sum, s_sum, q_sum = r_sum + r, s_sum + e * r, q_sum + e * e * r
+    z = g0 + c * r_sum
+    var_z2 = q_sum * z - c * s_sum * s_sum  # Var z^2 / c; 0 only if Q underflows
+    return (c * s_sum / z, math.log(s_sum / z) - x * eps[0],
+            s_sum * z / var_z2 if var_z2 > 0.0 else math.inf)
+
+
+def _edge_moments_many(x: np.ndarray, gaps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_edge_moments`` at each x of an array; ``gaps`` holds g0, the positive
+    gaps and the columns of their powers 0, 1, 2."""
+    g0, eps, powers = gaps
+    c = np.exp(-x * eps[0])
+    r_sum, s_sum, q_sum = np.dot(np.exp(np.multiply.outer(-x, eps - eps[0])), powers).T
+    z = g0 + c * r_sum
+    var_z2 = q_sum * z - c * s_sum * s_sum
+    return (c * s_sum / z, np.log(s_sum / z) - x * eps[0],
+            np.divide(s_sum * z, var_z2, out=np.full_like(z, math.inf), where=var_z2 > 0.0))
+
+
+def _check_residual(residual: float, cfg: BetaSolveConfig) -> None:
+    if residual > cfg.abs_tol:
+        raise ConvergenceError(f"energy inversion residual {residual:.3e} exceeds "
+                               f"abs_tol {cfg.abs_tol:g} after {cfg.max_iter} iterations")
 
 
 def _rel_entr_sum(p: np.ndarray, q: np.ndarray) -> float:

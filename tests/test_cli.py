@@ -174,6 +174,25 @@ def test_run_scenario_bundled():
     assert math.isfinite(payload["report"]["entropy_production"])
 
 
+def test_run_scenario_bundled_at_cold_temperatures(tmp_path):
+    obj = json.loads(open(BUNDLED).read())
+    # A Gibbs environment at beta = 60 sits 8.7e-27 above the ground energy;
+    # energy matching used to report beta* = inf there and exit 2.
+    cold = dict(obj, initial=dict(obj["initial"], beta=60.0),
+                policy={"kind": "energy_matching"})
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(cold))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "two_qubit_exchange_report.json").read_text())["report"]
+    assert abs(report["beta_star_0"] - 60.0) < 1e-9
+    # A constant beta of 800 used to give infinite Gibbs mismatches.
+    report = run_scenario(parse_scenario(
+        dict(obj, policy={"kind": "constant", "beta": 800.0}))).report
+    assert math.isfinite(report.gibbs_mismatch_initial)
+    assert math.isfinite(report.gibbs_mismatch_final)
+    assert report.residual_matched_split <= 1e-8
+
+
 def test_parse_region_grid():
     obj = {
         "spec_version": 1,

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qthermo import (
@@ -181,6 +183,84 @@ def test_solve_beta_settles_in_few_newton_steps():
     assert np.abs(found - betas).max() < 1e-12
 
 
+def test_solve_beta_is_finite_next_to_the_edges():
+    # Energies within abs_tol of an edge used to come back as +-inf.
+    qubit = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
+    assert abs(qubit.solve_beta(qubit.energy(28.0)) - 28.0) < 1e-12
+    solver = GibbsSolver(HermitianMatrix(np.diag([0.0, 0.3, 1.1, 2.0])))
+    betas = np.array([100.0, 28.0])
+    for s in (qubit, solver):
+        targets = s.energy(betas)
+        assert np.abs(s.solve_beta_many(targets) - betas).max() < 1e-12
+        assert abs(s.solve_beta(targets[0]) - 100.0) < 1e-12
+
+
+# Spectra offset + width * (0, sorted interior levels, 1) on the diagonal.
+_SPECTRA = dict(
+    d_env=st.integers(2, 8),
+    log_width=st.floats(-3.0, 3.0),
+    offset=st.floats(-1e3, 1e3),
+    beta=st.floats(-200.0, 200.0),
+    levels=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+)
+
+
+def _spectrum_solver(d_env, log_width, offset, levels):
+    width = 10.0 ** log_width
+    inner = np.sort(levels[: d_env - 2])
+    w = offset + width * np.concatenate([[0.0], inner, [1.0]])
+    return width, GibbsSolver(HermitianMatrix(np.diag(w)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(**_SPECTRA)
+def test_solve_beta_properties(d_env, log_width, offset, beta, levels):
+    width, solver = _spectrum_solver(d_env, log_width, offset, levels)
+    w, cfg = solver.energies, BetaSolveConfig()
+    target = solver.energy(beta)
+    bottom = target <= w.mean()
+    u, gaps = (target - w[0], w - w[0]) if bottom else (w[-1] - target, w[-1] - w)
+    found = solver.solve_beta(target)
+    # beta* beyond beta_clamp is reported as +-inf, and a gap at the near edge
+    # too small for e^(-beta_clamp gap) to underflow can put the root there.
+    if u > 0.0 and cfg.beta_clamp * gaps[gaps > 0.0].min() > 800.0:
+        assert math.isfinite(found)
+    if math.isfinite(found):
+        assert abs(solver.energy(found) - target) <= cfg.abs_tol
+    # Round trip wherever the target carries the digits: one rounding of the
+    # energy, eps * sum_k p_k |w_k|, moves beta by that over the variance.
+    if abs(beta) * width <= 30.0:
+        p = solver.populations(beta)
+        carried = np.finfo(float).eps * (p @ np.abs(w)) / solver.variance(beta)
+        if carried <= 1e-11 * (1.0 + abs(beta)):
+            assert abs(found - beta) <= 1e-9 * (1.0 + abs(beta))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(**_SPECTRA)
+def test_solve_beta_float_path_matches_array_path(d_env, log_width, offset, beta, levels):
+    # The paths differ only in libm against NumPy exp/log rounding: ~1e-16
+    # (1 + |ln u|) in ln U - ln u, which moves x = |beta| by that times
+    # dx/d(ln u) = u/Var at the root.  Without close levels u/Var ~ 1/width.
+    _, solver = _spectrum_solver(d_env, log_width, offset, levels)
+    w = solver.energies
+    for b in (beta, -beta):
+        target = solver.energy(b)
+        u = target - w[0] if target <= w.mean() else w[-1] - target
+        one = solver.solve_beta(target)
+        many = solver.solve_beta_many(np.array([target, target]))
+        finite = [v for v in (one, many[0]) if math.isfinite(v)]
+        if not finite:
+            assert (many == one).all()
+            continue
+        var = solver.variance(finite[0])
+        slack = 1e-14 * (1.0 + abs(math.log(u))) * u / var if var > 0.0 else math.inf
+        # Where the root is not pinned to 1e-6 (levels closer than rounding
+        # resolves), the two paths may settle on different sides of a flat U.
+        if slack <= 1e-6 * (1.0 + abs(b)):
+            assert np.abs(many - one).max() <= 1e-13 * (1.0 + abs(b)) + slack
+
+
 def test_effective_beta_on_thermal_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -213,6 +293,15 @@ def test_gibbs_relative_entropy_matches_generic():
         oracle = relative_entropy(solver.state(ba), solver.state(bb))
         assert abs(ours - oracle) < 1e-11
         assert ours > -1e-13
+
+
+def test_gibbs_relative_entropy_far_from_the_reference():
+    # gamma(800) on a unit-gap qubit has an excited population e^-800, which
+    # underflows; the divergence from gamma(0.5) is still finite.
+    qubit = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
+    for sign in (1.0, -1.0):
+        d = qubit.gibbs_relative_entropy(0.5 * sign, 800.0 * sign)
+        assert abs(d - 301.3696877199372) <= 1e-12 * 301.3696877199372
 
 
 def test_relative_entropy_profile_matches_pointwise():
