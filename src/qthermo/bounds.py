@@ -32,7 +32,7 @@ from .linalg import (
     _ptrace,
     trace_distance,
 )
-from .thermo import BetaSolveConfig, GibbsSolver, _as_beta, von_neumann_entropy
+from .thermo import GibbsSolver, _as_beta, von_neumann_entropy
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
 # constraints of a perturbation: vanishing system marginal and vanishing
@@ -87,8 +87,7 @@ def _check_bipartite_env(initial: BipartiteState, solver: GibbsSolver) -> None:
         )
 
 
-def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix,
-                      beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Entropy of the state minus entropy of its reference product.
 
     Always nonpositive; equals minus the divergence from the reference
@@ -98,32 +97,29 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix,
     """
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    return _entropy_gap(initial, solver, solver.beta_star(initial.rho_env, beta_cfg))
+    return _entropy_gap(initial, solver, solver.beta_star(initial.rho_env))
 
 
-def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix,
-                          beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Trace distance between the state and its reference product."""
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = solver.beta_star(initial.rho_env, beta_cfg)
+    beta_star = solver.beta_star(initial.rho_env)
     return _reference_distance(initial, solver.state(beta_star))
 
 
-def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix,
-                         beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Continuity relaxation of the entropy gap in the joint dimension.
 
     Nonpositive, and never above ``entropy_gap_bound`` in magnitude terms:
     entropy_gap_bound >= trace_distance_bound always holds.
     """
-    return _continuity_bound(distance_to_reference(initial, h_env, beta_cfg),
+    return _continuity_bound(distance_to_reference(initial, h_env),
                              initial.d_s * initial.d_e)
 
 
 def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
-                                 h_env: HermitianMatrix,
-                                 beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+                                 h_env: HermitianMatrix) -> float:
     """Trace-distance bound for a product initial state rho_S x rho_E.
 
     Sharper than the general bound because the reference differs only on
@@ -139,7 +135,7 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
         raise InvalidInput(
             f"environment dimension {rho_env.dim} does not match H ({solver.dim})"
         )
-    return _product_bound(rho_env, solver.state(solver.beta_star(rho_env, beta_cfg)))
+    return _product_bound(rho_env, solver.state(solver.beta_star(rho_env)))
 
 
 class SufficiencyCheck(NamedTuple):
@@ -152,8 +148,7 @@ class SufficiencyCheck(NamedTuple):
 
 def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
                               initial: BipartiteState, beta0: float,
-                              h_env: HermitianMatrix,
-                              beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> SufficiencyCheck:
+                              h_env: HermitianMatrix) -> SufficiencyCheck:
     """Pinsker test certifying nonnegative entropy production.
 
     lhs is the squared trace distance between the final state and its
@@ -169,7 +164,7 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
     lhs = _reference_distance(final, solver.state(beta_tau)) ** 2
-    beta_star0 = solver.beta_star(initial.rho_env, beta_cfg)
+    beta_star0 = solver.beta_star(initial.rho_env)
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
     bound = _continuity_bound(_reference_distance(initial, solver.state(beta_star0)),
                               initial.d_s * initial.d_e)
@@ -179,8 +174,7 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
 
 def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
                               rho_sys: DensityMatrix, rho_env: DensityMatrix,
-                              beta0: float, h_env: HermitianMatrix,
-                              beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> SufficiencyCheck:
+                              beta0: float, h_env: HermitianMatrix) -> SufficiencyCheck:
     """Pinsker test for a product initial state, using marginals only.
 
     lhs is the squared trace distance of the final environment marginal to
@@ -199,7 +193,7 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
     lhs = trace_distance(final_env, solver.state(beta_tau)) ** 2
-    beta_star0 = solver.beta_star(rho_env, beta_cfg)
+    beta_star0 = solver.beta_star(rho_env)
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
     rhs = 0.5 * (mismatch - _product_bound(rho_env, solver.state(beta_star0)))
     return SufficiencyCheck(holds=bool(lhs >= rhs), lhs=float(lhs), rhs=float(rhs))
@@ -222,13 +216,12 @@ class PerturbedInitial:
 
 
 def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
-                           chi: HermitianMatrix, h_env: HermitianMatrix,
-                           constraint_tol: float = PERTURBATION_TOL) -> PerturbedInitial:
+                           chi: HermitianMatrix, h_env: HermitianMatrix) -> PerturbedInitial:
     """Build rho_S x gamma(beta) + chi with the structural constraints checked.
 
     ``chi`` must be Hermitian with a vanishing system marginal and an
     environment marginal whose diagonal vanishes in the energy eigenbasis;
-    violations beyond ``constraint_tol`` (relative to the perturbation
+    violations beyond ``PERTURBATION_TOL`` (relative to the perturbation
     scale) raise InvalidPerturbation, as does a sum that fails to be a
     state.  Under these constraints the effective inverse temperature of
     the result equals ``beta`` and its trace distance to the reference is
@@ -247,7 +240,7 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
         )
 
     scale = max(float(np.abs(chi.mat).max()), 1.0)
-    atol = constraint_tol * scale
+    atol = PERTURBATION_TOL * scale
     sys_marginal = _ptrace(chi.mat, d_s, d_e, "S")
     if float(np.abs(sys_marginal).max()) > atol:
         raise InvalidPerturbation("perturbation must have a vanishing system marginal")
@@ -292,17 +285,16 @@ class BoundReport:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def is_product_state(state: BipartiteState, rel_tol: float = _PRODUCT_TOL) -> bool:
+def is_product_state(state: BipartiteState) -> bool:
     """True when the joint state equals the product of its marginals."""
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
     prod = np.kron(state.rho_sys.mat, state.rho_env.mat)
     scale = max(float(np.abs(state.state.mat).max()), 1.0)
-    return float(np.abs(state.state.mat - prod).max()) <= rel_tol * scale
+    return float(np.abs(state.state.mat - prod).max()) <= _PRODUCT_TOL * scale
 
 
-def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix,
-                       beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> BoundReport:
+def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> BoundReport:
     """Evaluate every bound on one initial state.
 
     The product-only bound is included when the state factorizes to
@@ -310,7 +302,7 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix,
     """
     solver = GibbsSolver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = solver.beta_star(initial.rho_env, beta_cfg)
+    beta_star = solver.beta_star(initial.rho_env)
     gamma = solver.state(beta_star)
     delta = _reference_distance(initial, gamma)
     product = _product_bound(initial.rho_env, gamma) if is_product_state(initial) else None

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
 from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
-from .thermo import BetaSolveConfig, GibbsSolver, _entropy_from_eigs
+from .thermo import GibbsSolver, _entropy_from_eigs
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -317,7 +317,7 @@ class Trajectory:
     def write_csv(self, f: IO[str]) -> None:
         """Columns: t, env_energy, beta_star, heat_flux, S_system, mutual_information."""
         s_sys = self.system_entropies()
-        mi = self.mutual_informations()
+        mi = s_sys + self.env_entropies() - self.joint_entropies()
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["t", "env_energy", "beta_star", "heat_flux",
                          "S_system", "mutual_information"])
@@ -394,8 +394,7 @@ def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndar
 
 
 def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
-           steps_per_segment: int,
-           beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> Trajectory:
+           steps_per_segment: int) -> Trajectory:
     """Propagate the joint state over the schedule grid.
 
     Each constant segment costs one eigendecomposition of its Hamiltonian
@@ -451,7 +450,7 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         seg_rates.append(rates)
         seg_states.append(src)
 
-    beta_star = sched.gibbs.solve_beta_many(env_energy, beta_cfg)
+    beta_star = sched.gibbs.solve_beta_many(env_energy)
     for arr in (times, env_energy, beta_star, heat_flux):
         arr.setflags(write=False)
     return Trajectory(

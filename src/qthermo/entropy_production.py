@@ -21,12 +21,7 @@ import numpy as np
 from .dynamics import Trajectory, env_energy_rate
 from .errors import InvalidInput
 from .linalg import BipartiteState, HermitianMatrix, _expi
-from .thermo import (
-    BetaSolveConfig,
-    GibbsSolver,
-    mutual_information,
-    von_neumann_entropy,
-)
+from .thermo import GibbsSolver, mutual_information, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,9 @@ BetaPolicy = Union[ConstantBeta, EnergyMatching, TabulatedBeta]
 
 # Tabulated knots must cover the trajectory span up to this slack.
 _SPAN_TOL = 1e-9
+
+# Half-width of the symmetric time difference behind dS_S/dt in the rate.
+_DT_FD = 1e-6
 
 
 def policy_grid_betas(policy: BetaPolicy, traj: Trajectory) -> np.ndarray:
@@ -211,13 +209,11 @@ def _matched_entropy_form(initial: BipartiteState, final: BipartiteState,
 
 
 def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
-                            h_env: HermitianMatrix, beta: float, beta_dot: float,
-                            dt_fd: float = 1e-6,
-                            beta_cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+                            h_env: HermitianMatrix, beta: float, beta_dot: float) -> float:
     """Instantaneous rate: dS_S/dt - beta dQ/dt + beta_dot * energy mismatch.
 
     The system-entropy derivative is a symmetric finite difference over a
-    short auxiliary evolution of length ``dt_fd`` under the frozen
+    short auxiliary evolution of length ``_DT_FD`` under the frozen
     Hamiltonian; the other two terms are analytic.  The mismatch term is
     exactly zero when ``beta`` equals the state's effective inverse
     temperature or when ``beta_dot`` is zero.
@@ -226,21 +222,19 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
         raise InvalidInput("entropy_production_rate expects a BipartiteState")
     if not (math.isfinite(beta) and math.isfinite(beta_dot)):
         raise InvalidInput("beta and beta_dot must be finite")
-    if not (dt_fd > 0 and math.isfinite(dt_fd)):
-        raise InvalidInput("dt_fd must be positive and finite")
     if not isinstance(h_total, HermitianMatrix):
         h_total = HermitianMatrix(h_total)
 
     solver = GibbsSolver(h_env)
     rate_env = env_energy_rate(rho, h_total, solver.h_env)
 
-    u = _expi(h_total.mat, dt_fd)
+    u = _expi(h_total.mat, _DT_FD)
     fwd = BipartiteState._trusted(rho.d_s, rho.d_e, u @ rho.state.mat @ u.conj().T)
     bwd = BipartiteState._trusted(rho.d_s, rho.d_e, u.conj().T @ rho.state.mat @ u)
     ds_dt = (von_neumann_entropy(fwd.rho_sys)
-             - von_neumann_entropy(bwd.rho_sys)) / (2.0 * dt_fd)
+             - von_neumann_entropy(bwd.rho_sys)) / (2.0 * _DT_FD)
 
-    beta_star = solver.beta_star(rho.rho_env, beta_cfg)
+    beta_star = solver.beta_star(rho.rho_env)
     if beta_dot == 0.0 or beta_star == beta:
         mismatch_term = 0.0
     elif math.isinf(beta_star):

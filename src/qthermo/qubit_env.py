@@ -32,11 +32,20 @@ _BALL_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-9
 
 
+def _as_gap(gap) -> float:
+    """A level spacing as a float; anything but a positive finite real raises."""
+    try:
+        g = float(gap)
+    except (TypeError, ValueError):
+        g = math.nan
+    if not (g > 0 and math.isfinite(g)):
+        raise InvalidInput(f"gap must be positive and finite, got {gap!r}")
+    return g
+
+
 def env_hamiltonian(gap: float) -> HermitianMatrix:
     """diag(0, gap) with the ground state first; gap must be positive."""
-    gap = float(gap)
-    if not (gap > 0 and math.isfinite(gap)):
-        raise InvalidInput("gap must be positive and finite")
+    gap = _as_gap(gap)
     return HermitianMatrix(np.diag([0.0, gap]))
 
 
@@ -47,9 +56,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
     (the ground and excited projectors).  The thermal state is
     (1/2) diag(1 + r, 1 - r).
     """
-    gap = float(gap)
-    if not (gap > 0 and math.isfinite(gap)):
-        raise InvalidInput("gap must be positive and finite")
+    gap = _as_gap(gap)
     beta = _as_beta(beta)
     if math.isinf(beta):
         return 1.0 if beta > 0 else -1.0
@@ -58,9 +65,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
 
 def beta_from_polarization(r: float, gap: float) -> float:
     """Inverse of thermal_polarization; +-1 map to +-inf."""
-    gap = float(gap)
-    if not (gap > 0 and math.isfinite(gap)):
-        raise InvalidInput("gap must be positive and finite")
+    gap = _as_gap(gap)
     r = float(r)
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"polarization must lie in [-1, 1], got {r!r}")
@@ -224,10 +229,7 @@ class RegionGrid:
     initial_longitudinal: Optional[float] = None
 
     def __post_init__(self):
-        gap = float(self.gap)
-        if not (gap > 0 and math.isfinite(gap)):
-            raise InvalidInput("gap must be positive and finite")
-        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "gap", _as_gap(self.gap))
         object.__setattr__(self, "beta0", _as_beta(self.beta0))
         if not isinstance(self.beta_tau_policy, (ConstantBeta, EnergyMatching)):
             raise InvalidInput("beta_tau_policy must be ConstantBeta or EnergyMatching")

@@ -46,11 +46,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropy_from_eigs(np.linalg.eigvalsh(rho.mat)))
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     support_tol: float | None = None) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy D(rho || sigma) = tr[rho(ln rho - ln sigma)].
 
-    Returns ``math.inf`` when rho carries more than ``support_tol`` weight
+    Returns ``math.inf`` when rho carries more than ``SUPPORT_TOL`` weight
     outside the support of sigma.  Finite results can undershoot zero by at
     most ~1e-10 from rounding; they are not clamped.
     """
@@ -60,7 +59,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
         sigma = DensityMatrix(sigma)
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    tol = SUPPORT_TOL if support_tol is None else float(support_tol)
 
     lam = np.linalg.eigvalsh(rho.mat)
     t1 = -_entropy_from_eigs(lam)  # tr[rho ln rho]
@@ -68,9 +66,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     mu, w = np.linalg.eigh(sigma.mat)
     # Weight of rho along each eigenvector of sigma.
     diag = np.einsum("ji,jk,ki->i", w.conj(), rho.mat, w).real
-    kernel = mu <= tol
+    kernel = mu <= SUPPORT_TOL
     leak = float(np.clip(diag[kernel], 0.0, None).sum())
-    if leak > tol:
+    if leak > SUPPORT_TOL:
         return math.inf
     support = ~kernel
     t2 = float(diag[support] @ np.log(mu[support]))
@@ -197,9 +195,11 @@ class GibbsSolver:
     # -- scalar thermal maps -------------------------------------------------
 
     def energy(self, beta):
+        # Clipped: p @ w can round an ulp past an edge on degenerate levels.
         if np.ndim(beta) == 0:
-            return float(self.populations(beta) @ self.energies)
-        return self._moments(_finite_betas(beta))[0]
+            return min(max(float(self.populations(beta) @ self.energies), self._edges[0]),
+                       self._edges[1])
+        return np.clip(self._moments(_finite_betas(beta))[0], *self._edges)
 
     def variance(self, beta):
         if np.ndim(beta) == 0:
@@ -417,7 +417,6 @@ def _rel_entr_sum(p: np.ndarray, q: np.ndarray) -> float:
     return float((ps * (np.log(ps) - np.log(qs))).sum())
 
 
-def effective_beta(rho_env: DensityMatrix, h_env: HermitianMatrix,
-                   cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
-    """``GibbsSolver(h_env).beta_star(rho_env, cfg)`` for a one-off query."""
-    return GibbsSolver(h_env).beta_star(rho_env, cfg)
+def effective_beta(rho_env: DensityMatrix, h_env: HermitianMatrix) -> float:
+    """``GibbsSolver(h_env).beta_star(rho_env)`` for a one-off query."""
+    return GibbsSolver(h_env).beta_star(rho_env)

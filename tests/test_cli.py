@@ -22,7 +22,7 @@ from qthermo import (
     run_verify,
 )
 from qthermo.cli import main
-from qthermo.verify import CHECK_NAMES, format_results
+from qthermo.verify import CHECK_NAMES, CheckResult, format_results
 
 BUNDLED = "src/qthermo/data/two_qubit_exchange.json"
 
@@ -227,6 +227,24 @@ def test_verify_energy_monotonicity_on_narrow_spectra(seed):
     results = run_verify(VerifySuiteConfig(num_random_scenarios=20, seed=seed))
     for r in results:
         assert r.passed, f"{r.name} residual {r.worst_residual}"
+
+
+
+def test_verify_case_counts():
+    # Checks that integrate trajectories run a tenth of the cases, at least 5.
+    results = run_verify(VerifySuiteConfig(num_random_scenarios=12, dims=((1, 2),)))
+    tenth = {"clausius_split", "star_minimality", "rate_formula"}
+    assert {r.name: r.num_cases for r in results} == {
+        name: 5 if name in tenth else 12 for name in CHECK_NAMES}
+
+
+def test_verify_tallies_yielded_residuals(monkeypatch):
+    # A NaN residual counts as an infinite, failing case.
+    monkeypatch.setattr("qthermo.verify._REGISTRY", (
+        ("pinsker", 1e-10, lambda rng, cfg: iter([0.0, math.nan, 1e-12])),))
+    [res] = run_verify(VerifySuiteConfig(num_random_scenarios=1))
+    assert res == CheckResult("pinsker", num_cases=3, num_failures=1,
+                              worst_residual=math.inf, tolerance=1e-10)
 
 
 def test_verify_config_validation():

@@ -15,6 +15,7 @@ from qthermo import (
     InvalidInput,
     InvalidSchedule,
     Segment,
+    Trajectory,
     effective_beta,
     env_energy_rate,
     evolve,
@@ -223,6 +224,18 @@ def test_write_csv_layout():
     assert abs(row[1] - traj.env_energy[k]) < 1e-15
     assert abs(row[4] - von_neumann_entropy(traj.state(k).rho_sys)) < 1e-12
     assert abs(row[5] - mutual_information(traj.state(k))) < 1e-12
+
+
+
+def test_write_csv_diagonalizes_the_system_marginals_once(monkeypatch):
+    sched, rng = _exchange_schedule(seed=11)
+    traj = evolve(rand_bipartite(rng, 2, 2), sched, steps_per_segment=5)
+    calls = []
+    entropies = Trajectory.system_entropies
+    monkeypatch.setattr(Trajectory, "system_entropies",
+                        lambda self: calls.append(1) or entropies(self))
+    traj.write_csv(io.StringIO())
+    assert len(calls) == 1
 
 
 def test_evolve_rejects_mismatched_state():

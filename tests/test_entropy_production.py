@@ -312,5 +312,3 @@ def test_rate_input_checks():
     h_tot = HermitianMatrix(sched.total_hamiltonian(traj.times[5]))
     with pytest.raises(InvalidInput):
         entropy_production_rate(state, h_tot, sched.h_env, math.inf, 0.0)
-    with pytest.raises(InvalidInput):
-        entropy_production_rate(state, h_tot, sched.h_env, 1.0, 0.5, dt_fd=0.0)

@@ -1,6 +1,11 @@
 """Tests for the package's public surface."""
 
+import ast
+from pathlib import Path
+
 import qthermo
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_resolve_once():
@@ -8,3 +13,26 @@ def test_public_names_resolve_once():
     assert len(qthermo.__all__) == len(set(qthermo.__all__))
     missing = [name for name in qthermo.__all__ if not hasattr(qthermo, name)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # No linter is a dependency, so this scan stands in for one.  The
+    # package __init__ is skipped: its imports are the re-exported API.
+    files = [p for p in sorted((ROOT / "src/qthermo").glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    assert [u for p in files for u in _unused_imports(p)] == []

@@ -270,3 +270,15 @@ def test_region_grid_validation():
                        b_min=0, b_max=1, b_count=5)
         with pytest.raises(InvalidInput):
             thermal_polarization(bad, 1.0)
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0, math.inf, math.nan, "x", None, 1j])
+def test_gap_validation_raises_invalid_input(gap):
+    # Non-numeric gaps used to escape as a bare ValueError or TypeError.
+    for call in (lambda: env_hamiltonian(gap), lambda: thermal_polarization(1.0, gap),
+                 lambda: beta_from_polarization(0.1, gap),
+                 lambda: RegionGrid(gap=gap, beta0=0.5, beta_tau_policy=ConstantBeta(0.5),
+                                    coherence_abs=0.1, s_min=-1, s_max=1, s_count=5,
+                                    b_min=0, b_max=1, b_count=5)):
+        with pytest.raises(InvalidInput):
+            call()

@@ -195,6 +195,15 @@ def test_solve_beta_is_finite_next_to_the_edges():
         assert abs(s.solve_beta(targets[0]) - 100.0) < 1e-12
 
 
+
+def test_energy_stays_inside_the_spectrum_at_large_beta():
+    # p @ w over three degenerate edge levels at p = 1/3 rounded an ulp below w_0.
+    solver = GibbsSolver(HermitianMatrix(np.diag([222.5] * 3 + [223.125] + [232.5] * 3)))
+    assert solver.energy(1e6) == 222.5
+    assert solver.energy(-1e6) == 232.5
+    assert solver.energy(np.array([1e6, -1e6, 1e6])).tolist() == [222.5, 232.5, 222.5]
+
+
 # Spectra offset + width * (0, sorted interior levels, 1) on the diagonal.
 _SPECTRA = dict(
     d_env=st.integers(2, 8),
