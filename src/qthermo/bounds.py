@@ -32,7 +32,7 @@ from .linalg import (
     _ptrace,
     trace_distance,
 )
-from .thermo import GibbsSolver, _as_beta, von_neumann_entropy
+from .thermo import GibbsSolver, _as_beta, _solver, von_neumann_entropy
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
 # constraints of a perturbation: vanishing system marginal and vanishing
@@ -95,14 +95,14 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     entropy production of any unitary evolution started here is bounded
     below by this number.
     """
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     return _entropy_gap(initial, solver, solver.beta_star(initial.rho_env))
 
 
 def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Trace distance between the state and its reference product."""
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     beta_star = solver.beta_star(initial.rho_env)
     return _reference_distance(initial, solver.state(beta_star))
@@ -130,7 +130,7 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
         rho_sys = DensityMatrix(rho_sys)
     if not isinstance(rho_env, DensityMatrix):
         rho_env = DensityMatrix(rho_env)
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     if rho_env.dim != solver.dim:
         raise InvalidInput(
             f"environment dimension {rho_env.dim} does not match H ({solver.dim})"
@@ -156,7 +156,7 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
     thermal mismatch divergence minus the trace-distance bound.  ``holds``
     guarantees nonnegativity; failure decides nothing.
     """
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     _check_bipartite_env(final, solver)
     if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
@@ -187,7 +187,7 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
         DensityMatrix(rho_sys)  # validated, though the check never reads it
     if not isinstance(rho_env, DensityMatrix):
         rho_env = DensityMatrix(rho_env)
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     if final_env.dim != solver.dim or rho_env.dim != solver.dim:
         raise InvalidInput("environment marginals must match the Hamiltonian dimension")
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
@@ -232,7 +232,7 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
     if not isinstance(chi, HermitianMatrix):
         chi = HermitianMatrix(chi)
     beta = _as_beta(beta)
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     d_s, d_e = rho_sys.dim, solver.dim
     if chi.dim != d_s * d_e:
         raise InvalidPerturbation(
@@ -300,7 +300,7 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     The product-only bound is included when the state factorizes to
     rounding accuracy and is None otherwise.
     """
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     beta_star = solver.beta_star(initial.rho_env)
     gamma = solver.state(beta_star)

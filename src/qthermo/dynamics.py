@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
 from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
-from .thermo import GibbsSolver, _entropy_from_eigs
+from .thermo import GibbsSolver, _entropy_from_eigs, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -129,10 +129,10 @@ class HamiltonianSchedule:
     def tau(self) -> float:
         return self.segments[-1].t_end
 
-    @cached_property
+    @property
     def gibbs(self) -> GibbsSolver:
-        """The one thermal solver for H_E, built on first use."""
-        return GibbsSolver(self.h_env)
+        """The one thermal solver for H_E, built on first use and cached on h_env."""
+        return _solver(self.h_env)
 
     @cached_property
     def _env_term(self) -> np.ndarray:

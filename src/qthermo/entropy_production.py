@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import Trajectory, env_energy_rate
 from .errors import InvalidInput
 from .linalg import BipartiteState, HermitianMatrix, _expi
-from .thermo import GibbsSolver, mutual_information, von_neumann_entropy
+from .thermo import GibbsSolver, _solver, mutual_information, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
         raise InvalidInput("entropy_production expects BipartiteState endpoints")
     if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
         raise InvalidInput("endpoint states must share dimensions")
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     if solver.dim != initial.d_e:
         raise InvalidInput("environment Hamiltonian does not match the states")
     return (mutual_information(final) - mutual_information(initial)
@@ -225,7 +225,7 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     if not isinstance(h_total, HermitianMatrix):
         h_total = HermitianMatrix(h_total)
 
-    solver = GibbsSolver(h_env)
+    solver = _solver(h_env)
     rate_env = env_energy_rate(rho, h_total, solver.h_env)
 
     u = _expi(h_total.mat, _DT_FD)

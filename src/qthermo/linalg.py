@@ -37,7 +37,7 @@ class HermitianMatrix:
     The stored array is read-only so instances can be shared freely.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_gibbs")  # _gibbs: the GibbsSolver that thermo._solver caches
 
     def __init__(self, mat):
         a = _as_square_complex(mat, what=type(self).__name__)
@@ -70,28 +70,36 @@ class DensityMatrix(HermitianMatrix):
     Trace must be 1 within ``TOL_TRACE`` and the smallest eigenvalue no
     lower than ``-TOL_PSD``.  The stored matrix is kept exactly as given
     (after Hermitian symmetrization); eigenvalues are never clipped here.
+    Its ``eigvalsh`` spectrum and entropy are computed once and cached.
     """
 
-    __slots__ = ()
+    __slots__ = ("_eigs", "_s")
 
     def _check(self) -> None:
         tr = complex(self.mat.trace())
         if abs(tr - 1.0) > TOL_TRACE:
             raise InvalidState(f"density matrix trace {tr:.12g} is not 1 within {TOL_TRACE:g}")
-        lam_min = float(np.linalg.eigvalsh(self.mat)[0])
+        lam_min = float(self._spectrum()[0])
         if lam_min < -TOL_PSD:
             raise InvalidState(f"density matrix has eigenvalue {lam_min:.3e} below -{TOL_PSD:g}")
 
     @classmethod
     def _trusted(cls, mat: np.ndarray) -> "DensityMatrix":
-        # Internal fast path for states produced by unitary conjugation of an
-        # already-validated state; skips the eigenvalue test.
+        # Internal fast path for states valid by construction (unitary conjugates,
+        # Gibbs states, products of valid states); skips trace and eigenvalue tests.
         obj = object.__new__(cls)
         h = np.asarray(mat, dtype=complex)
         h = (h + h.conj().T) / 2.0
         h.setflags(write=False)
         obj.mat = h
         return obj
+
+    def _spectrum(self) -> np.ndarray:
+        """Ascending ``eigvalsh`` eigenvalues, read-only, computed on first use."""
+        if not hasattr(self, "_eigs"):
+            self._eigs = np.linalg.eigvalsh(self.mat)
+            self._eigs.setflags(write=False)
+        return self._eigs
 
 
 class UnitaryMatrix:

@@ -12,6 +12,7 @@ through its magnitude, so grids scan (longitudinal, |coherence|).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -22,7 +23,7 @@ from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .io import atomic_write_text
 from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import GibbsSolver, _as_beta
+from .thermo import _as_beta, _solver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -32,13 +33,21 @@ _BALL_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-9
 
 
+def _as_real(value, name: str) -> float:
+    """A finite real as a float; anything else raises InvalidInput."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
+    return v
+
+
 def _as_gap(gap) -> float:
     """A level spacing as a float; anything but a positive finite real raises."""
-    try:
-        g = float(gap)
-    except (TypeError, ValueError):
-        g = math.nan
-    if not (g > 0 and math.isfinite(g)):
+    g = _as_real(gap, "gap")
+    if g <= 0:
         raise InvalidInput(f"gap must be positive and finite, got {gap!r}")
     return g
 
@@ -66,7 +75,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
 def beta_from_polarization(r: float, gap: float) -> float:
     """Inverse of thermal_polarization; +-1 map to +-inf."""
     gap = _as_gap(gap)
-    r = float(r)
+    r = _as_real(r, "polarization")
     if not (-1.0 <= r <= 1.0):
         raise DomainError(f"polarization must lie in [-1, 1], got {r!r}")
     if r == 1.0:
@@ -145,7 +154,7 @@ def example_distances(initial: EnvPoint, final: EnvPoint, beta_tau: float,
     """
     if not isinstance(initial, EnvPoint) or not isinstance(final, EnvPoint):
         raise InvalidInput("example_distances expects EnvPoint arguments")
-    solver = GibbsSolver(env_hamiltonian(gap))
+    solver = _solver(env_hamiltonian(gap))
     for pt in (initial, final):
         p = pt.longitudinal
         # The Bloch slack lets |p| exceed 1 by rounding; that is the edge state.
@@ -175,7 +184,7 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
     beta0 = _as_beta(beta0)
     delta = 0.5 * abs(initial.coherence)
     beta_star0 = beta_from_polarization(initial.longitudinal, gap)
-    solver = GibbsSolver(env_hamiltonian(gap))
+    solver = _solver(env_hamiltonian(gap))
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
     return 2.0 * binary_entropy(delta) + 2.0 * mismatch
 
@@ -233,27 +242,24 @@ class RegionGrid:
         object.__setattr__(self, "beta0", _as_beta(self.beta0))
         if not isinstance(self.beta_tau_policy, (ConstantBeta, EnergyMatching)):
             raise InvalidInput("beta_tau_policy must be ConstantBeta or EnergyMatching")
-        if not (int(self.s_count) >= 1 and int(self.b_count) >= 1):
-            raise InvalidInput("grid needs at least one cell per axis")
-        object.__setattr__(self, "s_count", int(self.s_count))
-        object.__setattr__(self, "b_count", int(self.b_count))
-        for name in ("s_min", "s_max", "b_min", "b_max", "coherence_abs"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidInput(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        for name in ("s_count", "b_count"):
+            value = getattr(self, name)
+            try:
+                n = operator.index(value)
+            except TypeError:
+                n = 0
+            if n < 1:
+                raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, n)
+        reals = ("s_min", "s_max", "b_min", "b_max", "coherence_abs", "initial_longitudinal")
+        for name in reals if self.initial_longitudinal is not None else reals[:-1]:
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if self.s_min > self.s_max or self.b_min > self.b_max:
             raise InvalidInput("grid ranges must satisfy min <= max")
         if self.b_min < 0:
             raise InvalidInput("coherence magnitudes are nonnegative")
         if self.coherence_abs < 0:
             raise InvalidInput("coherence_abs must be nonnegative")
-        p = self.initial_longitudinal
-        if p is not None:
-            p = float(p)
-            if not math.isfinite(p):
-                raise InvalidInput("initial_longitudinal must be finite")
-            object.__setattr__(self, "initial_longitudinal", p)
 
     def initial_point(self) -> EnvPoint:
         p = self.initial_longitudinal

@@ -41,7 +41,7 @@ def rand_density(rng: np.random.Generator, dim: int, rank: int | None = None) ->
 def rand_bipartite(rng: np.random.Generator, d_s: int, d_e: int,
                    rank: int | None = None) -> BipartiteState:
     """Random correlated joint state on d_s x d_e."""
-    return BipartiteState(d_s, d_e, rand_density(rng, d_s * d_e, rank=rank).mat)
+    return BipartiteState(d_s, d_e, rand_density(rng, d_s * d_e, rank=rank))
 
 
 def rand_product(rng: np.random.Generator, d_s: int, d_e: int) -> BipartiteState:

@@ -43,7 +43,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr[rho ln rho] in nats, nonnegative by construction."""
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    return float(_entropy_from_eigs(np.linalg.eigvalsh(rho.mat)))
+    return _entropy(rho)
+
+
+def _entropy(rho: DensityMatrix) -> float:
+    # S(rho) from the cached spectrum, computed once per state.
+    if not hasattr(rho, "_s"):
+        rho._s = float(_entropy_from_eigs(rho._spectrum()))
+    return rho._s
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -60,8 +67,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
 
-    lam = np.linalg.eigvalsh(rho.mat)
-    t1 = -_entropy_from_eigs(lam)  # tr[rho ln rho]
+    t1 = -_entropy(rho)  # tr[rho ln rho]
 
     mu, w = np.linalg.eigh(sigma.mat)
     # Weight of rho along each eigenvector of sigma.
@@ -227,7 +233,7 @@ class GibbsSolver:
         """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
         state on the extremal eigenspace."""
         p = self.populations(beta)
-        return DensityMatrix((self.basis * p) @ self.basis.conj().T)
+        return DensityMatrix._trusted((self.basis * p) @ self.basis.conj().T)
 
     # -- relative entropies in the thermal family -----------------------------
 
@@ -417,6 +423,16 @@ def _rel_entr_sum(p: np.ndarray, q: np.ndarray) -> float:
     return float((ps * (np.log(ps) - np.log(qs))).sum())
 
 
+def _solver(h_env) -> GibbsSolver:
+    """The GibbsSolver of H_E, cached on a HermitianMatrix once construction
+    succeeds; a raw array gets a fresh solver on every call."""
+    if not isinstance(h_env, HermitianMatrix):
+        return GibbsSolver(h_env)
+    if not hasattr(h_env, "_gibbs"):
+        h_env._gibbs = GibbsSolver(h_env)
+    return h_env._gibbs
+
+
 def effective_beta(rho_env: DensityMatrix, h_env: HermitianMatrix) -> float:
-    """``GibbsSolver(h_env).beta_star(rho_env)`` for a one-off query."""
-    return GibbsSolver(h_env).beta_star(rho_env)
+    """``GibbsSolver(h_env).beta_star(rho_env)``, sharing the solver cached on h_env."""
+    return _solver(h_env).beta_star(rho_env)

@@ -44,6 +44,7 @@ from .rand import (
 )
 from .thermo import (
     GibbsSolver,
+    _solver,
     effective_beta,
     mutual_information,
     relative_entropy,
@@ -146,9 +147,8 @@ def _check_mutual_info_decomposition(rng, cfg):
     for _, d_s, d_e in _cases(cfg):
         rho = rand_bipartite(rng, d_s, d_e)
         info = mutual_information(rho)
-        div = relative_entropy(
-            rho.state, DensityMatrix(np.kron(rho.rho_sys.mat, rho.rho_env.mat))
-        )
+        ref = DensityMatrix._trusted(np.kron(rho.rho_sys.mat, rho.rho_env.mat))
+        div = relative_entropy(rho.state, ref)
         yield max(abs(info - div), -min(info, 0.0))
 
 
@@ -179,7 +179,7 @@ def _check_clausius_split(rng, cfg):
 def _check_star_reduction(rng, cfg):
     for _, d_s, d_e in _cases(cfg):
         initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        bs0, bs1, star = _matched(initial, final, GibbsSolver(h_env))
+        bs0, bs1, star = _matched(initial, final, _solver(h_env))
         ep = entropy_production(initial, final, bs0, bs1, h_env)
         yield abs(ep - star)
 
@@ -189,7 +189,7 @@ def _check_pythagorean(rng, cfg):
         rho_env = rand_density(rng, d_e)
         h_env = rand_env_hamiltonian(rng, d_e)
         beta = rng.uniform(-3.0, 3.0)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         beta_star = solver.beta_star(rho_env)
         total = relative_entropy(rho_env, solver.state(beta))
         to_star = relative_entropy(rho_env, solver.state(beta_star))
@@ -202,7 +202,7 @@ def _check_pythagorean(rng, cfg):
 def _check_general_split(rng, cfg):
     for _, d_s, d_e in _cases(cfg):
         initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         bs0, bs1, star = _matched(initial, final, solver)
         beta0 = rng.uniform(-2.0, 2.0)
         beta_tau = rng.uniform(-2.0, 2.0)
@@ -215,7 +215,7 @@ def _check_general_split(rng, cfg):
 def _check_star_minimality(rng, cfg):
     for _, d_s, d_e in _cases(cfg, tenth=True):
         initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         bs0, bs1, star = _matched(initial, final, solver)
         grid = bs1 + np.linspace(-2.0, 2.0, 201)
         base = (mutual_information(final) - mutual_information(initial)
@@ -229,11 +229,10 @@ def _check_reference_projection(rng, cfg):
     for _, d_s, d_e in _cases(cfg):
         rho = rand_bipartite(rng, d_s, d_e)
         h_env = rand_env_hamiltonian(rng, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         beta = rng.uniform(-2.0, 2.0)
-        joint = relative_entropy(
-            rho.state, DensityMatrix(np.kron(rho.rho_sys.mat, solver.state(beta).mat))
-        )
+        ref = DensityMatrix._trusted(np.kron(rho.rho_sys.mat, solver.state(beta).mat))
+        joint = relative_entropy(rho.state, ref)
         split = mutual_information(rho) + relative_entropy(rho.rho_env, solver.state(beta))
         yield abs(joint - split)
 
@@ -246,7 +245,7 @@ def _check_lower_bound_chain(rng, cfg):
             initial = rand_product(rng, d_s, d_e)
         h_env = rand_env_hamiltonian(rng, d_e)
         final = _rotated(rng, initial)
-        star = _matched(initial, final, GibbsSolver(h_env))[2]
+        star = _matched(initial, final, _solver(h_env))[2]
         gap = entropy_gap_bound(initial, h_env)
         dist = trace_distance_bound(initial, h_env)
         worst = max(gap - star, dist - gap, 0.0)
@@ -282,7 +281,7 @@ def _env_preserving_correlated(rng, d_s: int, solver: GibbsSolver, beta: float) 
 def _check_special_cases(rng, cfg):
     for i, d_s, d_e in _cases(cfg):
         h_env = rand_env_hamiltonian(rng, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         if i % 2 == 0:
             beta = rng.uniform(-2.0, 2.0)
             rho = _env_preserving_correlated(rng, d_s, solver, beta)
@@ -346,7 +345,7 @@ def _check_sufficient_conditions(rng, cfg):
 def _check_second_law(rng, cfg):
     for _, d_s, d_e in _cases(cfg):
         h_env = rand_env_hamiltonian(rng, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         beta0 = rng.uniform(-2.0, 2.0)
         rho_s = rand_density(rng, d_s)
         initial = BipartiteState(d_s, d_e, np.kron(rho_s.mat, solver.state(beta0).mat))
@@ -376,11 +375,9 @@ def _check_rate_formula(rng, cfg):
 
         def div_at(dt: float) -> float:
             u = _expi(h_total, dt)
-            shifted = BipartiteState._trusted(
-                d_s, d_e, u @ state.state.mat @ u.conj().T
-            )
+            shifted = BipartiteState._trusted(d_s, d_e, u @ state.state.mat @ u.conj().T)
             beta_t = float(policy.values(t_eval + dt))
-            ref = DensityMatrix(np.kron(shifted.rho_sys.mat, solver.state(beta_t).mat))
+            ref = DensityMatrix._trusted(np.kron(shifted.rho_sys.mat, solver.state(beta_t).mat))
             return relative_entropy(shifted.state, ref)
 
         fd = (div_at(h_fd) - div_at(-h_fd)) / (2 * h_fd)
@@ -391,7 +388,7 @@ def _check_energy_monotonicity(rng, cfg):
     for i in range(cfg.num_random_scenarios):
         d_e = 2 + i % 7
         h_env = rand_env_hamiltonian(rng, d_e)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         beta = rng.uniform(-3.0, 3.0)
         # Step in beta * (E_max - E_min): a fixed step in beta lets the
         # rounding of the energy difference, eps*|E|/h_fd, swamp the tiny
@@ -407,7 +404,7 @@ def _check_beta_roundtrip(rng, cfg):
         d_e = 2 + i % 7
         # Narrow spectra keep thermal energies resolvable at |beta| = 20.
         h_env = rand_env_hamiltonian(rng, d_e, spread=0.5)
-        solver = GibbsSolver(h_env)
+        solver = _solver(h_env)
         beta = rng.uniform(-20.0, 20.0)
         back = effective_beta(solver.state(beta), h_env)
         yield abs(back - beta)

@@ -153,3 +153,31 @@ def test_rand_density_is_valid_state():
     low = rand_density(rng, 4, rank=2)
     ev = np.sort(np.linalg.eigvalsh(low.mat))
     assert ev[1] < 1e-13 and ev[2] > 1e-6
+
+
+def test_density_matrix_spectrum_is_cached_and_read_only():
+    # Validation keeps the whole eigvalsh spectrum; a trusted state computes
+    # the same array on first use.  Neither may be written through.
+    rng = np.random.default_rng(10)
+    mat = rand_density(rng, 5).mat
+    for rho in (DensityMatrix(mat), DensityMatrix._trusted(mat)):
+        w = rho._spectrum()
+        assert w is rho._spectrum()
+        assert np.array_equal(w, np.linalg.eigvalsh(rho.mat))
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def test_validation_decomposes_each_bipartite_matrix_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    mat = rand_density(rng, 6).mat
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    state = BipartiteState(2, 3, DensityMatrix(mat))
+    # The joint state and both marginals, one eigvalsh each.
+    assert len(calls) == 3
+    for rho in (state.state, state.rho_sys, state.rho_env):
+        rho._spectrum()
+    assert len(calls) == 3

@@ -36,3 +36,31 @@ def test_no_unused_imports():
     files = [p for p in sorted((ROOT / "src/qthermo").glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py"))
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+def _gibbs_solver_calls(path: Path) -> list[str]:
+    """``GibbsSolver(...)`` calls in a module, as 'file:line in function'."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "GibbsSolver":
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_gibbs_solver_is_constructed_in_one_place():
+    # One solver per H_E: every internal caller goes through thermo._solver,
+    # which caches the solver on the HermitianMatrix it was built from.
+    calls = [c for p in sorted((ROOT / "src/qthermo").glob("*.py"))
+             for c in _gibbs_solver_calls(p)]
+    assert [c for c in calls if not c.endswith(" in _solver")] == []
+    assert len(calls) == 2 and all(c.startswith("src/qthermo/thermo.py:") for c in calls)

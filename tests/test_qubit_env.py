@@ -282,3 +282,32 @@ def test_gap_validation_raises_invalid_input(gap):
                                     b_min=0, b_max=1, b_count=5)):
         with pytest.raises(InvalidInput):
             call()
+
+
+_GRID = dict(gap=1.0, beta0=0.5, beta_tau_policy=ConstantBeta(0.5), coherence_abs=0.1,
+             s_min=-1, s_max=1, s_count=5, b_min=0, b_max=1, b_count=5)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("s_count", "x"), ("s_count", None), ("b_count", 2.5), ("b_count", np.float64(3.0)),
+    ("coherence_abs", "x"), ("s_min", "x"), ("s_max", None), ("b_min", 1j),
+    ("b_max", None), ("s_min", math.inf), ("initial_longitudinal", "x"),
+    ("initial_longitudinal", math.nan),
+])
+def test_region_grid_rejects_non_numeric_fields(field, bad):
+    # These used to escape as a bare ValueError or TypeError, or, for a
+    # fractional count, to be truncated silently.
+    with pytest.raises(InvalidInput):
+        RegionGrid(**{**_GRID, field: bad})
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j, math.nan])
+def test_beta_from_polarization_rejects_non_numeric_input(bad):
+    with pytest.raises(InvalidInput):
+        beta_from_polarization(bad, 1.0)
+
+
+def test_region_grid_accepts_numpy_counts():
+    grid = RegionGrid(**{**_GRID, "s_count": np.int64(3), "b_count": 2})
+    assert (grid.s_count, grid.b_count) == (3, 2)
+    assert type(grid.s_count) is int

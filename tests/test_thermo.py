@@ -16,13 +16,18 @@ from qthermo import (
     HermitianMatrix,
     InfeasibleEnergy,
     InvalidInput,
+    build_bound_report,
     effective_beta,
+    entropy_production,
+    load_scenario,
     mutual_information,
     relative_entropy,
+    run_scenario,
     tensor_product,
     von_neumann_entropy,
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_product
+from qthermo.thermo import _solver
 
 
 def test_entropy_special_values():
@@ -371,3 +376,77 @@ def test_bipartite_entropy_triangle():
         s_se = von_neumann_entropy(DensityMatrix(state.mat))
         assert s_se <= s_s + s_e + 1e-12
         assert s_se >= abs(s_s - s_e) - 1e-12
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    return calls
+
+
+@pytest.fixture
+def solver_constructions(monkeypatch):
+    calls = []
+    init = GibbsSolver.__init__
+    monkeypatch.setattr(GibbsSolver, "__init__",
+                        lambda self, h: calls.append(1) or init(self, h))
+    return calls
+
+
+def test_validated_states_are_not_decomposed_again(eigvalsh_calls):
+    rng = np.random.default_rng(40)
+    rho = rand_bipartite(rng, 2, 3)
+    sigma = DensityMatrix(np.kron(rho.rho_sys.mat, rho.rho_env.mat))
+    expected = [float(-(w * np.log(w)).sum()) for w in
+                (np.linalg.eigvalsh(m.mat) for m in (rho.state, rho.rho_sys, rho.rho_env))]
+    del eigvalsh_calls[:]
+    info = mutual_information(rho)
+    entropies = [von_neumann_entropy(m) for m in (rho.state, rho.rho_sys, rho.rho_env)]
+    div = relative_entropy(rho.state, sigma)
+    assert eigvalsh_calls == []
+    assert entropies == pytest.approx(expected, abs=1e-14)
+    assert info == entropies[1] + entropies[2] - entropies[0]
+    assert div == pytest.approx(info, abs=1e-12)
+
+
+def test_run_scenario_builds_one_gibbs_solver(solver_constructions):
+    # Parsing (the product-Gibbs initial state), evolution, the report and
+    # the bounds all share the schedule's solver.
+    run_scenario(load_scenario("src/qthermo/data/two_qubit_exchange.json"))
+    assert len(solver_constructions) == 1
+
+
+def test_one_gibbs_solver_per_hamiltonian_object(solver_constructions):
+    rng = np.random.default_rng(41)
+    h_env = rand_env_hamiltonian(rng, 3)
+    initial = rand_bipartite(rng, 2, 3)
+    final = rand_bipartite(rng, 2, 3)
+    entropy_production(initial, final, 0.3, -0.2, h_env)
+    build_bound_report(initial, h_env)
+    effective_beta(final.rho_env, h_env)
+    assert len(solver_constructions) == 1
+    assert _solver(h_env) is _solver(h_env)
+    # Another object with the same matrix gets its own solver.
+    assert _solver(HermitianMatrix(h_env.mat)) is not _solver(h_env)
+
+
+def test_degenerate_hamiltonian_fails_on_every_call():
+    # A failed construction is not cached, so the error repeats.
+    h = HermitianMatrix(np.eye(3))
+    rho = DensityMatrix(np.eye(3) / 3)
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            _solver(h)
+        with pytest.raises(InvalidInput):
+            effective_beta(rho, h)
+
+
+def test_raw_array_hamiltonian_gets_a_fresh_solver():
+    rng = np.random.default_rng(42)
+    h = rand_env_hamiltonian(rng, 4)
+    rho = rand_density(rng, 4)
+    assert _solver(h.mat) is not _solver(h.mat)
+    assert effective_beta(rho, h.mat) == effective_beta(rho, h)
+    assert np.array_equal(_solver(h.mat).state(0.7).mat, _solver(h).state(0.7).mat)
