@@ -29,10 +29,22 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     HermitianMatrix,
-    _ptrace,
-    trace_distance,
+    _kron,
+    _ptrace_stack,
+    _trace_distance,
 )
-from .thermo import GibbsSolver, _as_beta, _solver, von_neumann_entropy
+from .thermo import (
+    GibbsSolver,
+    _Bipartite,
+    _bipartite_one,
+    _Gibbs,
+    _gibbs_entropy,
+    _gibbs_one,
+    _gibbs_relative_entropy,
+    _gibbs_states,
+    _as_beta,
+    _solver,
+)
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
 # constraints of a perturbation: vanishing system marginal and vanishing
@@ -54,28 +66,49 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log1p(-p))
 
 
-def _reference_distance(state: BipartiteState, gamma: DensityMatrix) -> float:
-    """Trace distance from a state to the product rho_S x gamma."""
-    ref = DensityMatrix._trusted(np.kron(state.rho_sys.mat, gamma.mat))
-    return trace_distance(state.state, ref)
+# Stacked forms: one row per state of a stack; the public functions below
+# evaluate them on a stack of one.
+
+def _reference_distance(state: _Bipartite, gamma: np.ndarray) -> np.ndarray:
+    """Trace distance from each state to the product rho_S x gamma of its row."""
+    return _trace_distance(state.state.mat, _kron(state.rho_sys.mat, gamma))
 
 
-def _entropy_gap(initial: BipartiteState, solver: GibbsSolver, beta_star: float) -> float:
-    return (von_neumann_entropy(initial.state)
-            - von_neumann_entropy(initial.rho_sys)
-            - solver.entropy(beta_star))
+def _entropy_gap(initial: _Bipartite, g: _Gibbs, beta_star: np.ndarray) -> np.ndarray:
+    return initial.state.s - initial.rho_sys.s - _gibbs_entropy(g, beta_star)
 
 
-def _continuity_bound(delta: float, dim: int) -> float:
-    # Entropy continuity in trace distance on a dim-level system; the log
-    # factor degenerates to 0 at dim = 2.
-    return -delta * math.log(dim - 1) - binary_entropy(delta) if dim > 2 \
-        else -binary_entropy(delta)
+def _continuity_bound(delta: np.ndarray, dim: int) -> np.ndarray:
+    # Entropy continuity in trace distance on a dim-level system, on Python
+    # floats row by row; the log factor degenerates to 0 at dim = 2.
+    return np.array([-x * math.log(dim - 1) - binary_entropy(x) if dim > 2
+                     else -binary_entropy(x) for x in delta.tolist()])
 
 
-def _product_bound(rho_env: DensityMatrix, gamma: DensityMatrix) -> float:
+def _product_bound(rho_env: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     # The continuity bound paid in the environment dimension alone.
-    return _continuity_bound(trace_distance(rho_env, gamma), rho_env.dim)
+    return _continuity_bound(_trace_distance(rho_env, gamma), rho_env.shape[-1])
+
+
+def _sufficient_general(final: _Bipartite, beta_tau: np.ndarray, initial: _Bipartite,
+                        beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
+    """(lhs, rhs) of ``sufficient_nonneg_general`` per row."""
+    lhs = _reference_distance(final, _gibbs_states(g, beta_tau)) ** 2
+    bound = _continuity_bound(_reference_distance(initial, _gibbs_states(g, beta_star0)),
+                              initial.state.mat.shape[-1])
+    return lhs, 0.5 * (_gibbs_relative_entropy(g, beta_star0, beta0) - bound)
+
+
+def _sufficient_product(final_env: np.ndarray, beta_tau: np.ndarray, rho_env: np.ndarray,
+                        beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
+    """(lhs, rhs) of ``sufficient_nonneg_product`` per row."""
+    lhs = _trace_distance(final_env, _gibbs_states(g, beta_tau)) ** 2
+    bound = _product_bound(rho_env, _gibbs_states(g, beta_star0))
+    return lhs, 0.5 * (_gibbs_relative_entropy(g, beta_star0, beta0) - bound)
+
+
+def _row(value: float) -> np.ndarray:
+    return np.array([float(value)])
 
 
 def _check_bipartite_env(initial: BipartiteState, solver: GibbsSolver) -> None:
@@ -97,15 +130,16 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
-    return _entropy_gap(initial, solver, solver.beta_star(initial.rho_env))
+    return float(_entropy_gap(_bipartite_one(initial), _gibbs_one(solver),
+                              _row(solver.beta_star(initial.rho_env)))[0])
 
 
 def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Trace distance between the state and its reference product."""
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = solver.beta_star(initial.rho_env)
-    return _reference_distance(initial, solver.state(beta_star))
+    gamma = solver.state(solver.beta_star(initial.rho_env))
+    return float(_reference_distance(_bipartite_one(initial), gamma.mat[None])[0])
 
 
 def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
@@ -114,8 +148,8 @@ def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix) -> flo
     Nonpositive, and never above ``entropy_gap_bound`` in magnitude terms:
     entropy_gap_bound >= trace_distance_bound always holds.
     """
-    return _continuity_bound(distance_to_reference(initial, h_env),
-                             initial.d_s * initial.d_e)
+    return float(_continuity_bound(_row(distance_to_reference(initial, h_env)),
+                                   initial.d_s * initial.d_e)[0])
 
 
 def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
@@ -135,7 +169,8 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
         raise InvalidInput(
             f"environment dimension {rho_env.dim} does not match H ({solver.dim})"
         )
-    return _product_bound(rho_env, solver.state(solver.beta_star(rho_env)))
+    gamma = solver.state(solver.beta_star(rho_env))
+    return float(_product_bound(rho_env.mat[None], gamma.mat[None])[0])
 
 
 class SufficiencyCheck(NamedTuple):
@@ -163,13 +198,10 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
         raise InvalidInput("endpoint states must share dimensions")
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
-    lhs = _reference_distance(final, solver.state(beta_tau)) ** 2
-    beta_star0 = solver.beta_star(initial.rho_env)
-    mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
-    bound = _continuity_bound(_reference_distance(initial, solver.state(beta_star0)),
-                              initial.d_s * initial.d_e)
-    rhs = 0.5 * (mismatch - bound)
-    return SufficiencyCheck(holds=bool(lhs >= rhs), lhs=float(lhs), rhs=float(rhs))
+    lhs, rhs = _sufficient_general(_bipartite_one(final), _row(beta_tau), _bipartite_one(initial),
+                                   _row(beta0), _gibbs_one(solver),
+                                   _row(solver.beta_star(initial.rho_env)))
+    return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
 def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
@@ -192,11 +224,9 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
         raise InvalidInput("environment marginals must match the Hamiltonian dimension")
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
-    lhs = trace_distance(final_env, solver.state(beta_tau)) ** 2
-    beta_star0 = solver.beta_star(rho_env)
-    mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
-    rhs = 0.5 * (mismatch - _product_bound(rho_env, solver.state(beta_star0)))
-    return SufficiencyCheck(holds=bool(lhs >= rhs), lhs=float(lhs), rhs=float(rhs))
+    lhs, rhs = _sufficient_product(final_env.mat[None], _row(beta_tau), rho_env.mat[None],
+                                   _row(beta0), _gibbs_one(solver), _row(solver.beta_star(rho_env)))
+    return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
 @dataclass(frozen=True)
@@ -241,10 +271,10 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
 
     scale = max(float(np.abs(chi.mat).max()), 1.0)
     atol = PERTURBATION_TOL * scale
-    sys_marginal = _ptrace(chi.mat, d_s, d_e, "S")
+    sys_marginal = _ptrace_stack(chi.mat[None], d_s, d_e, "S")[0]
     if float(np.abs(sys_marginal).max()) > atol:
         raise InvalidPerturbation("perturbation must have a vanishing system marginal")
-    env_marginal = _ptrace(chi.mat, d_s, d_e, "E")
+    env_marginal = _ptrace_stack(chi.mat[None], d_s, d_e, "E")[0]
     diag = np.einsum("ji,jk,ki->i", solver.basis.conj(), env_marginal, solver.basis)
     if float(np.abs(diag).max()) > atol:
         raise InvalidPerturbation(
@@ -303,14 +333,16 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     beta_star = solver.beta_star(initial.rho_env)
-    gamma = solver.state(beta_star)
-    delta = _reference_distance(initial, gamma)
-    product = _product_bound(initial.rho_env, gamma) if is_product_state(initial) else None
+    gamma = solver.state(beta_star).mat[None]
+    state = _bipartite_one(initial)
+    delta = _reference_distance(state, gamma)
+    product = (float(_product_bound(state.rho_env.mat, gamma)[0])
+               if is_product_state(initial) else None)
     return BoundReport(
         beta_star=beta_star,
-        distance_to_reference=delta,
-        entropy_gap_bound=_entropy_gap(initial, solver, beta_star),
-        trace_distance_bound=_continuity_bound(delta, initial.d_s * initial.d_e),
+        distance_to_reference=float(delta[0]),
+        entropy_gap_bound=float(_entropy_gap(state, _gibbs_one(solver), _row(beta_star))[0]),
+        trace_distance_bound=float(_continuity_bound(delta, initial.d_s * initial.d_e)[0]),
         product_trace_distance_bound=product,
         is_product=product is not None,
     )

@@ -29,7 +29,7 @@ from typing import Callable, IO, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
-from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
+from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack, _sym
 from .thermo import GibbsSolver, _entropy_from_eigs, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
@@ -178,10 +178,6 @@ def _batches(start: int, stop: int, width: int):
         yield k0, min(k0 + rows, stop)
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
-
-
 class _Eigenframe:
     """A constant segment in the eigenbasis of its Hamiltonian H = V diag(w) V^dag.
 
@@ -203,7 +199,7 @@ class _Eigenframe:
         self._m = max(1, math.isqrt(steps))
         self._low = self._exp(np.arange(self._m))
         # The end state seeds the next segment and is stored, not recomputed.
-        self.end = _hermitian_part(self._states(steps, steps + 1)[0])
+        self.end = _sym(self._states(steps, steps + 1)[0])
 
     def _exp(self, k: np.ndarray) -> np.ndarray:
         return np.exp(-1j * np.multiply.outer(k * self.dt, self.freqs))
@@ -382,7 +378,7 @@ def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndar
         uh = u.conj().transpose(0, 2, 1)
         for i in range(k0, k1):
             stack[i + 1] = u[i - k0] @ stack[i] @ uh[i - k0]
-    stack[-1] = _hermitian_part(stack[-1])
+    stack[-1] = _sym(stack[-1])
     stack.setflags(write=False)
     energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
     rates = np.empty(steps + 1)

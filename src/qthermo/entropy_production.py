@@ -21,7 +21,17 @@ import numpy as np
 from .dynamics import Trajectory, env_energy_rate
 from .errors import InvalidInput
 from .linalg import BipartiteState, HermitianMatrix, _expi
-from .thermo import GibbsSolver, _solver, mutual_information, von_neumann_entropy
+from .thermo import (
+    _Bipartite,
+    _bipartite_one,
+    _env_divergence,
+    _Gibbs,
+    _gibbs_entropy,
+    _gibbs_one,
+    _mutual_information,
+    _solver,
+    von_neumann_entropy,
+)
 
 
 @dataclass(frozen=True)
@@ -114,21 +124,21 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
     solver = _solver(h_env)
     if solver.dim != initial.d_e:
         raise InvalidInput("environment Hamiltonian does not match the states")
-    return (mutual_information(final) - mutual_information(initial)
-            + _env_divergence_change(initial, final, beta0, beta_tau, solver))
-
-
-def _env_divergence_change(initial: BipartiteState, final: BipartiteState,
-                           beta0: float, beta_tau: float, solver: GibbsSolver) -> float:
-    """D(rho_E(tau) || gamma(beta_tau)) - D(rho_E(0) || gamma(beta0)).
-
-    Both divergences go through the log-partition identity, so Gibbs levels
-    that underflow on a wide spectrum cannot fake a support violation.
-    """
     if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
         raise InvalidInput("endpoint inverse temperatures must be finite")
-    return float(solver.relative_entropy_profile(final.rho_env, beta_tau)
-                 - solver.relative_entropy_profile(initial.rho_env, beta0))
+    return float(_entropy_production(_bipartite_one(initial), _bipartite_one(final),
+                                     np.array([beta0]), np.array([beta_tau]),
+                                     _gibbs_one(solver))[0])
+
+
+def _entropy_production(initial: _Bipartite, final: _Bipartite, beta0: np.ndarray,
+                        beta_tau: np.ndarray, g: _Gibbs) -> np.ndarray:
+    """``entropy_production`` per row of stacked endpoints, betas and H_E.  The
+    environment divergences go through the log-partition identity, so Gibbs
+    levels that underflow on a wide spectrum cannot fake a support violation."""
+    return (_mutual_information(final) - _mutual_information(initial)
+            + (_env_divergence(final.rho_env, beta_tau, g)
+               - _env_divergence(initial.rho_env, beta0, g)))
 
 
 def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
@@ -190,21 +200,19 @@ def matched_entropy_production(traj: Trajectory) -> float:
     Equals the Clausius form evaluated along beta_star, but is computed from
     endpoint entropies alone so it carries no quadrature error.
     """
-    return _matched_entropy_form(
-        traj.initial, traj.final, traj.schedule.gibbs,
-        float(traj.beta_star[0]), float(traj.beta_star[-1]),
-    )
+    return float(_matched_entropy_form(
+        _bipartite_one(traj.initial), _bipartite_one(traj.final), _gibbs_one(traj.schedule.gibbs),
+        traj.beta_star[:1], traj.beta_star[-1:],
+    )[0])
 
 
-def _matched_entropy_form(initial: BipartiteState, final: BipartiteState,
-                          solver: GibbsSolver,
-                          beta_star_0: float, beta_star_tau: float) -> float:
-    d_s_entropy = (von_neumann_entropy(final.rho_sys)
-                   - von_neumann_entropy(initial.rho_sys))
-    d_e_entropy = (von_neumann_entropy(final.rho_env)
-                   - von_neumann_entropy(initial.rho_env))
-    d_gibbs = ((solver.entropy(beta_star_tau) - von_neumann_entropy(final.rho_env))
-               - (solver.entropy(beta_star_0) - von_neumann_entropy(initial.rho_env)))
+def _matched_entropy_form(initial: _Bipartite, final: _Bipartite, g: _Gibbs,
+                          beta_star_0: np.ndarray, beta_star_tau: np.ndarray) -> np.ndarray:
+    """The matched entropy production per row of stacked endpoints and H_E."""
+    d_s_entropy = final.rho_sys.s - initial.rho_sys.s
+    d_e_entropy = final.rho_env.s - initial.rho_env.s
+    d_gibbs = ((_gibbs_entropy(g, beta_star_tau) - final.rho_env.s)
+               - (_gibbs_entropy(g, beta_star_0) - initial.rho_env.s))
     return d_s_entropy + d_e_entropy + d_gibbs
 
 
@@ -300,7 +308,7 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     s_sys, s_env = ss1 - ss0, se1 - se0
     s_gibbs = (solver.entropy(bs_tau) - se1) - (solver.entropy(bs0) - se0)
 
-    ep = mi_change + _env_divergence_change(initial, final, beta0, beta_tau, solver)
+    ep = entropy_production(initial, final, beta0, beta_tau, solver.h_env)
     cl = s_sys + _heat_term(traj, policy)
     drift = temperature_drift_correction(traj, policy)
     matched = s_sys + s_env + s_gibbs

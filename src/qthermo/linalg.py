@@ -28,6 +28,55 @@ def _as_square_complex(mat, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2: exactly Hermitian, and A itself when A is."""
+    return (a + _dag(a)) / 2.0
+
+
+# The stack validators below test row by row on Python floats: a stack of one
+# is the constructors' path, where each NumPy reduction costs microseconds.
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of each matrix of an (n, d, d) stack; raises where one
+    deviates from self-adjointness by more than ``TOL_HERM`` relative to its
+    largest entry magnitude (with a floor of 1)."""
+    ah = _dag(a)
+    devs = np.abs(a - ah).max(axis=(1, 2)).tolist()
+    if max(devs) > TOL_HERM:  # below it, the floor of 1 on the scale passes every row
+        for dev, scale in zip(devs, np.abs(a).max(axis=(1, 2)).tolist()):
+            if dev > TOL_HERM * max(scale, 1.0):
+                raise InvalidInput(
+                    f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} exceeds "
+                    f"{TOL_HERM:g} relative to the largest entry"
+                )
+    return (a + ah) / 2.0
+
+
+def _density_spectra(h: np.ndarray) -> np.ndarray:
+    """Ascending ``eigvalsh`` spectra of an (n, d, d) Hermitian stack; raises
+    InvalidState where a trace misses 1 by more than ``TOL_TRACE`` or an
+    eigenvalue lies below ``-TOL_PSD``."""
+    for tr in h.trace(axis1=1, axis2=2).tolist():
+        if abs(tr - 1.0) > TOL_TRACE:
+            raise InvalidState(f"density matrix trace {tr:.12g} is not 1 within {TOL_TRACE:g}")
+    eigs = np.linalg.eigvalsh(h)
+    lam_min = min(eigs[:, 0].tolist())
+    if lam_min < -TOL_PSD:
+        raise InvalidState(f"density matrix has eigenvalue {lam_min:.3e} below -{TOL_PSD:g}")
+    return eigs
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    """Raises unless max|U^dag U - I| <= ``TOL_UNITARY`` for a matrix or a stack."""
+    dev = float(np.abs(_dag(u) @ u - np.eye(u.shape[-1])).max())
+    if dev > TOL_UNITARY:
+        raise InvalidInput(f"matrix is not unitary: max|U^dag U - I| = {dev:.3e}")
+
+
 class HermitianMatrix:
     """A validated self-adjoint complex matrix.
 
@@ -37,24 +86,27 @@ class HermitianMatrix:
     The stored array is read-only so instances can be shared freely.
     """
 
-    __slots__ = ("mat", "_gibbs")  # _gibbs: the GibbsSolver that thermo._solver caches
+    # _gibbs: the GibbsSolver thermo._solver caches; _eigh: a stack's eigh row.
+    __slots__ = ("mat", "_gibbs", "_eigh")
 
     def __init__(self, mat):
-        a = _as_square_complex(mat, what=type(self).__name__)
-        scale = max(float(np.abs(a).max()), 1.0)
-        dev = float(np.abs(a - a.conj().T).max())
-        if dev > TOL_HERM * scale:
-            raise InvalidInput(
-                f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} exceeds "
-                f"{TOL_HERM:g} relative to the largest entry"
-            )
-        h = (a + a.conj().T) / 2.0
+        h = _hermitian_part(_as_square_complex(mat, what=type(self).__name__)[None])[0]
         h.setflags(write=False)
         self.mat = h
         self._check()
 
     def _check(self) -> None:
         pass
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray):
+        # Internal fast path for matrices valid by construction (unitary conjugates,
+        # Gibbs states, products of valid states, rows of validated stacks).
+        obj = object.__new__(cls)
+        h = _sym(np.asarray(mat, dtype=complex))
+        h.setflags(write=False)
+        obj.mat = h
+        return obj
 
     @property
     def dim(self) -> int:
@@ -76,23 +128,8 @@ class DensityMatrix(HermitianMatrix):
     __slots__ = ("_eigs", "_s")
 
     def _check(self) -> None:
-        tr = complex(self.mat.trace())
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise InvalidState(f"density matrix trace {tr:.12g} is not 1 within {TOL_TRACE:g}")
-        lam_min = float(self._spectrum()[0])
-        if lam_min < -TOL_PSD:
-            raise InvalidState(f"density matrix has eigenvalue {lam_min:.3e} below -{TOL_PSD:g}")
-
-    @classmethod
-    def _trusted(cls, mat: np.ndarray) -> "DensityMatrix":
-        # Internal fast path for states valid by construction (unitary conjugates,
-        # Gibbs states, products of valid states); skips trace and eigenvalue tests.
-        obj = object.__new__(cls)
-        h = np.asarray(mat, dtype=complex)
-        h = (h + h.conj().T) / 2.0
-        h.setflags(write=False)
-        obj.mat = h
-        return obj
+        self._eigs = _density_spectra(self.mat[None])[0]
+        self._eigs.setflags(write=False)
 
     def _spectrum(self) -> np.ndarray:
         """Ascending ``eigvalsh`` eigenvalues, read-only, computed on first use."""
@@ -109,9 +146,7 @@ class UnitaryMatrix:
 
     def __init__(self, mat):
         a = _as_square_complex(mat, what="UnitaryMatrix")
-        dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
-        if dev > TOL_UNITARY:
-            raise InvalidInput(f"matrix is not unitary: max|U^dag U - I| = {dev:.3e}")
+        _check_unitary(a)
         u = a.copy()
         u.setflags(write=False)
         self.mat = u
@@ -149,8 +184,8 @@ class BipartiteState:
         self.d_s = int(d_s)
         self.d_e = int(d_e)
         self.state = state
-        self.rho_sys = DensityMatrix(_ptrace(state.mat, self.d_s, self.d_e, "S"))
-        self.rho_env = DensityMatrix(_ptrace(state.mat, self.d_s, self.d_e, "E"))
+        self.rho_sys, self.rho_env = (DensityMatrix(_ptrace_stack(state.mat[None], d_s, d_e, k)[0])
+                                      for k in "SE")
 
     @classmethod
     def _trusted(cls, d_s: int, d_e: int, mat: np.ndarray) -> "BipartiteState":
@@ -159,8 +194,8 @@ class BipartiteState:
         obj.d_s = int(d_s)
         obj.d_e = int(d_e)
         obj.state = DensityMatrix._trusted(mat)
-        obj.rho_sys = DensityMatrix._trusted(_ptrace(obj.state.mat, d_s, d_e, "S"))
-        obj.rho_env = DensityMatrix._trusted(_ptrace(obj.state.mat, d_s, d_e, "E"))
+        obj.rho_sys, obj.rho_env = (
+            DensityMatrix._trusted(_ptrace_stack(obj.state.mat[None], d_s, d_e, k)[0]) for k in "SE")
         return obj
 
     @property
@@ -175,19 +210,18 @@ class BipartiteState:
         return f"BipartiteState(d_s={self.d_s}, d_e={self.d_e})"
 
 
-def _ptrace(mat: np.ndarray, d_s: int, d_e: int, keep: str) -> np.ndarray:
-    r = mat.reshape(d_s, d_e, d_s, d_e)
-    if keep == "S":
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("ikil->kl", r)
-
-
 def _ptrace_stack(stack: np.ndarray, d_s: int, d_e: int, keep: str) -> np.ndarray:
     # Batched partial trace over a (n, d, d) stack.
     r = stack.reshape(stack.shape[0], d_s, d_e, d_s, d_e)
     if keep == "S":
         return np.einsum("tikjk->tij", r)
     return np.einsum("tikil->tkl", r)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each pair of rows of two square (n, p, p) and (n, q, q) stacks."""
+    n, p, q = a.shape[0], a.shape[1], b.shape[1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * q, p * q)
 
 
 def tensor_product(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
@@ -207,8 +241,11 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         sigma = DensityMatrix(sigma)
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w = np.linalg.eigvalsh(rho.mat - sigma.mat)
-    return float(min(max(0.5 * np.abs(w).sum(), 0.0), 1.0))
+    return float(_trace_distance(rho.mat, sigma.mat))
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1), 0.0), 1.0)
 
 
 def _expi(h: np.ndarray, dt: float) -> np.ndarray:

@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleEnergy, InvalidInput
-from .linalg import BipartiteState, DensityMatrix, HermitianMatrix
+from .linalg import (
+    BipartiteState,
+    DensityMatrix,
+    HermitianMatrix,
+    _dag,
+    _density_spectra,
+    _hermitian_part,
+    _ptrace_stack,
+    _sym,
+)
 
 # Density-matrix eigenvalues below this are treated as exact zeros when
 # evaluating entropies; eigenvalues are clipped to [0, 1] for the entropy
@@ -53,6 +63,45 @@ def _entropy(rho: DensityMatrix) -> float:
     return rho._s
 
 
+class _States(NamedTuple):
+    """A stack of density matrices, (n, d, d), with the entropy of each."""
+    mat: np.ndarray
+    s: np.ndarray
+
+
+def _states(mat: np.ndarray, check: bool = True) -> _States:
+    """The rows of a stack as states, validated as by DensityMatrix or trusted."""
+    h = _hermitian_part(mat) if check else _sym(mat)
+    return _States(h, _entropy_from_eigs(_density_spectra(h) if check else np.linalg.eigvalsh(h)))
+
+
+def _one(rho: DensityMatrix) -> _States:
+    return _States(rho.mat[None], np.array([_entropy(rho)]))
+
+
+class _Bipartite(NamedTuple):
+    """A stack of joint states with both marginals, as BipartiteState holds one."""
+    state: _States
+    rho_sys: _States
+    rho_env: _States
+
+
+def _bipartite(mat: np.ndarray, d_s: int, d_e: int, check: bool = True) -> _Bipartite:
+    """The rows of a stack as joint states, validated as by BipartiteState or trusted."""
+    state = _states(mat, check)
+    return _Bipartite(state, *(_states(_ptrace_stack(state.mat, d_s, d_e, k), check)
+                               for k in "SE"))
+
+
+def _bipartite_one(rho: BipartiteState) -> _Bipartite:
+    return _Bipartite(*map(_one, (rho.state, rho.rho_sys, rho.rho_env)))
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, d) arrays, each rounded as ``a[i] @ b[i]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy D(rho || sigma) = tr[rho(ln rho - ln sigma)].
 
@@ -66,28 +115,29 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         sigma = DensityMatrix(sigma)
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    return float(_relative_entropy(_one(rho), sigma.mat[None])[0])
 
-    t1 = -_entropy(rho)  # tr[rho ln rho]
 
-    mu, w = np.linalg.eigh(sigma.mat)
+def _relative_entropy(rho: _States, sigma: np.ndarray) -> np.ndarray:
+    """D(rho || sigma) per row of a state stack and an (n, d, d) stack."""
+    mu, w = np.linalg.eigh(sigma)
     # Weight of rho along each eigenvector of sigma.
-    diag = np.einsum("ji,jk,ki->i", w.conj(), rho.mat, w).real
+    diag = np.einsum("nji,njk,nki->ni", w.conj(), rho.mat, w).real
     kernel = mu <= SUPPORT_TOL
-    leak = float(np.clip(diag[kernel], 0.0, None).sum())
-    if leak > SUPPORT_TOL:
-        return math.inf
-    support = ~kernel
-    t2 = float(diag[support] @ np.log(mu[support]))
-    return float(t1 - t2)
+    leak = np.where(kernel, np.maximum(diag, 0.0), 0.0).sum(axis=1)
+    t2 = _dot_rows(np.where(kernel, 0.0, diag), np.log(np.where(kernel, 1.0, mu)))
+    return np.where(leak > SUPPORT_TOL, math.inf, -rho.s - t2)  # -rho.s = tr[rho ln rho]
 
 
 def mutual_information(rho: BipartiteState) -> float:
     """S(rho_S) + S(rho_E) - S(rho_SE); can undershoot 0 by ~1e-10 only."""
     if not isinstance(rho, BipartiteState):
         raise InvalidInput("mutual_information expects a BipartiteState")
-    return (von_neumann_entropy(rho.rho_sys)
-            + von_neumann_entropy(rho.rho_env)
-            - von_neumann_entropy(rho.state))
+    return float(_mutual_information(_bipartite_one(rho))[0])
+
+
+def _mutual_information(rho: _Bipartite) -> np.ndarray:
+    return rho.rho_sys.s + rho.rho_env.s - rho.state.s
 
 
 @dataclass(frozen=True)
@@ -97,7 +147,9 @@ class BetaSolveConfig:
     ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and is
     the slack by which a target may pass a spectral edge before it raises
     InfeasibleEnergy; it sets no band in which beta* is reported as +-inf.
-    ``beta_clamp`` is the magnitude beyond which beta* is reported as +-inf.
+    beta* is reported as +-inf beyond ``beta_clamp`` in units of the smallest
+    positive gap at the near spectral edge, |beta*| eps_1, where e^{-|beta*|
+    eps_1} has long underflowed and the limit is exact.
     """
 
     abs_tol: float = 1e-12
@@ -146,7 +198,8 @@ class GibbsSolver:
     x = |beta| then solves U(x) = sum eps e^{-x eps} / sum e^{-x eps} = u,
     where no exponent is positive: x = ln((D - u)/u)/D on a qubit of gap D,
     else safeguarded Newton on ln U(x) - ln u from x = 0.  beta* is +-inf
-    only for u <= 0 or |beta*| beyond ``beta_clamp``.
+    only for u <= 0 or x eps_1 beyond ``beta_clamp``, eps_1 the smallest
+    positive gap.
     """
 
     def __init__(self, h_env: HermitianMatrix):
@@ -154,14 +207,13 @@ class GibbsSolver:
             h_env = HermitianMatrix(h_env)
         if h_env.dim < 2:
             raise InvalidInput("environment Hamiltonian needs dimension >= 2")
-        w, v = np.linalg.eigh(h_env.mat)
+        w, v = getattr(h_env, "_eigh", None) or np.linalg.eigh(h_env.mat)
         scale = max(float(np.abs(w).max()), 1.0)
         if w[-1] - w[0] <= _DEGEN_TOL * scale:
             raise InvalidInput("Hamiltonian must have at least two distinct eigenvalues")
         self.h_env = h_env
         self.energies = w
         self.basis = v
-        self._degen_atol = _DEGEN_TOL * scale
         # On Python floats, which the one-target solve reads: the level mean,
         # the edges, and per side (0: from the ground level, 1: from the top
         # level) the count of zero gaps and the positive gaps, ascending.
@@ -177,63 +229,43 @@ class GibbsSolver:
     # -- population vectors ------------------------------------------------
 
     def populations(self, beta: float) -> np.ndarray:
-        beta = _as_beta(beta)
-        if math.isinf(beta):
-            w = self.energies
-            edge = w[0] if beta > 0 else w[-1]
-            p = (np.abs(w - edge) <= self._degen_atol).astype(float)
-            return p / p.sum()
-        return self._pops_many(np.array([beta]))[0]
-
-    def _pops_many(self, beta: np.ndarray) -> np.ndarray:
-        a = -np.outer(beta, self.energies)
-        a -= a.max(axis=1, keepdims=True)
-        p = np.exp(a)
-        p /= p.sum(axis=1, keepdims=True)
-        return p
+        return _populations(self.energies, np.array([_as_beta(beta)]))[0]
 
     def _moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Thermal energy and variance at finite betas, from one population pass."""
-        p = self._pops_many(beta)
+        p = _populations(self.energies, beta)
         e = p @ self.energies
         return e, np.einsum("ni,ni->n", p, (self.energies[None, :] - e[:, None]) ** 2)
 
     # -- scalar thermal maps -------------------------------------------------
 
     def energy(self, beta):
-        # Clipped: p @ w can round an ulp past an edge on degenerate levels.
         if np.ndim(beta) == 0:
-            return min(max(float(self.populations(beta) @ self.energies), self._edges[0]),
-                       self._edges[1])
+            return float(_energy_variance(self.energies[None], np.array([_as_beta(beta)]))[0][0])
         return np.clip(self._moments(_finite_betas(beta))[0], *self._edges)
 
     def variance(self, beta):
         if np.ndim(beta) == 0:
-            p = self.populations(beta)
-            e = p @ self.energies
-            return float(p @ (self.energies - e) ** 2)
+            return float(_energy_variance(self.energies[None], np.array([_as_beta(beta)]))[1][0])
         return self._moments(_finite_betas(beta))[1]
 
     def entropy(self, beta):
         if np.ndim(beta) == 0:
             return float(_entropy_from_eigs(self.populations(beta)))
-        return _entropy_from_eigs(self._pops_many(_finite_betas(beta)))
+        return _entropy_from_eigs(_populations(self.energies, _finite_betas(beta)))
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
         b = np.asarray(_as_beta(beta)) if np.ndim(beta) == 0 else _finite_betas(beta)
         if not np.isfinite(b).all():
             raise InvalidInput("log_partition requires finite beta")
-        a = -np.multiply.outer(b, self.energies)
-        m = a.max(axis=-1)
-        out = m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+        out = _log_partition(self.energies, b)
         return float(out) if np.ndim(beta) == 0 else out
 
     def state(self, beta: float) -> DensityMatrix:
         """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
         state on the extremal eigenspace."""
-        p = self.populations(beta)
-        return DensityMatrix._trusted((self.basis * p) @ self.basis.conj().T)
+        return DensityMatrix._trusted(_thermal(self.basis, self.populations(beta)))
 
     # -- relative entropies in the thermal family -----------------------------
 
@@ -246,7 +278,10 @@ class GibbsSolver:
         p = self.populations(beta_a)
         beta_b = _as_beta(beta_b)
         if math.isinf(beta_b):
-            return float(_rel_entr_sum(p, self.populations(beta_b)))
+            q, on = self.populations(beta_b), p > EIG_ZERO_TOL
+            if (q[on] <= 0.0).any():
+                return math.inf
+            return float((p[on] * (np.log(p[on]) - np.log(q[on]))).sum())
         a = -beta_b * (self.energies - self._edges[beta_b < 0.0])
         log_q = a - math.log(np.exp(a).sum())
         on = p > 0.0
@@ -258,15 +293,15 @@ class GibbsSolver:
         Uses D = -S(rho) + beta*tr[rho H] + ln Z(beta), which matches the
         eigendecomposition route to rounding and is cheap to scan.
         """
-        b = np.asarray(betas, dtype=float)
-        s = von_neumann_entropy(rho_env)
-        return -s + b * self.mean_energy(rho_env.mat) + self.log_partition(b)
+        if not isinstance(rho_env, DensityMatrix):
+            rho_env = DensityMatrix(rho_env)
+        return _env_divergence(_one(rho_env), _finite_betas(betas)[None], _gibbs_one(self))[0]
 
     # -- energy inversion ----------------------------------------------------
 
     def mean_energy(self, rho):
         """tr[rho H] for one matrix, or per matrix of an (n, d, d) stack."""
-        e = np.einsum("...kl,lk->...", rho, self.h_env.mat).real
+        e = _mean_energy(rho, self.h_env.mat)
         return float(e) if e.ndim == 0 else e
 
     def beta_star(self, rho_env: DensityMatrix,
@@ -328,7 +363,7 @@ class GibbsSolver:
                 x += step
             else:
                 x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
-        if x >= cfg.beta_clamp:
+        if x * eps[0] >= cfg.beta_clamp:
             return sign * math.inf
         _check_residual(abs(_edge_moments(x, g0, eps)[0] - u), cfg)
         return sign * x
@@ -362,10 +397,104 @@ class GibbsSolver:
                     if not idx.size:
                         break
             x[idx] = b
-        solved = x < cfg.beta_clamp
+        solved = x * eps[0] < cfg.beta_clamp
         residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
         _check_residual(float(residual.max(initial=0.0)), cfg)
         return sign * np.where(solved, x, math.inf)
+
+
+def _populations(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Thermal populations at (n,) betas on one (d,) spectrum or per row of (n, d)
+    levels; at beta = +-inf, uniform on the degenerate edge level."""
+    inf = np.isinf(beta)
+    any_inf = any(inf.tolist())
+    a = -((np.where(inf, 0.0, beta) if any_inf else beta)[:, None] * levels)
+    a -= a.max(axis=1, keepdims=True)
+    p = np.exp(a)
+    if any_inf:
+        edge = np.where(beta > 0, levels[..., 0], levels[..., -1])[:, None]
+        atol = _DEGEN_TOL * np.maximum(np.abs(levels).max(axis=-1, keepdims=True), 1.0)
+        p = np.where(inf[:, None], np.abs(levels - edge) <= atol, p)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _log_partition(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """ln Z at finite betas, on levels broadcast against ``beta[..., None]``."""
+    a = -(beta[..., None] * levels)
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+
+
+def _energy_variance(levels: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal energy and variance per row of (n, d) levels at (n,) betas.  The
+    energy is clipped: p @ w can round an ulp past an edge on degenerate levels."""
+    p = _populations(levels, beta)
+    e = _dot_rows(p, levels)
+    clipped = np.minimum(np.maximum(e, levels[:, 0]), levels[:, -1])
+    return clipped, _dot_rows(p, (levels - e[:, None]) ** 2)
+
+
+def _thermal(basis: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_k p_k |k><k| in an eigenbasis, or per row of stacks."""
+    return (basis * p[..., None, :]) @ _dag(basis)
+
+
+def _mean_energy(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """tr[rho H], broadcast over leading stack axes."""
+    return np.einsum("...kl,...lk->...", rho, h).real
+
+
+class _Gibbs(NamedTuple):
+    """The thermal families of a stack of Hamiltonians: each row's GibbsSolver,
+    with levels (n, d), eigenbases and matrices (n, d, d) stacked."""
+    solvers: list
+    levels: np.ndarray
+    basis: np.ndarray
+    h: np.ndarray
+
+
+def _gibbs(h: np.ndarray) -> _Gibbs:
+    """A validated Hamiltonian stack; each row's solver reads one batched eigh."""
+    h = _hermitian_part(h)
+    w, v = np.linalg.eigh(h)
+    rows = [HermitianMatrix._trusted(m) for m in h]
+    for m, eig in zip(rows, zip(w, v)):
+        m._eigh = eig
+    return _Gibbs([_solver(m) for m in rows], w, v, h)
+
+
+def _gibbs_one(solver: GibbsSolver) -> _Gibbs:
+    return _Gibbs([solver], solver.energies[None], solver.basis[None], solver.h_env.mat[None])
+
+
+def _beta_star(g: _Gibbs, rho_env: np.ndarray) -> np.ndarray:
+    """beta* per row, each by the float path of ``GibbsSolver.beta_star``."""
+    cfg = BetaSolveConfig()
+    energies = _mean_energy(rho_env, g.h).tolist()
+    return np.array([s._solve_one(e, cfg) for s, e in zip(g.solvers, energies)])
+
+
+def _env_divergence(rho: _States, beta: np.ndarray, g: _Gibbs) -> np.ndarray:
+    """``GibbsSolver.relative_entropy_profile`` per row, at (n,) or (n, k) betas."""
+    b = beta.reshape(len(beta), -1)
+    d = (-rho.s[:, None] + b * _mean_energy(rho.mat, g.h)[:, None]
+         + _log_partition(g.levels[:, None, :], b))
+    return d.reshape(beta.shape)
+
+
+def _gibbs_entropy(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
+    return _entropy_from_eigs(_populations(g.levels, beta))
+
+
+def _gibbs_relative_entropy(g: _Gibbs, beta_a: np.ndarray, beta_b: np.ndarray) -> np.ndarray:
+    """``GibbsSolver.gibbs_relative_entropy`` row by row, on Python floats."""
+    return np.array([s.gibbs_relative_entropy(a, b)
+                     for s, a, b in zip(g.solvers, beta_a.tolist(), beta_b.tolist())])
+
+
+def _gibbs_states(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
+    """Each row's Gibbs state at its beta, as ``GibbsSolver.state`` builds it."""
+    return _sym(_thermal(g.basis, _populations(g.levels, beta)))
 
 
 def _qubit_x(u, gap):
@@ -408,19 +537,6 @@ def _check_residual(residual: float, cfg: BetaSolveConfig) -> None:
     if residual > cfg.abs_tol:
         raise ConvergenceError(f"energy inversion residual {residual:.3e} exceeds "
                                f"abs_tol {cfg.abs_tol:g} after {cfg.max_iter} iterations")
-
-
-def _rel_entr_sum(p: np.ndarray, q: np.ndarray) -> float:
-    """Classical relative entropy of two probability vectors, inf-aware."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
-    bad = (q <= 0.0) & (p > EIG_ZERO_TOL)
-    if bad.any():
-        return math.inf
-    mask = p > EIG_ZERO_TOL
-    ps = p[mask]
-    qs = np.where(q[mask] > 0.0, q[mask], 1.0)
-    return float((ps * (np.log(ps) - np.log(qs))).sum())
 
 
 def _solver(h_env) -> GibbsSolver:

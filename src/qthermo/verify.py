@@ -5,6 +5,10 @@ or inequality, and yields one residual per case.  ``run_verify`` tallies
 each check's residuals into the case count, failure count, and worst
 residual against its tolerance; any failure flips the suite to failed.
 
+Endpoint checks draw every case first, in case order, then evaluate the
+cases of one shape as one stack through the stacked kernels that the public
+functions run on a stack of one.
+
 Checks whose scenarios need full trajectory integration run on a tenth of
 the configured case count to keep the default suite in the seconds range.
 """
@@ -18,37 +22,57 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    entropy_gap_bound,
-    product_trace_distance_bound,
-    sufficient_nonneg_general,
-    sufficient_nonneg_product,
-    trace_distance_bound,
+    _continuity_bound,
+    _entropy_gap,
+    _product_bound,
+    _reference_distance,
+    _sufficient_general,
+    _sufficient_product,
 )
 from .dynamics import HamiltonianSchedule, Segment, evolve
 from .entropy_production import (
     TabulatedBeta,
+    _entropy_production,
     _matched_entropy_form,
     build_report,
-    entropy_production,
     entropy_production_rate,
 )
 from .errors import InvalidInput
-from .linalg import BipartiteState, DensityMatrix, _expi, trace_distance
+from .linalg import (
+    BipartiteState,
+    DensityMatrix,
+    _check_unitary,
+    _dag,
+    _expi,
+    _kron,
+    _trace_distance,
+)
 from .rand import (
+    _env_draw,
+    _env_matrix,
+    _ginibre,
+    _haar,
+    _wishart,
     rand_bipartite,
-    rand_density,
     rand_env_hamiltonian,
     rand_hermitian,
-    rand_product,
-    rand_unitary,
 )
 from .thermo import (
-    GibbsSolver,
-    _solver,
-    effective_beta,
-    mutual_information,
+    _beta_star,
+    _Bipartite,
+    _bipartite,
+    _energy_variance,
+    _env_divergence,
+    _Gibbs,
+    _gibbs,
+    _gibbs_entropy,
+    _gibbs_relative_entropy,
+    _gibbs_states,
+    _mutual_information,
+    _relative_entropy,
+    _states,
+    _thermal,
     relative_entropy,
-    von_neumann_entropy,
 )
 
 _DEFAULT_DIMS = ((2, 2), (2, 3), (3, 4))
@@ -115,41 +139,78 @@ class CheckResult:
         return self.num_failures == 0
 
 
-def _cases(cfg: VerifySuiteConfig, tenth: bool = False):
-    """(i, d_s, d_e) per case, cycling through ``cfg.dims``; ``tenth`` runs a
-    tenth of the cases, at least 5, for checks that integrate trajectories."""
+def _cases(cfg: VerifySuiteConfig, tenth: bool = False, alternate: bool = False):
+    """(d_s, d_e) per case, cycling through ``cfg.dims``, and ``i % 2 == 1``
+    where a check alternates two kinds of case; ``tenth`` runs a tenth of the
+    cases, at least 5, for checks that integrate trajectories."""
     num = cfg.num_random_scenarios
     for i in range(max(num // 10, 5) if tenth else num):
-        yield (i, *cfg.dims[i % len(cfg.dims)])
+        d_s, d_e = cfg.dims[i % len(cfg.dims)]
+        yield (d_s, d_e, i % 2 == 1) if alternate else (d_s, d_e)
 
 
-def _rotated(rng, state: BipartiteState) -> BipartiteState:
-    """The state after a Haar-random joint unitary."""
-    u = rand_unitary(rng, state.d_s * state.d_e).mat
-    return BipartiteState._trusted(state.d_s, state.d_e, u @ state.state.mat @ u.conj().T)
+def _stacked(rng, keys, draw, evaluate):
+    """Yield a check's residuals in case order: every case is drawn first, in
+    that order, by ``draw(rng, *key)``, then the cases of each key are stacked
+    field by field and evaluated at once by ``evaluate(*key, *fields)``."""
+    groups = {}
+    for n, key in enumerate(keys):
+        groups.setdefault(key, []).append((n, draw(rng, *key)))
+    out = {}
+    for key, cases in groups.items():
+        order, drawn = zip(*cases)
+        out.update(zip(order, evaluate(*key, *map(np.stack, zip(*drawn)))))
+    for n in range(len(out)):
+        yield float(out[n])
 
 
-def _matched(initial: BipartiteState, final: BipartiteState,
-             solver: GibbsSolver) -> tuple[float, float, float]:
+def _draw_initial(rng, d_s, d_e, product=False):
+    """Draws of a random product (``rand_product``) or correlated
+    (``rand_bipartite``) state."""
+    return (_ginibre(rng, d_s), _ginibre(rng, d_e)) if product else (_ginibre(rng, d_s * d_e),)
+
+
+def _initial(d_s, d_e, product, drawn) -> tuple[_Bipartite, tuple]:
+    """The states of ``_draw_initial``'s leading fields, and the other fields."""
+    if product:
+        a, b = (_states(_wishart(g)).mat for g in drawn[:2])
+        return _bipartite(_kron(a, b), d_s, d_e), drawn[2:]
+    return _bipartite(_wishart(drawn[0]), d_s, d_e), drawn[1:]
+
+
+def _rotated(state: _Bipartite, g_u, d_s, d_e) -> _Bipartite:
+    """The states after the Haar-random joint unitaries of the draws ``g_u``."""
+    u = _haar(g_u)
+    _check_unitary(u)
+    return _bipartite(u @ state.state.mat @ _dag(u), d_s, d_e, check=False)
+
+
+def _draw_endpoints(rng, d_s, d_e):
+    return _ginibre(rng, d_s * d_e), _ginibre(rng, d_s * d_e), *_env_draw(rng, d_e)
+
+
+def _endpoints(d_s, d_e, g_rho, g_u, levels, g_h) -> tuple[_Bipartite, _Bipartite, _Gibbs]:
+    """Random correlated initial states, Haar-unitary finals, random H_E."""
+    initial = _bipartite(_wishart(g_rho), d_s, d_e)
+    return initial, _rotated(initial, g_u, d_s, d_e), _gibbs(_env_matrix(levels, g_h))
+
+
+def _matched(initial: _Bipartite, final: _Bipartite, g: _Gibbs):
     """beta* at both endpoints and the matched entropy production."""
-    bs0 = solver.beta_star(initial.rho_env)
-    bs1 = solver.beta_star(final.rho_env)
-    return bs0, bs1, _matched_entropy_form(initial, final, solver, bs0, bs1)
-
-
-def _random_endpoints(rng, d_s, d_e):
-    """Random correlated initial, Haar-unitary final, random environment H."""
-    initial = rand_bipartite(rng, d_s, d_e)
-    return initial, _rotated(rng, initial), rand_env_hamiltonian(rng, d_e)
+    bs0 = _beta_star(g, initial.rho_env.mat)
+    bs1 = _beta_star(g, final.rho_env.mat)
+    return bs0, bs1, _matched_entropy_form(initial, final, g, bs0, bs1)
 
 
 def _check_mutual_info_decomposition(rng, cfg):
-    for _, d_s, d_e in _cases(cfg):
-        rho = rand_bipartite(rng, d_s, d_e)
-        info = mutual_information(rho)
-        ref = DensityMatrix._trusted(np.kron(rho.rho_sys.mat, rho.rho_env.mat))
-        div = relative_entropy(rho.state, ref)
-        yield max(abs(info - div), -min(info, 0.0))
+    def evaluate(d_s, d_e, g_rho):
+        rho = _bipartite(_wishart(g_rho), d_s, d_e)
+        info = _mutual_information(rho)
+        div = _relative_entropy(rho.state, _kron(rho.rho_sys.mat, rho.rho_env.mat))
+        r, m = np.abs(info - div), -np.minimum(info, 0.0)
+        return np.where(m > r, m, r)  # r on a tie, as max(r, m) takes it
+
+    return _stacked(rng, _cases(cfg), _draw_initial, evaluate)
 
 
 def _ramp_schedule_and_policy(rng, d_s, d_e, tau=1.0):
@@ -169,7 +230,7 @@ def _ramp_schedule_and_policy(rng, d_s, d_e, tau=1.0):
 
 
 def _check_clausius_split(rng, cfg):
-    for _, d_s, d_e in _cases(cfg, tenth=True):
+    for d_s, d_e in _cases(cfg, tenth=True):
         sched, policy = _ramp_schedule_and_policy(rng, d_s, d_e)
         initial = rand_bipartite(rng, d_s, d_e)
         traj = evolve(initial, sched, steps_per_segment=1000)
@@ -177,187 +238,202 @@ def _check_clausius_split(rng, cfg):
 
 
 def _check_star_reduction(rng, cfg):
-    for _, d_s, d_e in _cases(cfg):
-        initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        bs0, bs1, star = _matched(initial, final, _solver(h_env))
-        ep = entropy_production(initial, final, bs0, bs1, h_env)
-        yield abs(ep - star)
+    def evaluate(d_s, d_e, *drawn):
+        initial, final, g = _endpoints(d_s, d_e, *drawn)
+        bs0, bs1, star = _matched(initial, final, g)
+        return np.abs(_entropy_production(initial, final, bs0, bs1, g) - star)
+
+    return _stacked(rng, _cases(cfg), _draw_endpoints, evaluate)
 
 
 def _check_pythagorean(rng, cfg):
-    for _, _, d_e in _cases(cfg):
-        rho_env = rand_density(rng, d_e)
-        h_env = rand_env_hamiltonian(rng, d_e)
-        beta = rng.uniform(-3.0, 3.0)
-        solver = _solver(h_env)
-        beta_star = solver.beta_star(rho_env)
-        total = relative_entropy(rho_env, solver.state(beta))
-        to_star = relative_entropy(rho_env, solver.state(beta_star))
-        across = solver.gibbs_relative_entropy(beta_star, beta)
-        r1 = abs(total - to_star - across)
-        r2 = abs(to_star - (solver.entropy(beta_star) - von_neumann_entropy(rho_env)))
-        yield max(r1, r2)
+    def draw(rng, _, d_e):
+        return _ginibre(rng, d_e), *_env_draw(rng, d_e), rng.uniform(-3.0, 3.0)
+
+    def evaluate(_, d_e, g_rho, levels, g_h, beta):
+        rho = _states(_wishart(g_rho))
+        g = _gibbs(_env_matrix(levels, g_h))
+        beta_star = _beta_star(g, rho.mat)
+        total = _relative_entropy(rho, _gibbs_states(g, beta))
+        to_star = _relative_entropy(rho, _gibbs_states(g, beta_star))
+        across = _gibbs_relative_entropy(g, beta_star, beta)
+        r1 = np.abs(total - to_star - across)
+        r2 = np.abs(to_star - (_gibbs_entropy(g, beta_star) - rho.s))
+        return np.maximum(r1, r2)
+
+    return _stacked(rng, _cases(cfg), draw, evaluate)
 
 
 def _check_general_split(rng, cfg):
-    for _, d_s, d_e in _cases(cfg):
-        initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        solver = _solver(h_env)
-        bs0, bs1, star = _matched(initial, final, solver)
-        beta0 = rng.uniform(-2.0, 2.0)
-        beta_tau = rng.uniform(-2.0, 2.0)
-        ep = entropy_production(initial, final, beta0, beta_tau, h_env)
-        recon = (star + solver.gibbs_relative_entropy(bs1, beta_tau)
-                 - solver.gibbs_relative_entropy(bs0, beta0))
-        yield abs(ep - recon)
+    def draw(rng, d_s, d_e):
+        return *_draw_endpoints(rng, d_s, d_e), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+
+    def evaluate(d_s, d_e, *drawn):
+        initial, final, g = _endpoints(d_s, d_e, *drawn[:4])
+        beta0, beta_tau = drawn[4:]
+        bs0, bs1, star = _matched(initial, final, g)
+        ep = _entropy_production(initial, final, beta0, beta_tau, g)
+        recon = (star + _gibbs_relative_entropy(g, bs1, beta_tau)
+                 - _gibbs_relative_entropy(g, bs0, beta0))
+        return np.abs(ep - recon)
+
+    return _stacked(rng, _cases(cfg), draw, evaluate)
 
 
 def _check_star_minimality(rng, cfg):
-    for _, d_s, d_e in _cases(cfg, tenth=True):
-        initial, final, h_env = _random_endpoints(rng, d_s, d_e)
-        solver = _solver(h_env)
-        bs0, bs1, star = _matched(initial, final, solver)
-        grid = bs1 + np.linspace(-2.0, 2.0, 201)
-        base = (mutual_information(final) - mutual_information(initial)
-                - relative_entropy(initial.rho_env, solver.state(bs0)))
-        values = base + solver.relative_entropy_profile(final.rho_env, grid)
-        k = int(np.argmin(values))
-        yield math.inf if abs(k - 100) > 1 else max(float(star - values.min()), 0.0)
+    def evaluate(d_s, d_e, *drawn):
+        initial, final, g = _endpoints(d_s, d_e, *drawn)
+        bs0, bs1, star = _matched(initial, final, g)
+        grid = bs1[:, None] + np.linspace(-2.0, 2.0, 201)
+        base = (_mutual_information(final) - _mutual_information(initial)
+                - _relative_entropy(initial.rho_env, _gibbs_states(g, bs0)))
+        values = base[:, None] + _env_divergence(final.rho_env, grid, g)
+        far = np.abs(np.argmin(values, axis=1) - 100) > 1
+        return np.where(far, math.inf, np.maximum(star - values.min(axis=1), 0.0))
+
+    return _stacked(rng, _cases(cfg, tenth=True), _draw_endpoints, evaluate)
 
 
 def _check_reference_projection(rng, cfg):
-    for _, d_s, d_e in _cases(cfg):
-        rho = rand_bipartite(rng, d_s, d_e)
-        h_env = rand_env_hamiltonian(rng, d_e)
-        solver = _solver(h_env)
-        beta = rng.uniform(-2.0, 2.0)
-        ref = DensityMatrix._trusted(np.kron(rho.rho_sys.mat, solver.state(beta).mat))
-        joint = relative_entropy(rho.state, ref)
-        split = mutual_information(rho) + relative_entropy(rho.rho_env, solver.state(beta))
-        yield abs(joint - split)
+    def draw(rng, d_s, d_e):
+        return _ginibre(rng, d_s * d_e), *_env_draw(rng, d_e), rng.uniform(-2.0, 2.0)
+
+    def evaluate(d_s, d_e, g_rho, levels, g_h, beta):
+        rho = _bipartite(_wishart(g_rho), d_s, d_e)
+        gamma = _gibbs_states(_gibbs(_env_matrix(levels, g_h)), beta)
+        joint = _relative_entropy(rho.state, _kron(rho.rho_sys.mat, gamma))
+        split = _mutual_information(rho) + _relative_entropy(rho.rho_env, gamma)
+        return np.abs(joint - split)
+
+    return _stacked(rng, _cases(cfg), draw, evaluate)
 
 
 def _check_lower_bound_chain(rng, cfg):
-    for i, d_s, d_e in _cases(cfg):
-        if i % 2 == 0:
-            initial = rand_bipartite(rng, d_s, d_e)
-        else:
-            initial = rand_product(rng, d_s, d_e)
-        h_env = rand_env_hamiltonian(rng, d_e)
-        final = _rotated(rng, initial)
-        star = _matched(initial, final, _solver(h_env))[2]
-        gap = entropy_gap_bound(initial, h_env)
-        dist = trace_distance_bound(initial, h_env)
-        worst = max(gap - star, dist - gap, 0.0)
-        if i % 2 == 1:
-            prod = product_trace_distance_bound(initial.rho_sys, initial.rho_env, h_env)
-            worst = max(worst, prod - gap, dist - prod)
-        yield worst
+    def draw(rng, d_s, d_e, product):
+        return (*_draw_initial(rng, d_s, d_e, product), *_env_draw(rng, d_e),
+                _ginibre(rng, d_s * d_e))
+
+    def evaluate(d_s, d_e, product, *drawn):
+        initial, (levels, g_h, g_u) = _initial(d_s, d_e, product, drawn)
+        g = _gibbs(_env_matrix(levels, g_h))
+        bs0, _, star = _matched(initial, _rotated(initial, g_u, d_s, d_e), g)
+        gamma = _gibbs_states(g, bs0)
+        gap = _entropy_gap(initial, g, bs0)
+        dist = _continuity_bound(_reference_distance(initial, gamma), d_s * d_e)
+        worst = np.maximum(np.maximum(gap - star, dist - gap), 0.0)
+        if product:
+            prod = _product_bound(initial.rho_env.mat, gamma)
+            worst = np.maximum(np.maximum(worst, prod - gap), dist - prod)
+        return worst
+
+    return _stacked(rng, _cases(cfg, alternate=True), draw, evaluate)
 
 
-def _env_preserving_correlated(rng, d_s: int, solver: GibbsSolver, beta: float) -> BipartiteState:
-    """Correlated joint state whose environment marginal is exactly thermal.
+def _env_preserving_correlated(g: _Gibbs, beta, g_rho, thetas, d_s: int) -> _Bipartite:
+    """Correlated joint states whose environment marginals are exactly thermal.
 
     A control-phase unitary sum_j |j><j| x exp(-i theta_j H_E) commutes with
     the thermal factor blockwise, so the environment marginal stays put
     while coherences of rho_S correlate the factors.
     """
-    d_e = solver.dim
-    rho_s = rand_density(rng, d_s)
-    gamma = solver.state(beta).mat
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=d_s)
-    blocks = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
-    phases = [
-        (solver.basis * np.exp(-1j * th * solver.energies)) @ solver.basis.conj().T
-        for th in thetas
-    ]
-    for j in range(d_s):
-        for k in range(d_s):
-            block = rho_s.mat[j, k] * (phases[j] @ gamma @ phases[k].conj().T)
-            blocks[j * d_e:(j + 1) * d_e, k * d_e:(k + 1) * d_e] = block
-    return BipartiteState(d_s, d_e, blocks)
+    d_e = g.levels.shape[1]
+    rho_s = _states(_wishart(g_rho)).mat
+    gamma = _gibbs_states(g, beta)
+    phases = _thermal(g.basis[:, None], np.exp(-1j * thetas[:, :, None] * g.levels[:, None, :]))
+    # Block (j, k) is rho_s[j, k] P_j gamma P_k^dag.
+    blocks = rho_s[..., None, None] * (phases[:, :, None] @ gamma[:, None, None]
+                                       @ _dag(phases)[:, None, :])
+    return _bipartite(blocks.transpose(0, 1, 3, 2, 4).reshape(len(gamma), d_s * d_e, -1), d_s, d_e)
 
 
 def _check_special_cases(rng, cfg):
-    for i, d_s, d_e in _cases(cfg):
-        h_env = rand_env_hamiltonian(rng, d_e)
-        solver = _solver(h_env)
-        if i % 2 == 0:
-            beta = rng.uniform(-2.0, 2.0)
-            rho = _env_preserving_correlated(rng, d_s, solver, beta)
-            gap = entropy_gap_bound(rho, h_env)
-            yield abs(gap + mutual_information(rho))
-        else:
-            rho = rand_product(rng, d_s, d_e)
-            gap = entropy_gap_bound(rho, h_env)
-            bs0 = solver.beta_star(rho.rho_env)
-            expected = von_neumann_entropy(rho.rho_env) - solver.entropy(bs0)
-            yield abs(gap - expected)
+    def draw(rng, d_s, d_e, product):
+        h = _env_draw(rng, d_e)
+        if product:
+            return *h, *_draw_initial(rng, d_s, d_e, True)
+        return *h, rng.uniform(-2.0, 2.0), _ginibre(rng, d_s), rng.uniform(0.0, 2.0 * np.pi, size=d_s)
+
+    def evaluate(d_s, d_e, product, levels, g_h, *drawn):
+        g = _gibbs(_env_matrix(levels, g_h))
+        rho = _initial(d_s, d_e, True, drawn)[0] if product else \
+            _env_preserving_correlated(g, *drawn, d_s)
+        bs0 = _beta_star(g, rho.rho_env.mat)
+        gap = _entropy_gap(rho, g, bs0)
+        if product:
+            return np.abs(gap - (rho.rho_env.s - _gibbs_entropy(g, bs0)))
+        return np.abs(gap + _mutual_information(rho))
+
+    return _stacked(rng, _cases(cfg, alternate=True), draw, evaluate)
 
 
 def _check_fannes_audenaert(rng, cfg):
-    for i, _, d_e in _cases(cfg):
-        d = d_e + (i % 3)
-        a = rand_density(rng, d)
-        b = a if i % 7 == 0 else rand_density(rng, d)
-        delta = trace_distance(a, b)
-        lhs = abs(von_neumann_entropy(a) - von_neumann_entropy(b))
-        log_term = delta * math.log(d - 1) if d > 2 else 0.0
-        h2 = 0.0
-        if 0.0 < delta < 1.0:
-            h2 = -delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
-        yield max(lhs - (log_term + h2), 0.0)
+    def draw(rng, d, same):
+        return (_ginibre(rng, d),) if same else (_ginibre(rng, d), _ginibre(rng, d))
+
+    def evaluate(d, same, g_a, g_b=None):
+        a = _states(_wishart(g_a))
+        b = a if same else _states(_wishart(g_b))
+        # |S(a) - S(b)| minus the Fannes-Audenaert bound, the continuity bound.
+        lhs = np.abs(a.s - b.s)
+        return np.maximum(lhs + _continuity_bound(_trace_distance(a.mat, b.mat), d), 0.0)
+
+    keys = ((d_e + i % 3, i % 7 == 0) for i, (_, d_e) in enumerate(_cases(cfg)))
+    return _stacked(rng, keys, draw, evaluate)
 
 
 def _check_pinsker(rng, cfg):
-    for _, _, d_e in _cases(cfg):
-        a = rand_density(rng, d_e)
-        b = rand_density(rng, d_e)
-        div = relative_entropy(a, b)
-        dist = trace_distance(a, b)
-        yield max(2.0 * dist * dist - div, 0.0)
+    def evaluate(_, d_e, g_a, g_b):
+        a, b = _states(_wishart(g_a)), _states(_wishart(g_b))
+        div = _relative_entropy(a, b.mat)
+        dist = _trace_distance(a.mat, b.mat)
+        return np.maximum(2.0 * dist * dist - div, 0.0)
+
+    return _stacked(rng, _cases(cfg), lambda rng, _, d_e: (_ginibre(rng, d_e), _ginibre(rng, d_e)),
+                    evaluate)
 
 
 def _check_sufficient_conditions(rng, cfg):
-    for i, d_s, d_e in _cases(cfg):
-        product = i % 2 == 1
+    def draw(rng, d_s, d_e, product):
+        return (*_draw_initial(rng, d_s, d_e, product), *_env_draw(rng, d_e),
+                _ginibre(rng, d_s * d_e), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+
+    def evaluate(d_s, d_e, product, *drawn):
+        initial, (levels, g_h, g_u, beta0, beta_tau) = _initial(d_s, d_e, product, drawn)
+        g = _gibbs(_env_matrix(levels, g_h))
+        final = _rotated(initial, g_u, d_s, d_e)
+        ep = _entropy_production(initial, final, beta0, beta_tau, g)
+        bs0 = _beta_star(g, initial.rho_env.mat)
+        lhs, rhs = _sufficient_general(final, beta_tau, initial, beta0, g, bs0)
+        residual = np.where(lhs >= rhs, np.maximum(-ep, 0.0), 0.0)
         if product:
-            initial = rand_product(rng, d_s, d_e)
-        else:
-            initial = rand_bipartite(rng, d_s, d_e)
-        h_env = rand_env_hamiltonian(rng, d_e)
-        final = _rotated(rng, initial)
-        beta0 = rng.uniform(-2.0, 2.0)
-        beta_tau = rng.uniform(-2.0, 2.0)
-        ep = entropy_production(initial, final, beta0, beta_tau, h_env)
-        check = sufficient_nonneg_general(final, beta_tau, initial, beta0, h_env)
-        residual = max(-ep, 0.0) if check.holds else 0.0
-        if product:
-            check_p = sufficient_nonneg_product(
-                final.rho_env, beta_tau, initial.rho_sys, initial.rho_env,
-                beta0, h_env,
-            )
-            if check_p.holds:
-                residual = max(residual, -ep, 0.0)
-        yield residual
+            lhs, rhs = _sufficient_product(final.rho_env.mat, beta_tau, initial.rho_env.mat,
+                                           beta0, g, bs0)
+            residual = np.where(lhs >= rhs, np.maximum(np.maximum(residual, -ep), 0.0), residual)
+        return residual
+
+    return _stacked(rng, _cases(cfg, alternate=True), draw, evaluate)
 
 
 def _check_second_law(rng, cfg):
-    for _, d_s, d_e in _cases(cfg):
-        h_env = rand_env_hamiltonian(rng, d_e)
-        solver = _solver(h_env)
-        beta0 = rng.uniform(-2.0, 2.0)
-        rho_s = rand_density(rng, d_s)
-        initial = BipartiteState(d_s, d_e, np.kron(rho_s.mat, solver.state(beta0).mat))
-        final = _rotated(rng, initial)
-        ep_const = entropy_production(initial, final, beta0, beta0, h_env)
-        ep_matched = _matched(initial, final, solver)[2]
-        yield max(-ep_const, -ep_matched, 0.0)
+    def draw(rng, d_s, d_e):
+        return (*_env_draw(rng, d_e), rng.uniform(-2.0, 2.0), _ginibre(rng, d_s),
+                _ginibre(rng, d_s * d_e))
+
+    def evaluate(d_s, d_e, levels, g_h, beta0, g_rho, g_u):
+        g = _gibbs(_env_matrix(levels, g_h))
+        rho_s = _states(_wishart(g_rho)).mat
+        initial = _bipartite(_kron(rho_s, _gibbs_states(g, beta0)), d_s, d_e)
+        final = _rotated(initial, g_u, d_s, d_e)
+        ep_const = _entropy_production(initial, final, beta0, beta0, g)
+        ep_matched = _matched(initial, final, g)[2]
+        return np.maximum(np.maximum(-ep_const, -ep_matched), 0.0)
+
+    return _stacked(rng, _cases(cfg), draw, evaluate)
 
 
 def _check_rate_formula(rng, cfg):
     h_fd = 1e-4
-    for _, d_s, d_e in _cases(cfg, tenth=True):
+    for d_s, d_e in _cases(cfg, tenth=True):
         sched, policy = _ramp_schedule_and_policy(rng, d_s, d_e)
         initial = rand_bipartite(rng, d_s, d_e)
         traj = evolve(initial, sched, steps_per_segment=200)
@@ -385,29 +461,32 @@ def _check_rate_formula(rng, cfg):
 
 
 def _check_energy_monotonicity(rng, cfg):
-    for i in range(cfg.num_random_scenarios):
-        d_e = 2 + i % 7
-        h_env = rand_env_hamiltonian(rng, d_e)
-        solver = _solver(h_env)
-        beta = rng.uniform(-3.0, 3.0)
+    def draw(rng, d_e):
+        return *_env_draw(rng, d_e), rng.uniform(-3.0, 3.0)
+
+    def evaluate(d_e, levels, g_h, beta):
+        w = _gibbs(_env_matrix(levels, g_h)).levels
         # Step in beta * (E_max - E_min): a fixed step in beta lets the
         # rounding of the energy difference, eps*|E|/h_fd, swamp the tiny
         # variance of a narrow spectrum.
-        h_fd = 1e-5 / float(solver.energies[-1] - solver.energies[0])
-        fd = (solver.energy(beta + h_fd) - solver.energy(beta - h_fd)) / (2 * h_fd)
-        var = solver.variance(beta)
-        yield abs(fd + var) / max(var, 1e-12)
+        h_fd = 1e-5 / (w[:, -1] - w[:, 0])
+        fd = (_energy_variance(w, beta + h_fd)[0] - _energy_variance(w, beta - h_fd)[0]) / (2 * h_fd)
+        var = _energy_variance(w, beta)[1]
+        return np.abs(fd + var) / np.maximum(var, 1e-12)
+
+    return _stacked(rng, ((2 + i % 7,) for i in range(cfg.num_random_scenarios)), draw, evaluate)
 
 
 def _check_beta_roundtrip(rng, cfg):
-    for i in range(cfg.num_random_scenarios):
-        d_e = 2 + i % 7
+    def draw(rng, d_e):
         # Narrow spectra keep thermal energies resolvable at |beta| = 20.
-        h_env = rand_env_hamiltonian(rng, d_e, spread=0.5)
-        solver = _solver(h_env)
-        beta = rng.uniform(-20.0, 20.0)
-        back = effective_beta(solver.state(beta), h_env)
-        yield abs(back - beta)
+        return *_env_draw(rng, d_e, spread=0.5), rng.uniform(-20.0, 20.0)
+
+    def evaluate(d_e, levels, g_h, beta):
+        g = _gibbs(_env_matrix(levels, g_h))
+        return np.abs(_beta_star(g, _gibbs_states(g, beta)) - beta)
+
+    return _stacked(rng, ((2 + i % 7,) for i in range(cfg.num_random_scenarios)), draw, evaluate)
 
 
 _REGISTRY = (

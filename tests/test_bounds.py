@@ -41,6 +41,16 @@ from qthermo.rand import (
     rand_product,
     rand_unitary,
 )
+from qthermo.bounds import (
+    _continuity_bound,
+    _entropy_gap,
+    _product_bound,
+    _reference_distance,
+    _sufficient_general,
+    _sufficient_product,
+)
+from qthermo.entropy_production import _entropy_production, _matched_entropy_form
+from qthermo.thermo import _beta_star, _bipartite, _gibbs, _gibbs_states
 
 
 def test_binary_entropy_values():
@@ -288,3 +298,41 @@ def test_build_bound_report_solves_beta_star_once(monkeypatch):
     rep = build_bound_report(prod, h_env)
     assert rep.is_product
     assert calls == [1]
+
+
+def test_stacked_bounds_match_one_state_calls():
+    # Every row of a stacked form equals the public call on that row alone.
+    rng = np.random.default_rng(31)
+    d_s, d_e, n = 2, 3, 6
+    h = [rand_env_hamiltonian(rng, d_e) for _ in range(n)]
+    g = _gibbs(np.stack([m.mat for m in h]))
+    initial = [rand_bipartite(rng, d_s, d_e) for _ in range(n)]
+    final = [rand_bipartite(rng, d_s, d_e) for _ in range(n)]
+    ini, fin = (_bipartite(np.stack([s.mat for s in x]), d_s, d_e) for x in (initial, final))
+    beta0, beta_tau = rng.uniform(-2.0, 2.0, size=(2, n))
+    bs0, bs1 = _beta_star(g, ini.rho_env.mat), _beta_star(g, fin.rho_env.mat)
+    gamma = _gibbs_states(g, bs0)
+    ep = _entropy_production(ini, fin, beta0, beta_tau, g)
+    gap = _entropy_gap(ini, g, bs0)
+    dist = _reference_distance(ini, gamma)
+    bound = _continuity_bound(dist, d_s * d_e)
+    prod = _product_bound(ini.rho_env.mat, gamma)
+    general = _sufficient_general(fin, beta_tau, ini, beta0, g, bs0)
+    product = _sufficient_product(fin.rho_env.mat, beta_tau, ini.rho_env.mat, beta0, g, bs0)
+    matched = _matched_entropy_form(ini, fin, g, bs0, bs1)
+    for k in range(n):
+        a, b, hk = initial[k], final[k], h[k]
+        assert ep[k] == entropy_production(a, b, beta0[k], beta_tau[k], hk)
+        s = von_neumann_entropy
+        gibbs = g.solvers[k].entropy
+        assert matched[k] == ((s(b.rho_sys) - s(a.rho_sys)) + (s(b.rho_env) - s(a.rho_env))
+                              + ((gibbs(bs1[k]) - s(b.rho_env)) - (gibbs(bs0[k]) - s(a.rho_env))))
+        assert gap[k] == entropy_gap_bound(a, hk)
+        assert dist[k] == distance_to_reference(a, hk)
+        assert bound[k] == trace_distance_bound(a, hk)
+        assert prod[k] == product_trace_distance_bound(a.rho_sys, a.rho_env, hk)
+        check = sufficient_nonneg_general(b, beta_tau[k], a, beta0[k], hk)
+        assert (check.lhs, check.rhs) == (general[0][k], general[1][k])
+        check = sufficient_nonneg_product(b.rho_env, beta_tau[k], a.rho_sys, a.rho_env,
+                                          beta0[k], hk)
+        assert (check.lhs, check.rhs) == (product[0][k], product[1][k])

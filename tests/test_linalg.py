@@ -14,7 +14,15 @@ from qthermo import (
     tensor_product,
     trace_distance,
 )
-from qthermo.linalg import _expi
+from qthermo.linalg import (
+    _check_unitary,
+    _density_spectra,
+    _expi,
+    _hermitian_part,
+    _kron,
+    _ptrace_stack,
+    _trace_distance,
+)
 from qthermo.rand import rand_bipartite, rand_density, rand_hermitian, rand_unitary
 
 
@@ -181,3 +189,50 @@ def test_validation_decomposes_each_bipartite_matrix_once(monkeypatch):
     for rho in (state.state, state.rho_sys, state.rho_env):
         rho._spectrum()
     assert len(calls) == 3
+
+
+def test_stacked_kernels_match_one_matrix_calls():
+    # Every row of a stacked kernel equals the public call on that row alone.
+    rng = np.random.default_rng(12)
+    for d_s, d_e in ((1, 2), (2, 3), (3, 4)):
+        states = [rand_bipartite(rng, d_s, d_e) for _ in range(5)]
+        joint = np.stack([s.mat for s in states])
+        for k, marginals in (("S", [s.rho_sys for s in states]),
+                             ("E", [s.rho_env for s in states])):
+            stack = _hermitian_part(_ptrace_stack(joint, d_s, d_e, k))
+            spectra = _density_spectra(stack)
+            for row, eigs, rho in zip(stack, spectra, marginals):
+                assert np.array_equal(row, rho.mat)
+                assert np.array_equal(eigs, rho._spectrum())
+        others = np.stack([rand_density(rng, d_s * d_e).mat for _ in states])
+        dist = _trace_distance(joint, others)
+        assert dist.tolist() == [trace_distance(s.state, DensityMatrix(o))
+                                 for s, o in zip(states, others)]
+        sys = np.stack([s.rho_sys.mat for s in states])
+        env = np.stack([s.rho_env.mat for s in states])
+        assert all(np.array_equal(p, np.kron(a, b)) for p, a, b in zip(_kron(sys, env), sys, env))
+        u = np.stack([rand_unitary(rng, d_e).mat for _ in states])
+        _check_unitary(u)
+
+
+def _negative_eigenvalue(m):
+    # Unit trace, smallest eigenvalue -1e-6.
+    w, v = np.linalg.eigh(m)
+    w = w + np.array([-1e-6 - w[0], 0.0, 0.0, 1e-6 + w[0]])
+    return (v * w) @ v.conj().T
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda m: 1.1 * m, InvalidState),
+    (_negative_eigenvalue, InvalidState),
+    (lambda m: m + np.triu(np.full(m.shape, 1e-3), 1), InvalidInput),
+], ids=["trace", "eigenvalue", "hermiticity"])
+def test_one_invalid_row_fails_the_stack_as_it_fails_alone(spoil, error):
+    rng = np.random.default_rng(13)
+    stack = np.stack([rand_density(rng, 4).mat for _ in range(6)])
+    stack[3] = spoil(stack[3])
+    with pytest.raises(error) as alone:
+        DensityMatrix(stack[3])
+    with pytest.raises(error) as stacked:
+        _density_spectra(_hermitian_part(stack))
+    assert str(stacked.value) == str(alone.value)

@@ -64,3 +64,29 @@ def test_gibbs_solver_is_constructed_in_one_place():
              for c in _gibbs_solver_calls(p)]
     assert [c for c in calls if not c.endswith(" in _solver")] == []
     assert len(calls) == 2 and all(c.startswith("src/qthermo/thermo.py:") for c in calls)
+
+
+def _numpy_linalg_uses(path: Path) -> list[str]:
+    """``np.linalg`` / ``numpy.linalg`` references and imports, as 'file:line'."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "linalg" and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.linalg") or node.module == "numpy" \
+                and any(alias.name == "linalg" for alias in node.names)
+        else:
+            hit = False
+        if hit:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_verify_decomposes_only_through_the_library_kernels():
+    # verify checks the code users call: every eigendecomposition, QR and
+    # matrix function goes through the linalg and thermo kernels.
+    assert _numpy_linalg_uses(ROOT / "src/qthermo/verify.py") == []
+    # The scan does see a direct call.
+    assert _numpy_linalg_uses(ROOT / "src/qthermo/linalg.py") != []

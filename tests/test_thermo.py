@@ -27,7 +27,21 @@ from qthermo import (
     von_neumann_entropy,
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_product
-from qthermo.thermo import _solver
+from qthermo.thermo import (
+    _beta_star,
+    _bipartite,
+    _energy_variance,
+    _env_divergence,
+    _gibbs,
+    _gibbs_entropy,
+    _gibbs_states,
+    _log_partition,
+    _mutual_information,
+    _populations,
+    _relative_entropy,
+    _solver,
+    _states,
+)
 
 
 def test_entropy_special_values():
@@ -450,3 +464,67 @@ def test_raw_array_hamiltonian_gets_a_fresh_solver():
     assert _solver(h.mat) is not _solver(h.mat)
     assert effective_beta(rho, h.mat) == effective_beta(rho, h)
     assert np.array_equal(_solver(h.mat).state(0.7).mat, _solver(h).state(0.7).mat)
+
+
+def test_stacked_thermal_kernels_match_one_row_calls():
+    # Every row of a stacked kernel equals the public call on that row alone.
+    rng = np.random.default_rng(43)
+    for d_s, d_e in ((1, 2), (2, 3), (3, 4)):
+        n = 6
+        g = _gibbs(np.stack([rand_env_hamiltonian(rng, d_e).mat for _ in range(n)]))
+        states = [rand_bipartite(rng, d_s, d_e) for _ in range(n)]
+        stack = _bipartite(np.stack([s.mat for s in states]), d_s, d_e)
+        env = [s.rho_env for s in states]
+        beta = rng.uniform(-3.0, 3.0, size=n)
+        beta[0], beta[1] = math.inf, -math.inf
+        finite = rng.uniform(-3.0, 3.0, size=(n, 4))
+        gammas = _gibbs_states(g, beta)
+        energy, variance = _energy_variance(g.levels, beta)
+        assert _mutual_information(stack).tolist() == [mutual_information(s) for s in states]
+        assert _beta_star(g, stack.rho_env.mat).tolist() == [
+            s.beta_star(r) for s, r in zip(g.solvers, env)]
+        assert _gibbs_entropy(g, beta).tolist() == [s.entropy(b) for s, b in zip(g.solvers, beta)]
+        assert energy.tolist() == [s.energy(b) for s, b in zip(g.solvers, beta)]
+        assert variance.tolist() == [s.variance(b) for s, b in zip(g.solvers, beta)]
+        assert _relative_entropy(stack.rho_env, gammas).tolist() == [
+            relative_entropy(r, s.state(b)) for r, s, b in zip(env, g.solvers, beta)]
+        for k, s in enumerate(g.solvers):
+            assert np.array_equal(gammas[k], s.state(beta[k]).mat)
+            assert np.array_equal(_populations(g.levels, beta)[k], s.populations(beta[k]))
+            assert np.array_equal(_env_divergence(stack.rho_env, finite, g)[k],
+                                  s.relative_entropy_profile(env[k], finite[k]))
+            assert np.array_equal(_log_partition(g.levels[:, None, :], finite)[k],
+                                  s.log_partition(finite[k]))
+
+
+def test_stacked_relative_entropy_is_infinite_in_the_deficient_row_only():
+    rng = np.random.default_rng(44)
+    rho = [rand_density(rng, 3) for _ in range(4)]
+    sigma = [rand_density(rng, 3) for _ in range(3)] + [rand_density(rng, 3, rank=1)]
+    stack = _states(np.stack([r.mat for r in rho]))
+    found = _relative_entropy(stack, np.stack([s.mat for s in sigma]))
+    expected = [relative_entropy(r, s) for r, s in zip(rho, sigma)]
+    assert found.tolist() == expected
+    assert math.isinf(found[3]) and np.isfinite(found[:3]).all()
+
+
+@pytest.mark.parametrize("levels, beta", [((0.0, 1e-9), -1e9), ((0.0, 1e-9, 2e-9), 1e9)])
+def test_narrow_spectra_keep_a_finite_beta_star(levels, beta):
+    # beta * gap = 1: the clamp counts in units of the near-edge gap, so a
+    # large |beta| on a narrow spectrum is not reported as an infinite one.
+    solver = GibbsSolver(HermitianMatrix(np.diag(levels)))
+    target = solver.energy(beta)
+    for found in (solver.solve_beta(target), solver.solve_beta_many([target, target])[0]):
+        assert abs(found - beta) <= 1e-9 * abs(beta)
+
+
+def test_near_degenerate_edge_levels_keep_both_paths_finite():
+    # Edge levels 1.8e-11 apart leave energy(beta) flat to rounding from
+    # beta = 21 far out, so the root is any point of that plateau: both paths
+    # must land on it, finite, rather than at +inf (8.9e-12 off the target).
+    w = 1.0 + 10.0 ** 0.25 * np.array([0.0, 1e-11, 1.0])
+    solver = GibbsSolver(HermitianMatrix(np.diag(w)))
+    target = solver.energy(21.0)
+    for found in (solver.solve_beta(target), *solver.solve_beta_many([target, target])):
+        assert math.isfinite(found)
+        assert abs(solver.energy(found) - target) <= BetaSolveConfig().abs_tol
