@@ -401,8 +401,10 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     stacks a bounded chunk of substeps at a time; their heat flux is
     evaluated from h_int alone, since only the coupling fails to commute
     with I x H_E.  The effective inverse temperature is solved at every
-    grid point.  Joint states are kept per segment and assembled
-    into ``Trajectory.rho`` only when it is read.
+    grid point: at the two endpoints by ``GibbsSolver.beta_star`` on the
+    stored environment marginals, as ``build_bound_report`` solves beta*_0.
+    Joint states are kept per segment and assembled into ``Trajectory.rho``
+    only when it is read.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")
@@ -446,7 +448,11 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         seg_rates.append(rates)
         seg_states.append(src)
 
-    beta_star = sched.gibbs.solve_beta_many(env_energy)
+    # beta* at the ends from the stored marginals, as bounds has it; inside, one array solve.
+    final = BipartiteState._trusted(sched.d_s, sched.d_e, rho)
+    beta_star = np.empty(total + 1)
+    beta_star[0], beta_star[-1] = (sched.gibbs.beta_star(s.rho_env) for s in (initial, final))
+    beta_star[1:-1] = sched.gibbs.solve_beta_many(env_energy[1:-1])
     for arr in (times, env_energy, beta_star, heat_flux):
         arr.setflags(write=False)
     return Trajectory(
@@ -460,6 +466,6 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         segment_slices=tuple(slices),
         segment_rates=tuple(seg_rates),
         initial=initial,
-        final=BipartiteState._trusted(sched.d_s, sched.d_e, rho),
+        final=final,
         _segment_states=tuple(seg_states),
     )

@@ -245,7 +245,7 @@ class RegionGrid:
         for name in ("s_count", "b_count"):
             value = getattr(self, name)
             try:
-                n = operator.index(value)
+                n = 0 if isinstance(value, bool) else operator.index(value)
             except TypeError:
                 n = 0
             if n < 1:

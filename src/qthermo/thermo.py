@@ -38,6 +38,10 @@ SUPPORT_TOL = 1e-12
 # beta = +-inf Gibbs states.
 _DEGEN_TOL = 1e-12
 
+# beta* is +-inf once |beta*| times the smallest positive gap at the near
+# spectral edge reaches this: e^{-|beta*| gap} has long underflowed there.
+_BETA_CLAMP = 1e6
+
 
 def _entropy_from_eigs(w: np.ndarray) -> np.ndarray | float:
     """Shannon entropy of eigenvalue rows; works on (..., d) stacks."""
@@ -147,22 +151,16 @@ class BetaSolveConfig:
     ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and is
     the slack by which a target may pass a spectral edge before it raises
     InfeasibleEnergy; it sets no band in which beta* is reported as +-inf.
-    beta* is reported as +-inf beyond ``beta_clamp`` in units of the smallest
-    positive gap at the near spectral edge, |beta*| eps_1, where e^{-|beta*|
-    eps_1} has long underflowed and the limit is exact.
     """
 
     abs_tol: float = 1e-12
     max_iter: int = 200
-    beta_clamp: float = 1e6
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
             raise InvalidInput("abs_tol must be a positive finite number")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
-        if not (self.beta_clamp > 0 and math.isfinite(self.beta_clamp)):
-            raise InvalidInput("beta_clamp must be a positive finite number")
 
 
 def _as_beta(beta) -> float:
@@ -190,8 +188,9 @@ def _finite_betas(beta) -> np.ndarray:
 class GibbsSolver:
     """Cached eigensystem of a fixed Hamiltonian answering thermal queries.
 
-    All scalar maps (energy, variance, entropy, log-partition) accept either
-    a float or an array of finite inverse temperatures.  The energy inversion
+    The scalar maps (energy, variance, entropy, log-partition) take a float or
+    an array of finite inverse temperatures and run one row kernel on either,
+    so an array entry equals the float result bit for bit.  The energy inversion
     measures a target E from the near spectral edge: below the beta = 0
     energy (the level mean), beta >= 0 with gaps eps = w - w_0 and
     u = E - w_0; above it, beta < 0 with eps = w_top - w and u = w_top - E.
@@ -231,36 +230,31 @@ class GibbsSolver:
     def populations(self, beta: float) -> np.ndarray:
         return _populations(self.energies, np.array([_as_beta(beta)]))[0]
 
-    def _moments(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Thermal energy and variance at finite betas, from one population pass."""
-        p = _populations(self.energies, beta)
-        e = p @ self.energies
-        return e, np.einsum("ni,ni->n", p, (self.energies[None, :] - e[:, None]) ** 2)
-
     # -- scalar thermal maps -------------------------------------------------
 
-    def energy(self, beta):
+    def _map(self, kernel, beta):
+        """``kernel(levels, betas)``, a row kernel over (n, d) levels at (n,) betas
+        (here one row of levels, broadcast), at one beta (a float; +-inf allowed)
+        or at each finite beta of an array."""
         if np.ndim(beta) == 0:
-            return float(_energy_variance(self.energies[None], np.array([_as_beta(beta)]))[0][0])
-        return np.clip(self._moments(_finite_betas(beta))[0], *self._edges)
+            return float(kernel(self.energies[None], np.array([_as_beta(beta)]))[0])
+        b = _finite_betas(beta)
+        return kernel(self.energies[None], b.ravel()).reshape(b.shape)
+
+    def energy(self, beta):
+        return self._map(lambda w, b: _energy_variance(w, b)[0], beta)
 
     def variance(self, beta):
-        if np.ndim(beta) == 0:
-            return float(_energy_variance(self.energies[None], np.array([_as_beta(beta)]))[1][0])
-        return self._moments(_finite_betas(beta))[1]
+        return self._map(lambda w, b: _energy_variance(w, b)[1], beta)
 
     def entropy(self, beta):
-        if np.ndim(beta) == 0:
-            return float(_entropy_from_eigs(self.populations(beta)))
-        return _entropy_from_eigs(_populations(self.energies, _finite_betas(beta)))
+        return self._map(lambda w, b: _entropy_from_eigs(_populations(w, b)), beta)
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
-        b = np.asarray(_as_beta(beta)) if np.ndim(beta) == 0 else _finite_betas(beta)
-        if not np.isfinite(b).all():
+        if np.ndim(beta) == 0 and math.isinf(_as_beta(beta)):
             raise InvalidInput("log_partition requires finite beta")
-        out = _log_partition(self.energies, b)
-        return float(out) if np.ndim(beta) == 0 else out
+        return self._map(_log_partition, beta)
 
     def state(self, beta: float) -> DensityMatrix:
         """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
@@ -363,7 +357,7 @@ class GibbsSolver:
                 x += step
             else:
                 x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
-        if x * eps[0] >= cfg.beta_clamp:
+        if x * eps[0] >= _BETA_CLAMP:
             return sign * math.inf
         _check_residual(abs(_edge_moments(x, g0, eps)[0] - u), cfg)
         return sign * x
@@ -397,7 +391,7 @@ class GibbsSolver:
                     if not idx.size:
                         break
             x[idx] = b
-        solved = x * eps[0] < cfg.beta_clamp
+        solved = x * eps[0] < _BETA_CLAMP
         residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
         _check_residual(float(residual.max(initial=0.0)), cfg)
         return sign * np.where(solved, x, math.inf)

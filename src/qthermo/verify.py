@@ -16,7 +16,6 @@ the configured case count to keep the default suite in the seconds range.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +97,7 @@ class VerifySuiteConfig:
         if _as_int(self.seed, "seed") < 0:
             raise InvalidInput("seed must be >= 0")
         try:
-            dims = tuple((operator.index(a), operator.index(b)) for a, b in self.dims)
+            dims = tuple((_as_int(a, "dims"), _as_int(b, "dims")) for a, b in self.dims)
         except (TypeError, ValueError):
             raise InvalidInput(f"dims must be (system, environment) integer pairs, "
                                f"got {self.dims!r}") from None
@@ -118,10 +117,9 @@ class VerifySuiteConfig:
 
 
 def _as_int(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ from qthermo import (
     ConstantBeta,
     EnergyMatching,
     InvalidInput,
+    RegionGrid,
     ScenarioError,
     TabulatedBeta,
     VerifySuiteConfig,
+    effective_beta,
     load_scenario,
     parse_region_grid,
     parse_scenario,
@@ -21,7 +23,7 @@ from qthermo import (
     run_scenario,
     run_verify,
 )
-from qthermo.cli import main
+from qthermo.cli import _random_sweep_scenario, main
 from qthermo.verify import CHECK_NAMES, CheckResult, format_results
 
 BUNDLED = "src/qthermo/data/two_qubit_exchange.json"
@@ -267,6 +269,23 @@ def test_verify_config_validation():
     assert res.tolerance == 1e-6
 
 
+_GRID = dict(gap=1.0, beta0=0.5, beta_tau_policy=ConstantBeta(0.5), coherence_abs=0.1,
+             s_min=-1, s_max=1, s_count=5, b_min=0, b_max=1, b_count=5)
+
+
+@pytest.mark.parametrize("make, field", [
+    (VerifySuiteConfig, {"num_random_scenarios": True}),
+    (VerifySuiteConfig, {"seed": False}),
+    (VerifySuiteConfig, {"dims": ((True, 2),)}),
+    (lambda **kw: RegionGrid(**{**_GRID, **kw}), {"s_count": True}),
+    (lambda **kw: RegionGrid(**{**_GRID, **kw}), {"b_count": True}),
+])
+def test_bool_is_not_an_integer(make, field):
+    # operator.index accepts bool, so these were taken as 1 and 0.
+    with pytest.raises(InvalidInput):
+        make(**field)
+
+
 def test_cli_simulate_writes_outputs(tmp_path):
     rc = main(["simulate", "--scenario", BUNDLED, "--out", str(tmp_path)])
     assert rc == 0
@@ -358,6 +377,23 @@ def test_cli_sweep_deterministic(tmp_path):
     assert header[:4] == ["index", "seed", "d_s", "d_e"]
     assert "entropy_production" in header
     assert "beta_star" in header
+
+
+def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
+    # bounds.beta_star (float path on the stored rho_E(0)) and
+    # report.beta_star_0 (once the array path on the frame energy) differed by
+    # up to 1e-12 in 5 of these 6 rows of `sweep --dims 2x3 --seed 5 --steps 100`.
+    rng = np.random.default_rng(5)
+    scenarios = [_random_sweep_scenario(rng, 2, 3, 100, "energy_matching", i) for i in range(6)]
+    one_step = dict(json.loads(open(BUNDLED).read()), steps_per_segment=1,
+                    policy={"kind": "energy_matching"})
+    scenarios.append(parse_scenario(one_step))
+    for sc in scenarios:
+        result = run_scenario(sc)
+        traj, h_env = result.trajectory, sc.schedule.h_env
+        assert result.bounds.beta_star == result.report.beta_star_0
+        assert traj.beta_star[0] == effective_beta(traj.initial.rho_env, h_env)
+        assert traj.beta_star[-1] == effective_beta(traj.final.rho_env, h_env)
 
 
 def test_cli_verify_subcommand(tmp_path):

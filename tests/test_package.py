@@ -1,6 +1,7 @@
 """Tests for the package's public surface."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import qthermo
@@ -90,3 +91,31 @@ def test_verify_decomposes_only_through_the_library_kernels():
     assert _numpy_linalg_uses(ROOT / "src/qthermo/verify.py") == []
     # The scan does see a direct call.
     assert _numpy_linalg_uses(ROOT / "src/qthermo/linalg.py") != []
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench/tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve():
+    # The benchmark tracer patches these names by lookup at run time, so a
+    # renamed or moved entry point breaks it without failing any import.
+    tracing = _load_tracing()
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"qthermo.{layer}")
+    missing = []
+    for layer, names in tracing.SPANS.items():
+        for dotted in names:
+            owner, attr = tracing._resolve(layer, dotted)
+            if not callable(getattr(owner, attr, None)):
+                missing.append(f"{layer}.{dotted}")
+    for layer, names in tracing.COUNTS.values():
+        for dotted in names:
+            # Counters wrap the attribute the class itself defines.
+            owner, attr = tracing._resolve(layer, dotted)
+            if not callable(vars(owner).get(attr)):
+                missing.append(f"{layer}.{dotted}")
+    assert missing == []

@@ -28,6 +28,7 @@ from qthermo import (
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_product
 from qthermo.thermo import (
+    _BETA_CLAMP,
     _beta_star,
     _bipartite,
     _energy_variance,
@@ -223,6 +224,19 @@ def test_energy_stays_inside_the_spectrum_at_large_beta():
     assert solver.energy(np.array([1e6, -1e6, 1e6])).tolist() == [222.5, 232.5, 222.5]
 
 
+def test_thermal_maps_round_alike_on_floats_and_arrays():
+    # energy and variance once took a gemv on arrays and a row dot on floats,
+    # which differed in the last bit for about a quarter of the draws.
+    rng = np.random.default_rng(26)
+    for _ in range(500):
+        d = int(rng.integers(2, 9))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        solver = GibbsSolver(HermitianMatrix(0.5 * (g + g.conj().T)))
+        betas = rng.normal(scale=3.0, size=8)
+        for query in (solver.energy, solver.variance, solver.entropy, solver.log_partition):
+            assert query(betas).tolist() == [query(b) for b in betas.tolist()]
+
+
 # Spectra offset + width * (0, sorted interior levels, 1) on the diagonal.
 _SPECTRA = dict(
     d_env=st.integers(2, 8),
@@ -249,9 +263,9 @@ def test_solve_beta_properties(d_env, log_width, offset, beta, levels):
     bottom = target <= w.mean()
     u, gaps = (target - w[0], w - w[0]) if bottom else (w[-1] - target, w[-1] - w)
     found = solver.solve_beta(target)
-    # beta* beyond beta_clamp is reported as +-inf, and a gap at the near edge
-    # too small for e^(-beta_clamp gap) to underflow can put the root there.
-    if u > 0.0 and cfg.beta_clamp * gaps[gaps > 0.0].min() > 800.0:
+    # beta* beyond _BETA_CLAMP is reported as +-inf, and a gap at the near edge
+    # too small for e^(-_BETA_CLAMP gap) to underflow can put the root there.
+    if u > 0.0 and _BETA_CLAMP * gaps[gaps > 0.0].min() > 800.0:
         assert math.isfinite(found)
     if math.isfinite(found):
         assert abs(solver.energy(found) - target) <= cfg.abs_tol
