@@ -248,15 +248,17 @@ class Trajectory:
     ``heat_flux`` holds dQ/dt = -d/dt tr[rho_E H_E]; at interior segment
     boundaries, where the generator may jump, the cached value is the
     right-limit and per-segment rates are kept separately for quadrature.
-    ``initial`` and ``final`` are stored; the (K+1, d, d) stack ``rho`` is
-    built from the per-segment data the first time it is read.
+    ``initial`` and ``final`` are stored, with the environment energy and
+    beta* of each in ``env_energy[0]``, ``env_energy[-1]`` and
+    ``beta_star_ends``.  The (K+1, d, d) stack ``rho`` and the grid
+    ``beta_star`` are built the first time they are read.
     """
 
     d_s: int
     d_e: int
     times: np.ndarray
     env_energy: np.ndarray
-    beta_star: np.ndarray
+    beta_star_ends: tuple    # (beta*_0, beta*_tau) of the stored endpoint marginals
     heat_flux: np.ndarray
     schedule: HamiltonianSchedule
     segment_slices: tuple    # slice into the grid per segment, endpoints inclusive
@@ -281,6 +283,16 @@ class Trajectory:
                 src.fill(rho[sl])
         rho.setflags(write=False)
         return rho
+
+    @cached_property
+    def beta_star(self) -> np.ndarray:
+        """(K+1,) beta* on the grid, read-only: the endpoint pair, and the
+        interior from ``env_energy`` in one array solve on first access."""
+        beta = np.empty(len(self.times))
+        beta[0], beta[-1] = self.beta_star_ends
+        beta[1:-1] = self.schedule.gibbs.solve_beta_many(self.env_energy[1:-1])
+        beta.setflags(write=False)
+        return beta
 
     def state(self, k: int) -> BipartiteState:
         """The joint state at grid point k, built alone without the stack."""
@@ -400,11 +412,12 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     Hamiltonian per substep, assembled, diagonalized and exponentiated as
     stacks a bounded chunk of substeps at a time; their heat flux is
     evaluated from h_int alone, since only the coupling fails to commute
-    with I x H_E.  The effective inverse temperature is solved at every
-    grid point: at the two endpoints by ``GibbsSolver.beta_star`` on the
-    stored environment marginals, as ``build_bound_report`` solves beta*_0.
-    Joint states are kept per segment and assembled into ``Trajectory.rho``
-    only when it is read.
+    with I x H_E.  At the two endpoints the environment energy is
+    ``mean_energy`` of the stored marginal and beta* is solved from it here,
+    as ``build_bound_report`` solves beta*_0; the interior beta* grid is
+    solved only when ``Trajectory.beta_star`` is first read.  Joint states
+    are kept per segment and assembled into ``Trajectory.rho`` only when it
+    is read.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")
@@ -448,19 +461,18 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         seg_rates.append(rates)
         seg_states.append(src)
 
-    # beta* at the ends from the stored marginals, as bounds has it; inside, one array solve.
+    # Each endpoint's energy and beta* from its stored marginal, as bounds has it.
     final = BipartiteState._trusted(sched.d_s, sched.d_e, rho)
-    beta_star = np.empty(total + 1)
-    beta_star[0], beta_star[-1] = (sched.gibbs.beta_star(s.rho_env) for s in (initial, final))
-    beta_star[1:-1] = sched.gibbs.solve_beta_many(env_energy[1:-1])
-    for arr in (times, env_energy, beta_star, heat_flux):
+    gibbs = sched.gibbs
+    env_energy[0], env_energy[-1] = (gibbs.mean_energy(s.rho_env.mat) for s in (initial, final))
+    for arr in (times, env_energy, heat_flux):
         arr.setflags(write=False)
     return Trajectory(
         d_s=sched.d_s,
         d_e=sched.d_e,
         times=times,
         env_energy=env_energy,
-        beta_star=beta_star,
+        beta_star_ends=(gibbs.solve_beta(env_energy[0]), gibbs.solve_beta(env_energy[-1])),
         heat_flux=heat_flux,
         schedule=sched,
         segment_slices=tuple(slices),

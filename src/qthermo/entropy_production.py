@@ -172,24 +172,21 @@ def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
 
 
 def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
-    """Integral of beta_dot times the thermal-energy mismatch.
+    """Integral of beta_dot times the thermal-energy mismatch E_t - E(beta_t).
 
-    Exactly zero for ConstantBeta.  For EnergyMatching the integrand is
-    identically zero because the policy values are the matched temperatures
-    themselves.  The quadrature uses exact per-interval beta increments, so
+    Exactly zero for ConstantBeta, and for EnergyMatching, whose betas are
+    defined by E(beta*_t) = E_t; neither reads the beta* grid.  Otherwise
+    E_t is the stored ``traj.env_energy``, so spectral-edge states need no
+    beta*.  The quadrature uses exact per-interval beta increments, so
     piecewise-linear tabulated policies incur only the O(dt^2) error of the
     smooth factor.
     """
-    if isinstance(policy, ConstantBeta):
+    if isinstance(policy, (ConstantBeta, EnergyMatching)):
         return 0.0
     betas = policy_grid_betas(policy, traj)
     if not np.isfinite(betas).all():
         raise InvalidInput("temperature_drift_correction needs finite grid betas")
-    solver = traj.schedule.gibbs
-    finite_star = np.isfinite(traj.beta_star)
-    if not finite_star.all():
-        raise InvalidInput("trajectory has spectral-edge beta_star; drift is undefined")
-    mismatch = solver.energy(np.asarray(traj.beta_star)) - solver.energy(betas)
+    mismatch = traj.env_energy - traj.schedule.gibbs.energy(betas)
     dbeta = np.diff(betas)
     return float((dbeta * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())
 
@@ -200,9 +197,10 @@ def matched_entropy_production(traj: Trajectory) -> float:
     Equals the Clausius form evaluated along beta_star, but is computed from
     endpoint entropies alone so it carries no quadrature error.
     """
+    bs0, bs_tau = traj.beta_star_ends
     return float(_matched_entropy_form(
         _bipartite_one(traj.initial), _bipartite_one(traj.final), _gibbs_one(traj.schedule.gibbs),
-        traj.beta_star[:1], traj.beta_star[-1:],
+        np.array([bs0]), np.array([bs_tau]),
     )[0])
 
 
@@ -297,8 +295,7 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     """Evaluate every decomposition quantity for one trajectory and policy."""
     solver = traj.schedule.gibbs
     beta0, beta_tau = policy_endpoints(policy, traj)
-    bs0 = float(traj.beta_star[0])
-    bs_tau = float(traj.beta_star[-1])
+    bs0, bs_tau = traj.beta_star_ends
 
     # Each endpoint entropy once: joint, system and environment.
     initial, final = traj.initial, traj.final

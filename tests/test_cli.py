@@ -1,6 +1,7 @@
 """Tests for scenario files, the verify suite, and the command line."""
 
 import copy
+import io
 import json
 import math
 
@@ -9,13 +10,17 @@ import pytest
 
 from qthermo import (
     ConstantBeta,
+    ConvergenceError,
     EnergyMatching,
+    GibbsSolver,
     InvalidInput,
     RegionGrid,
     ScenarioError,
     TabulatedBeta,
     VerifySuiteConfig,
+    build_report,
     effective_beta,
+    evolve,
     load_scenario,
     parse_region_grid,
     parse_scenario,
@@ -394,6 +399,59 @@ def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
         assert result.bounds.beta_star == result.report.beta_star_0
         assert traj.beta_star[0] == effective_beta(traj.initial.rho_env, h_env)
         assert traj.beta_star[-1] == effective_beta(traj.final.rho_env, h_env)
+        # ... and from the same energies the trajectory stores there.
+        gibbs = sc.schedule.gibbs
+        assert traj.env_energy[0] == gibbs.mean_energy(traj.initial.rho_env.mat)
+        assert traj.env_energy[-1] == gibbs.mean_energy(traj.final.rho_env.mat)
+
+
+def test_ground_state_environment_with_tabulated_policy(tmp_path):
+    # rho_E = |0><0| has beta*_0 = +inf.  The drift integrand used to go
+    # through beta* and exit 2: "trajectory has spectral-edge beta_star".
+    obj = json.loads(open(BUNDLED).read())
+    obj["initial"] = {"kind": "product", "rho_sys": obj["initial"]["rho_sys"],
+                      "rho_env": _matrix([[1.0, 0.0], [0.0, 0.0]])}
+    obj["policy"] = {"kind": "tabulated", "times": [0.0, 6.0], "betas": [1.0, 0.5]}
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(obj))
+    splits = []
+    for steps in (200, 400):
+        out = tmp_path / str(steps)
+        assert main(["simulate", "--scenario", str(path), "--steps", str(steps),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "two_qubit_exchange_report.json").read_text())["report"]
+        assert report["beta_star_0"] == math.inf
+        assert math.isfinite(report["temperature_drift_correction"])
+        assert report["residual_matched_split"] <= 1e-12
+        splits.append(report["residual_split"])
+    assert 3.5 <= splits[0] / splits[1] <= 4.5
+
+
+def test_beta_star_grid_failure_surfaces_where_the_grid_is_read(tmp_path, monkeypatch):
+    solve = GibbsSolver.solve_beta_many
+
+    def failing_grid(self, energies, *args, **kwargs):
+        if np.size(energies) > 1:
+            raise ConvergenceError("beta* grid failed")
+        return solve(self, energies, *args, **kwargs)
+
+    monkeypatch.setattr(GibbsSolver, "solve_beta_many", failing_grid)
+    sc = load_scenario(BUNDLED)
+    traj = evolve(sc.initial, sc.schedule, sc.steps_per_segment)
+    build_report(traj, ConstantBeta(1.0))
+    build_report(traj, TabulatedBeta((0.0, 6.0), (1.0, 0.5)))
+    with pytest.raises(ConvergenceError):
+        build_report(traj, EnergyMatching())
+    with pytest.raises(ConvergenceError):
+        traj.write_csv(io.StringIO())
+    # Both ways, simulate exits 3 and writes nothing.
+    obj = json.loads(open(BUNDLED).read())
+    matched = tmp_path / "matched.json"
+    matched.write_text(json.dumps(dict(obj, policy={"kind": "energy_matching"})))
+    for scenario in (BUNDLED, str(matched)):
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 3
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_cli_verify_subcommand(tmp_path):

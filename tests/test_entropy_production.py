@@ -35,6 +35,8 @@ from qthermo import (
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
+BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
+
 
 def _ramp_setup(seed, d_s=2, d_e=2, tau=1.0):
     rng = np.random.default_rng(seed)
@@ -128,8 +130,7 @@ def test_entropy_production_zero_for_identity_process():
 def test_entropy_production_finite_on_wide_env_gap():
     # The bundled scenario with H_E scaled by 1e3: the Gibbs state's excited
     # level underflows, which once tripped the support test and gave inf.
-    path = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
-    doc = json.loads(path.read_text())
+    doc = json.loads(BUNDLED.read_text())
     doc["h_env"]["re"] = (1e3 * np.array(doc["h_env"]["re"])).tolist()
     result = run_scenario(parse_scenario(doc))
     traj, beta = result.trajectory, result.scenario.policy.beta
@@ -193,10 +194,54 @@ def test_split_residual_shrinks_with_steps():
     assert residuals[0] / residuals[-1] > 8
 
 
-def test_energy_matching_drift_is_exactly_zero():
+def test_energy_matching_drift_is_exactly_zero(monkeypatch):
     rng, sched, _, initial = _ramp_setup(7)
     traj = evolve(initial, sched, steps_per_segment=30)
+
+    def no_energy(self, beta):
+        raise AssertionError("the drift read a thermal energy")
+
+    monkeypatch.setattr(GibbsSolver, "energy", no_energy)
     assert temperature_drift_correction(traj, EnergyMatching()) == 0.0
+    assert "beta_star" not in vars(traj)  # nor the beta* grid
+
+
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "energy_matching"])
+def test_run_scenario_solves_the_beta_star_grid_only_when_read(monkeypatch, kind):
+    policy = {"constant": {"kind": "constant", "beta": 1.0},
+              "tabulated": {"kind": "tabulated", "times": [0.0, 6.0], "betas": [1.0, 0.5]},
+              "energy_matching": {"kind": "energy_matching"}}[kind]
+    sc = parse_scenario(dict(json.loads(BUNDLED.read_text()), policy=policy))
+    sizes = []
+    solve = GibbsSolver.solve_beta_many
+
+    def counting(self, energies, *args, **kwargs):
+        sizes.append(np.size(energies))
+        return solve(self, energies, *args, **kwargs)
+
+    monkeypatch.setattr(GibbsSolver, "solve_beta_many", counting)
+    result = run_scenario(sc)
+    grid = len(result.trajectory) - 2
+    # One-target float-path solves remain: the endpoint pair and the bounds' beta*_0.
+    assert sizes.count(1) == 3
+    assert sizes.count(grid) == (kind == "energy_matching")
+    assert len(sizes) == 3 + (kind == "energy_matching")
+
+
+def test_beta_star_grid_is_lazy_and_equals_the_eager_solve():
+    rng, sched, _, initial = _ramp_setup(11, d_e=3)
+    traj = evolve(initial, sched, steps_per_segment=30)
+    assert "beta_star" not in vars(traj)
+    gibbs = sched.gibbs
+    eager = np.concatenate([traj.beta_star_ends[:1],
+                            gibbs.solve_beta_many(traj.env_energy[1:-1]),
+                            traj.beta_star_ends[1:]])
+    grid = traj.beta_star
+    assert grid.tolist() == eager.tolist()
+    assert traj.beta_star is grid
+    assert not grid.flags.writeable
+    with pytest.raises(AttributeError):
+        traj.beta_star = eager
 
 
 def test_matched_value_equals_endpoint_form():
