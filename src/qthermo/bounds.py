@@ -19,7 +19,7 @@ inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,7 @@ from .thermo import (
     _gibbs_relative_entropy,
     _gibbs_states,
     _as_beta,
+    _as_real,
     _solver,
 )
 
@@ -196,8 +197,7 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
     _check_bipartite_env(final, solver)
     if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
         raise InvalidInput("endpoint states must share dimensions")
-    if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
-        raise InvalidInput("endpoint inverse temperatures must be finite")
+    beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     lhs, rhs = _sufficient_general(_bipartite_one(final), _row(beta_tau), _bipartite_one(initial),
                                    _row(beta0), _gibbs_one(solver),
                                    _row(solver.beta_star(initial.rho_env)))
@@ -222,8 +222,7 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     solver = _solver(h_env)
     if final_env.dim != solver.dim or rho_env.dim != solver.dim:
         raise InvalidInput("environment marginals must match the Hamiltonian dimension")
-    if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
-        raise InvalidInput("endpoint inverse temperatures must be finite")
+    beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     lhs, rhs = _sufficient_product(final_env.mat[None], _row(beta_tau), rho_env.mat[None],
                                    _row(beta0), _gibbs_one(solver), _row(solver.beta_star(rho_env)))
     return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
@@ -306,13 +305,11 @@ class BoundReport:
     product_trace_distance_bound: float | None
     is_product: bool
 
-    FIELDS = (
-        "beta_star", "distance_to_reference", "entropy_gap_bound",
-        "trace_distance_bound", "product_trace_distance_bound", "is_product",
-    )
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+BoundReport.FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def is_product_state(state: BipartiteState) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
 from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack, _sym
-from .thermo import GibbsSolver, _entropy_from_eigs, _solver
+from .thermo import GibbsSolver, _as_real, _entropy_from_eigs, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -82,10 +82,11 @@ class Segment:
     h_int: HamiltonianTerm
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
-            raise InvalidSchedule("segment endpoints must be finite")
+        try:
+            object.__setattr__(self, "t_start", _as_real(self.t_start, "segment t_start"))
+            object.__setattr__(self, "t_end", _as_real(self.t_end, "segment t_end"))
+        except InvalidInput as exc:
+            raise InvalidSchedule(str(exc)) from None
         if self.t_end <= self.t_start:
             raise InvalidSchedule(
                 f"segment must advance time, got [{self.t_start}, {self.t_end}]"

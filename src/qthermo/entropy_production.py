@@ -12,8 +12,7 @@ diagnostic for general policies.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -22,6 +21,7 @@ from .dynamics import Trajectory, env_energy_rate
 from .errors import InvalidInput
 from .linalg import BipartiteState, HermitianMatrix, _expi
 from .thermo import (
+    _as_real,
     _Bipartite,
     _bipartite_one,
     _env_divergence,
@@ -41,8 +41,7 @@ class ConstantBeta:
     beta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise InvalidInput("ConstantBeta requires a finite value")
+        object.__setattr__(self, "beta", _as_real(self.beta, "ConstantBeta beta"))
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,7 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
     solver = _solver(h_env)
     if solver.dim != initial.d_e:
         raise InvalidInput("environment Hamiltonian does not match the states")
-    if not (math.isfinite(beta0) and math.isfinite(beta_tau)):
-        raise InvalidInput("endpoint inverse temperatures must be finite")
+    beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     return float(_entropy_production(_bipartite_one(initial), _bipartite_one(final),
                                      np.array([beta0]), np.array([beta_tau]),
                                      _gibbs_one(solver))[0])
@@ -221,13 +219,13 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     The system-entropy derivative is a symmetric finite difference over a
     short auxiliary evolution of length ``_DT_FD`` under the frozen
     Hamiltonian; the other two terms are analytic.  The mismatch term is
-    exactly zero when ``beta`` equals the state's effective inverse
-    temperature or when ``beta_dot`` is zero.
+    beta_dot (tr[rho_E H_E] - E(beta)), exactly zero when ``beta`` equals the
+    state's effective inverse temperature or when ``beta_dot`` is zero; it
+    stays finite where that temperature is +-inf.
     """
     if not isinstance(rho, BipartiteState):
         raise InvalidInput("entropy_production_rate expects a BipartiteState")
-    if not (math.isfinite(beta) and math.isfinite(beta_dot)):
-        raise InvalidInput("beta and beta_dot must be finite")
+    beta, beta_dot = _as_real(beta, "beta"), _as_real(beta_dot, "beta_dot")
     if not isinstance(h_total, HermitianMatrix):
         h_total = HermitianMatrix(h_total)
 
@@ -240,13 +238,10 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     ds_dt = (von_neumann_entropy(fwd.rho_sys)
              - von_neumann_entropy(bwd.rho_sys)) / (2.0 * _DT_FD)
 
-    beta_star = solver.beta_star(rho.rho_env)
-    if beta_dot == 0.0 or beta_star == beta:
+    if beta_dot == 0.0 or solver.beta_star(rho.rho_env) == beta:
         mismatch_term = 0.0
-    elif math.isinf(beta_star):
-        raise InvalidInput("state sits at a spectral edge; rate mismatch term undefined")
     else:
-        mismatch_term = beta_dot * (solver.energy(beta_star) - solver.energy(beta))
+        mismatch_term = beta_dot * (solver.mean_energy(rho.rho_env.mat) - solver.energy(beta))
     # -beta dQ/dt with dQ/dt = -rate_env.
     return ds_dt + beta * rate_env + mismatch_term
 
@@ -278,17 +273,11 @@ class EPReport:
     beta_star_0: float
     beta_star_tau: float
 
-    FIELDS = (
-        "entropy_production", "clausius_entropy_production",
-        "temperature_drift_correction", "matched_entropy_production",
-        "gibbs_mismatch_initial", "gibbs_mismatch_final",
-        "mutual_info_change", "system_entropy_change", "env_entropy_change",
-        "gibbs_entropy_change", "residual_split", "residual_matched_split",
-        "beta_0", "beta_tau", "beta_star_0", "beta_star_tau",
-    )
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 
 
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:

@@ -23,7 +23,7 @@ from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .io import atomic_write_text
 from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import _as_beta, _solver
+from .thermo import _as_beta, _as_real, _solver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -31,17 +31,6 @@ _BALL_TOL = 1e-12
 # Agreement required between the closed-form polarization inverse and the
 # generic thermal energy map inside example_distances.
 _CONSISTENCY_TOL = 1e-9
-
-
-def _as_real(value, name: str) -> float:
-    """A finite real as a float; anything else raises InvalidInput."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
-    return v
 
 
 def _as_gap(gap) -> float:

@@ -79,10 +79,9 @@ def rand_density(rng: np.random.Generator, dim: int, rank: int | None = None) ->
     return DensityMatrix(_wishart(_ginibre(rng, dim, rank)))
 
 
-def rand_bipartite(rng: np.random.Generator, d_s: int, d_e: int,
-                   rank: int | None = None) -> BipartiteState:
+def rand_bipartite(rng: np.random.Generator, d_s: int, d_e: int) -> BipartiteState:
     """Random correlated joint state on d_s x d_e."""
-    return BipartiteState(d_s, d_e, rand_density(rng, d_s * d_e, rank=rank))
+    return BipartiteState(d_s, d_e, rand_density(rng, d_s * d_e))
 
 
 def rand_product(rng: np.random.Generator, d_s: int, d_e: int) -> BipartiteState:

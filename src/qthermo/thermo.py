@@ -8,7 +8,6 @@ every consumer branches explicitly on ``math.isinf`` so the boundary cases
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +40,13 @@ _DEGEN_TOL = 1e-12
 # beta* is +-inf once |beta*| times the smallest positive gap at the near
 # spectral edge reaches this: e^{-|beta*| gap} has long underflowed there.
 _BETA_CLAMP = 1e6
+
+# The beta* solve's bound on the residual |energy(beta*) - E|, which is also
+# the slack by which a target may pass a spectral edge before it raises
+# InfeasibleEnergy (it sets no band where beta* is +-inf), and its budget of
+# Newton iterations.
+_BETA_ABS_TOL = 1e-12
+_BETA_MAX_ITER = 200
 
 
 def _entropy_from_eigs(w: np.ndarray) -> np.ndarray | float:
@@ -144,25 +150,6 @@ def _mutual_information(rho: _Bipartite) -> np.ndarray:
     return rho.rho_sys.s + rho.rho_env.s - rho.state.s
 
 
-@dataclass(frozen=True)
-class BetaSolveConfig:
-    """Tolerances for the effective inverse-temperature root solve.
-
-    ``abs_tol`` bounds the residual |GibbsSolver.energy(beta*) - E| and is
-    the slack by which a target may pass a spectral edge before it raises
-    InfeasibleEnergy; it sets no band in which beta* is reported as +-inf.
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise InvalidInput("abs_tol must be a positive finite number")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be at least 1")
-
-
 def _as_beta(beta) -> float:
     """An inverse temperature as a float; +-inf allowed, NaN and non-reals not."""
     try:
@@ -172,6 +159,17 @@ def _as_beta(beta) -> float:
     if math.isnan(b):
         raise InvalidInput("beta must be a real number or +-inf")
     return b
+
+
+def _as_real(value, name: str) -> float:
+    """A finite real as a float; anything else raises InvalidInput."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
+    return v
 
 
 def _finite_betas(beta) -> np.ndarray:
@@ -197,7 +195,7 @@ class GibbsSolver:
     x = |beta| then solves U(x) = sum eps e^{-x eps} / sum e^{-x eps} = u,
     where no exponent is positive: x = ln((D - u)/u)/D on a qubit of gap D,
     else safeguarded Newton on ln U(x) - ln u from x = 0.  beta* is +-inf
-    only for u <= 0 or x eps_1 beyond ``beta_clamp``, eps_1 the smallest
+    only for u <= 0 or x eps_1 beyond ``_BETA_CLAMP``, eps_1 the smallest
     positive gap.
     """
 
@@ -298,55 +296,57 @@ class GibbsSolver:
         e = _mean_energy(rho, self.h_env.mat)
         return float(e) if e.ndim == 0 else e
 
-    def beta_star(self, rho_env: DensityMatrix,
-                  cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
+    def beta_star(self, rho_env: DensityMatrix) -> float:
         """The inverse temperature whose Gibbs state matches tr[rho_env H].
 
         Unique because the thermal energy is strictly decreasing in beta.
         Returns +inf (-inf) only when the energy sits at or below the bottom
         (at or above the top) of the spectrum; energies outside the spectral
-        range by more than ``cfg.abs_tol`` raise InfeasibleEnergy.
+        range by more than ``_BETA_ABS_TOL`` raise InfeasibleEnergy.
         """
         if not isinstance(rho_env, DensityMatrix):
             rho_env = DensityMatrix(rho_env)
         if rho_env.dim != self.dim:
             raise InvalidInput(f"dimension mismatch: state {rho_env.dim} vs H {self.dim}")
-        return self.solve_beta(self.mean_energy(rho_env.mat), cfg)
+        return self.solve_beta(self.mean_energy(rho_env.mat))
 
-    def solve_beta(self, energy: float, cfg: BetaSolveConfig = BetaSolveConfig()) -> float:
-        return float(self.solve_beta_many(np.array([energy]), cfg)[0])
+    def solve_beta(self, energy: float) -> float:
+        return float(self.solve_beta_many(np.array([energy]))[0])
 
-    def solve_beta_many(self, energies, cfg: BetaSolveConfig = BetaSolveConfig()) -> np.ndarray:
+    def solve_beta_many(self, energies) -> np.ndarray:
         """beta* for each target energy; one target takes a float path."""
-        e_target = np.asarray(energies, dtype=float)
+        try:
+            e_target = np.asarray(energies, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput("target energies must be real numbers") from None
         if not np.isfinite(e_target).all():
             raise InvalidInput("target energies must be finite")
         if e_target.size == 1:
-            return np.full(e_target.shape, self._solve_one(e_target.item(), cfg))
+            return np.full(e_target.shape, self._solve_one(e_target.item()))
         out = np.empty_like(e_target)
         top = e_target > self._mid
         for side, mask in ((False, ~top), (True, top)):
             if mask.any():
-                out[mask] = self._invert_energy(e_target[mask], side, cfg)
+                out[mask] = self._invert_energy(e_target[mask], side)
         return out
 
-    def _near_edge(self, e, top: bool, cfg: BetaSolveConfig):
+    def _near_edge(self, e, top: bool):
         """Sign of beta, gaps and u for targets e (float or array) on one side."""
         u = self._edges[1] - e if top else e - self._edges[0]
         worst = -(u.min() if isinstance(u, np.ndarray) else u)
-        if worst > cfg.abs_tol:
+        if worst > _BETA_ABS_TOL:
             raise InfeasibleEnergy(f"target energy escapes [{self._edges[0]:.12g}, "
                                    f"{self._edges[1]:.12g}] by {worst:.3e}")
         return (-1.0 if top else 1.0), self._gaps[top], u
 
-    def _solve_one(self, e: float, cfg: BetaSolveConfig) -> float:
+    def _solve_one(self, e: float) -> float:
         """``_invert_energy`` for one target, on Python floats."""
-        sign, (g0, eps), u = self._near_edge(e, e > self._mid, cfg)
+        sign, (g0, eps), u = self._near_edge(e, e > self._mid)
         if u <= 0.0:
             return sign * math.inf
         x = float(_qubit_x(u, eps[0])) if self.dim == 2 else 0.0
         lo, hi = 0.0, math.inf
-        for _ in range(cfg.max_iter if self.dim > 2 else 0):
+        for _ in range(_BETA_MAX_ITER if self.dim > 2 else 0):
             ln_big_u, u_over_var = _edge_moments(x, g0, eps)[1:]
             step = (ln_big_u - math.log(u)) * u_over_var
             if abs(step) <= 1e-14 * (1.0 + x):
@@ -359,12 +359,12 @@ class GibbsSolver:
                 x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
         if x * eps[0] >= _BETA_CLAMP:
             return sign * math.inf
-        _check_residual(abs(_edge_moments(x, g0, eps)[0] - u), cfg)
+        _check_residual(abs(_edge_moments(x, g0, eps)[0] - u))
         return sign * x
 
-    def _invert_energy(self, e_target: np.ndarray, top: bool, cfg: BetaSolveConfig) -> np.ndarray:
+    def _invert_energy(self, e_target: np.ndarray, top: bool) -> np.ndarray:
         """beta* for an array of targets on one side of the beta = 0 energy."""
-        sign, (g0, eps), u = self._near_edge(e_target, top, cfg)
+        sign, (g0, eps), u = self._near_edge(e_target, top)
         gaps = (g0, np.array(eps), np.power.outer(eps, (0, 1, 2)))
         ok = u > 0.0
         x = np.full(u.shape, math.inf)
@@ -374,7 +374,7 @@ class GibbsSolver:
             idx = np.flatnonzero(ok)
             b, lo, hi = np.zeros(idx.size), np.zeros(idx.size), np.full(idx.size, math.inf)
             ln_u = np.log(u[idx])
-            for _ in range(cfg.max_iter):
+            for _ in range(_BETA_MAX_ITER):
                 ln_big_u, u_over_var = _edge_moments_many(b, gaps)[1:]
                 with np.errstate(invalid="ignore"):  # 0 * inf at an exact root
                     step = (ln_big_u - ln_u) * u_over_var
@@ -393,7 +393,7 @@ class GibbsSolver:
             x[idx] = b
         solved = x * eps[0] < _BETA_CLAMP
         residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
-        _check_residual(float(residual.max(initial=0.0)), cfg)
+        _check_residual(float(residual.max(initial=0.0)))
         return sign * np.where(solved, x, math.inf)
 
 
@@ -463,9 +463,8 @@ def _gibbs_one(solver: GibbsSolver) -> _Gibbs:
 
 def _beta_star(g: _Gibbs, rho_env: np.ndarray) -> np.ndarray:
     """beta* per row, each by the float path of ``GibbsSolver.beta_star``."""
-    cfg = BetaSolveConfig()
     energies = _mean_energy(rho_env, g.h).tolist()
-    return np.array([s._solve_one(e, cfg) for s, e in zip(g.solvers, energies)])
+    return np.array([s._solve_one(e) for s, e in zip(g.solvers, energies)])
 
 
 def _env_divergence(rho: _States, beta: np.ndarray, g: _Gibbs) -> np.ndarray:
@@ -527,10 +526,10 @@ def _edge_moments_many(x: np.ndarray, gaps) -> tuple[np.ndarray, np.ndarray, np.
             np.divide(s_sum * z, var_z2, out=np.full_like(z, math.inf), where=var_z2 > 0.0))
 
 
-def _check_residual(residual: float, cfg: BetaSolveConfig) -> None:
-    if residual > cfg.abs_tol:
+def _check_residual(residual: float) -> None:
+    if residual > _BETA_ABS_TOL:
         raise ConvergenceError(f"energy inversion residual {residual:.3e} exceeds "
-                               f"abs_tol {cfg.abs_tol:g} after {cfg.max_iter} iterations")
+                               f"{_BETA_ABS_TOL:g} after {_BETA_MAX_ITER} iterations")
 
 
 def _solver(h_env) -> GibbsSolver:

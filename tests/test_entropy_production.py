@@ -11,6 +11,7 @@ import scipy.linalg as sla
 from qthermo import (
     BipartiteState,
     ConstantBeta,
+    DensityMatrix,
     EnergyMatching,
     GibbsSolver,
     HamiltonianSchedule,
@@ -29,6 +30,8 @@ from qthermo import (
     policy_endpoints,
     policy_grid_betas,
     run_scenario,
+    sufficient_nonneg_general,
+    sufficient_nonneg_product,
     temperature_drift_correction,
     tensor_product,
     von_neumann_entropy,
@@ -357,3 +360,40 @@ def test_rate_input_checks():
     h_tot = HermitianMatrix(sched.total_hamiltonian(traj.times[5]))
     with pytest.raises(InvalidInput):
         entropy_production_rate(state, h_tot, sched.h_env, math.inf, 0.0)
+
+
+def test_rate_is_finite_at_a_spectral_edge():
+    # rho_E = |0><0| has beta* = +inf; the mismatch term is
+    # beta_dot (E_t - E(beta)) there, where it used to raise.
+    sched = parse_scenario(json.loads(BUNDLED.read_text())).schedule
+    h_tot = HermitianMatrix(sched.total_hamiltonian(0.0))
+    state = BipartiteState(2, 2, np.diag([0.0, 0.0, 1.0, 0.0]))  # |1><1| x |0><0|
+    frozen = entropy_production_rate(state, h_tot, sched.h_env, 1.0, 0.0)
+    moving = entropy_production_rate(state, h_tot, sched.h_env, 1.0, -0.1)
+    assert moving == frozen - 0.1 * (0.0 - GibbsSolver(sched.h_env).energy(1.0))
+    assert moving == 0.026894142136999512
+
+
+_QUBIT = HermitianMatrix(np.diag([0.0, 1.0]))
+_COUPLING = HermitianMatrix(np.eye(4))
+_MIXED = BipartiteState(2, 2, np.eye(4) / 4)
+_HALF = DensityMatrix(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ConstantBeta("x"),
+    lambda: ConstantBeta(None),
+    lambda: Segment("x", 1.0, _QUBIT, _COUPLING),
+    lambda: Segment(None, 1.0, _QUBIT, _COUPLING),
+    lambda: entropy_production(_MIXED, _MIXED, "x", 1.0, _QUBIT),
+    lambda: sufficient_nonneg_general(_MIXED, "x", _MIXED, 1.0, _QUBIT),
+    lambda: sufficient_nonneg_product(_HALF, 1.0, _HALF, _HALF, "x", _QUBIT),
+    lambda: entropy_production_rate(_MIXED, _COUPLING, _QUBIT, "x", 0.0),
+    lambda: entropy_production_rate(_MIXED, _COUPLING, _QUBIT, 1.0, "x"),
+    lambda: GibbsSolver(_QUBIT).solve_beta("x"),
+    lambda: GibbsSolver(_QUBIT).solve_beta_many(["x"]),
+], ids=["constant-str", "constant-none", "segment-str", "segment-none", "production",
+        "general", "product", "rate-beta", "rate-beta-dot", "solve-beta", "solve-beta-many"])
+def test_non_numeric_scalars_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qthermo import (
-    BetaSolveConfig,
     DensityMatrix,
     GibbsSolver,
     HermitianMatrix,
@@ -28,9 +27,11 @@ from qthermo import (
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_product
 from qthermo.thermo import (
+    _BETA_ABS_TOL,
     _BETA_CLAMP,
     _beta_star,
     _bipartite,
+    _edge_moments_many,
     _energy_variance,
     _env_divergence,
     _gibbs,
@@ -191,20 +192,34 @@ def test_solve_beta_edges_and_failures():
         solver.solve_beta(-0.1)
 
 
-def test_solve_beta_settles_in_few_newton_steps():
+def test_solve_beta_settles_in_few_newton_steps(monkeypatch):
     # A converged Newton step must not be taken for a bracket escape, and a
     # root on a first bracket end (beta* = -1 below) must not be bisected away.
     qubit = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
-    found = qubit.solve_beta(qubit.energy(-1.3), BetaSolveConfig(max_iter=20))
-    assert abs(found + 1.3) < 1e-12
+    assert abs(qubit.solve_beta(qubit.energy(-1.3)) + 1.3) < 1e-12
+    # Each side of the array path takes one _edge_moments_many pass per
+    # Newton step and one for the residual.
+    passes, moments, invert = [], _edge_moments_many, GibbsSolver._invert_energy
+
+    def count_moments(*args):
+        passes[-1] += 1
+        return moments(*args)
+
+    def count_side(self, *args):
+        passes.append(0)
+        return invert(self, *args)
+
+    monkeypatch.setattr("qthermo.thermo._edge_moments_many", count_moments)
+    monkeypatch.setattr(GibbsSolver, "_invert_energy", count_side)
     solver = GibbsSolver(HermitianMatrix(np.diag([0.0, 0.3, 1.1, 2.0])))
     betas = np.linspace(-3.0, 3.0, 3001)
-    found = solver.solve_beta_many(solver.energy(betas), BetaSolveConfig(max_iter=8))
+    found = solver.solve_beta_many(solver.energy(betas))
     assert np.abs(found - betas).max() < 1e-12
+    assert len(passes) == 2 and max(passes) <= 8 + 1
 
 
 def test_solve_beta_is_finite_next_to_the_edges():
-    # Energies within abs_tol of an edge used to come back as +-inf.
+    # Energies within _BETA_ABS_TOL of an edge used to come back as +-inf.
     qubit = GibbsSolver(HermitianMatrix(np.diag([0.0, 1.0])))
     assert abs(qubit.solve_beta(qubit.energy(28.0)) - 28.0) < 1e-12
     solver = GibbsSolver(HermitianMatrix(np.diag([0.0, 0.3, 1.1, 2.0])))
@@ -258,7 +273,7 @@ def _spectrum_solver(d_env, log_width, offset, levels):
 @given(**_SPECTRA)
 def test_solve_beta_properties(d_env, log_width, offset, beta, levels):
     width, solver = _spectrum_solver(d_env, log_width, offset, levels)
-    w, cfg = solver.energies, BetaSolveConfig()
+    w = solver.energies
     target = solver.energy(beta)
     bottom = target <= w.mean()
     u, gaps = (target - w[0], w - w[0]) if bottom else (w[-1] - target, w[-1] - w)
@@ -268,7 +283,7 @@ def test_solve_beta_properties(d_env, log_width, offset, beta, levels):
     if u > 0.0 and _BETA_CLAMP * gaps[gaps > 0.0].min() > 800.0:
         assert math.isfinite(found)
     if math.isfinite(found):
-        assert abs(solver.energy(found) - target) <= cfg.abs_tol
+        assert abs(solver.energy(found) - target) <= _BETA_ABS_TOL
     # Round trip wherever the target carries the digits: one rounding of the
     # energy, eps * sum_k p_k |w_k|, moves beta by that over the variance.
     if abs(beta) * width <= 30.0:
@@ -374,15 +389,6 @@ def test_gibbs_spec_rejects_bad_beta():
                     np.array([1.0 + 2.0j]), np.array([1.0 + 0.0j]), np.array(["warm"])):
             with pytest.raises(InvalidInput):
                 query(bad)
-
-
-def test_beta_solve_config_validation():
-    with pytest.raises(InvalidInput):
-        BetaSolveConfig(abs_tol=0.0)
-    with pytest.raises(InvalidInput):
-        BetaSolveConfig(max_iter=0)
-    cfg = BetaSolveConfig(abs_tol=1e-10, max_iter=50)
-    assert cfg.abs_tol == 1e-10
 
 
 def test_entropy_additivity_on_products():
@@ -541,4 +547,4 @@ def test_near_degenerate_edge_levels_keep_both_paths_finite():
     target = solver.energy(21.0)
     for found in (solver.solve_beta(target), *solver.solve_beta_many([target, target])):
         assert math.isfinite(found)
-        assert abs(solver.energy(found) - target) <= BetaSolveConfig().abs_tol
+        assert abs(solver.energy(found) - target) <= _BETA_ABS_TOL
