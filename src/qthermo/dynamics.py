@@ -11,9 +11,10 @@ point is exact to rounding, with nothing accumulated over the steps.  The
 environment energy and the heat flux come straight from rho0 and the phases;
 the joint states themselves are built only when ``Trajectory.rho`` is read.
 A continuously driven segment applies exp(-i H(t + dt/2) dt) per substep,
-which is exactly unitary and second-order accurate.  Its midpoint
-Hamiltonians are assembled and diagonalized as stacks, a bounded chunk of
-substeps at a time, leaving two matrix products per substep in the loop.  Its
+which is unitary to rounding and second-order accurate.  Its midpoint
+Hamiltonians are assembled and exponentiated as stacks, a bounded chunk of
+substeps at a time, by a Taylor series with scaling and squaring (no
+eigendecomposition), leaving two matrix products per substep in the loop.  Its
 heat flux needs only h_int: I x h_env commutes with h_sys x I and with itself,
 so the rate operator is -i [I x h_env, h_int(t)].
 """
@@ -29,7 +30,7 @@ from typing import Callable, IO, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
-from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack, _sym
+from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _ptrace_stack, _sym
 from .thermo import GibbsSolver, _as_real, _entropy_from_eigs, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
@@ -122,8 +123,9 @@ class HamiltonianSchedule:
         self.segments = segments
         self.d_e = h_env.dim
         self.d_s = _term_value(segments[0].h_sys, segments[0].t_start).dim
-        for seg in segments:
-            _term_at(seg.h_sys, seg.t_start, self.d_s, "h_sys")
+        for i, seg in enumerate(segments):
+            if i:
+                _term_at(seg.h_sys, seg.t_start, self.d_s, "h_sys")
             _term_at(seg.h_int, seg.t_start, self.d_s * self.d_e, "h_int")
 
     @property
@@ -386,9 +388,8 @@ def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndar
     stack[0] = rho_start
     for k0, k1 in _batches(0, steps, d * d):
         mids = seg.t_start + (np.arange(k0, k1) + 0.5) * dt
-        w, v = np.linalg.eigh(sched._hamiltonians(seg, mids))
-        u = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        uh = u.conj().transpose(0, 2, 1)
+        u = _expi(sched._hamiltonians(seg, mids), dt)
+        uh = _dag(u)
         for i in range(k0, k1):
             stack[i + 1] = u[i - k0] @ stack[i] @ uh[i - k0]
     stack[-1] = _sym(stack[-1])
@@ -410,15 +411,15 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     and no per-step loop: environment energy and heat flux at its grid
     points are evaluated in closed form, exact to rounding with no error
     accumulated over the steps.  Time-dependent segments use the midpoint
-    Hamiltonian per substep, assembled, diagonalized and exponentiated as
-    stacks a bounded chunk of substeps at a time; their heat flux is
-    evaluated from h_int alone, since only the coupling fails to commute
-    with I x H_E.  At the two endpoints the environment energy is
-    ``mean_energy`` of the stored marginal and beta* is solved from it here,
-    as ``build_bound_report`` solves beta*_0; the interior beta* grid is
-    solved only when ``Trajectory.beta_star`` is first read.  Joint states
-    are kept per segment and assembled into ``Trajectory.rho`` only when it
-    is read.
+    Hamiltonian per substep, assembled and exponentiated (Taylor series with
+    scaling and squaring) as stacks a bounded chunk of substeps at a time;
+    their heat flux is evaluated from h_int alone, since only the coupling
+    fails to commute with I x H_E.  At the two endpoints the environment
+    energy is ``mean_energy`` of the stored marginal and beta* is solved from
+    it here, as ``build_bound_report`` solves beta*_0; the interior beta*
+    grid is solved only when ``Trajectory.beta_star`` is first read.  Joint
+    states are kept per segment and assembled into ``Trajectory.rho`` only
+    when it is read.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")

@@ -1,8 +1,9 @@
 """Validated matrix types and dense Hermitian linear algebra.
 
 Everything here assumes small dimensions (products of subsystem sizes up to
-a few dozen), so matrix functions go through a full eigendecomposition and
-no sparse or iterative machinery is used.
+a few dozen), so spectral functions go through a full eigendecomposition,
+the propagator exp(-i H dt) through a dense Taylor series, and no sparse or
+iterative machinery is used.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ TOL_PSD = 1e-10
 TOL_UNITARY = 1e-10
 
 
-def _as_square_complex(mat, what: str = "matrix") -> np.ndarray:
+def _as_square_complex(mat, what: str) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidInput(f"{what} must be a nonempty square 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{what} contains non-finite entries")
     return a
 
 
@@ -37,17 +36,24 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + _dag(a)) / 2.0
 
 
-# The stack validators below test row by row on Python floats: a stack of one
-# is the constructors' path, where each NumPy reduction costs microseconds.
+# The validators below decide the common case with one reduction over the whole
+# stack: on the constructors' one matrix, each NumPy call costs microseconds.
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag)/2 of each matrix of an (n, d, d) stack; raises where one
-    deviates from self-adjointness by more than ``TOL_HERM`` relative to its
-    largest entry magnitude (with a floor of 1)."""
+def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """(A + A^dag)/2 of a matrix or of each matrix of an (n, d, d) stack;
+    raises where one has a non-finite entry, or deviates from
+    self-adjointness by more than ``TOL_HERM`` relative to its largest entry
+    magnitude (with a floor of 1)."""
     ah = _dag(a)
-    devs = np.abs(a - ah).max(axis=(1, 2)).tolist()
-    if max(devs) > TOL_HERM:  # below it, the floor of 1 on the scale passes every row
-        for dev, scale in zip(devs, np.abs(a).max(axis=(1, 2)).tolist()):
+    dev = np.abs(a - ah).max()
+    # A non-finite entry leaves its own |A - A^dag| entry non-finite (inf - inf
+    # is nan, with NumPy's invalid-value warning), so it fails this test too;
+    # below TOL_HERM, the floor of 1 on the scale passes every matrix.
+    if not dev <= TOL_HERM:
+        if not np.isfinite(a).all():
+            raise InvalidInput(f"{what} contains non-finite entries")
+        devs = np.abs(a - ah).max(axis=(-2, -1)).reshape(-1).tolist()
+        for dev, scale in zip(devs, np.abs(a).max(axis=(-2, -1)).reshape(-1).tolist()):
             if dev > TOL_HERM * max(scale, 1.0):
                 raise InvalidInput(
                     f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} exceeds "
@@ -90,7 +96,8 @@ class HermitianMatrix:
     __slots__ = ("mat", "_gibbs", "_eigh")
 
     def __init__(self, mat):
-        h = _hermitian_part(_as_square_complex(mat, what=type(self).__name__)[None])[0]
+        what = type(self).__name__
+        h = _hermitian_part(_as_square_complex(mat, what), what)
         h.setflags(write=False)
         self.mat = h
         self._check()
@@ -145,7 +152,9 @@ class UnitaryMatrix:
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        a = _as_square_complex(mat, what="UnitaryMatrix")
+        a = _as_square_complex(mat, "UnitaryMatrix")
+        if not np.isfinite(a).all():
+            raise InvalidInput("UnitaryMatrix contains non-finite entries")
         _check_unitary(a)
         u = a.copy()
         u.setflags(write=False)
@@ -249,6 +258,27 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _expi(h: np.ndarray, dt: float) -> np.ndarray:
-    # exp(-i h dt) for raw Hermitian h via eigendecomposition.
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    """exp(-i h dt) of a Hermitian matrix or of each matrix of an (n, d, d) stack.
+
+    Scaling and squaring without an eigendecomposition (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488, 2011): with A = -i h dt and s the least
+    power for which theta = ||A / 2^s||_1 <= 1/2 over the largest row 1-norm
+    of the stack, the Taylor series of exp(A / 2^s) is summed in Horner form
+    to the degree m whose first dropped term theta^(m+1) / (m+1)! is below
+    unit roundoff, then squared s times.  A zero h gives the identity exactly.
+    """
+    theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
+    while theta > 0.5:
+        theta, s = theta / 2.0, s + 1
+    a = (-1j * dt / 2.0 ** s) * h
+    m, term = 0, theta
+    while term > 2.0 ** -53:  # unit roundoff
+        m += 1
+        term *= theta / (m + 1)
+    eye = np.eye(a.shape[-1])
+    p = eye + a / m if m else np.broadcast_to(eye, a.shape) + 0j
+    for k in range(m - 1, 0, -1):
+        p = a @ p / k + eye
+    for _ in range(s):
+        p = p @ p
+    return p

@@ -81,7 +81,7 @@ class _States(NamedTuple):
 
 def _states(mat: np.ndarray, check: bool = True) -> _States:
     """The rows of a stack as states, validated as by DensityMatrix or trusted."""
-    h = _hermitian_part(mat) if check else _sym(mat)
+    h = _hermitian_part(mat, "DensityMatrix") if check else _sym(mat)
     return _States(h, _entropy_from_eigs(_density_spectra(h) if check else np.linalg.eigvalsh(h)))
 
 
@@ -449,7 +449,7 @@ class _Gibbs(NamedTuple):
 
 def _gibbs(h: np.ndarray) -> _Gibbs:
     """A validated Hamiltonian stack; each row's solver reads one batched eigh."""
-    h = _hermitian_part(h)
+    h = _hermitian_part(h, "HermitianMatrix")
     w, v = np.linalg.eigh(h)
     rows = [HermitianMatrix._trusted(m) for m in h]
     for m, eig in zip(rows, zip(w, v)):

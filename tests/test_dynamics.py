@@ -25,7 +25,6 @@ from qthermo import (
     tensor_product,
     von_neumann_entropy,
 )
-from qthermo.linalg import _expi
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
@@ -384,7 +383,7 @@ def test_driven_segment_matches_per_step_reference(drive_int):
     dt = seg.t_end / steps
     states = [initial.mat]
     for i in range(steps):
-        u = _expi(sched.total_hamiltonian((i + 0.5) * dt, seg), dt)
+        u = sla.expm(-1j * sched.total_hamiltonian((i + 0.5) * dt, seg) * dt)
         states.append(u @ states[-1] @ u.conj().T)
     rates = [
         env_energy_rate(BipartiteState(d_s, d_e, x),
@@ -393,6 +392,21 @@ def test_driven_segment_matches_per_step_reference(drive_int):
     ]
     assert np.max(np.abs(traj.rho - np.array(states))) < 1e-12
     assert np.max(np.abs(traj.segment_rates[0] - rates)) < 1e-12
+
+
+def test_schedule_reads_the_first_drive_once():
+    # d_s is taken from the same evaluation that checks the first h_sys.
+    rng = np.random.default_rng(18)
+    h_sys = rand_hermitian(rng, 2)
+    calls = []
+
+    def term(t):
+        calls.append(t)
+        return h_sys
+
+    HamiltonianSchedule(rand_env_hamiltonian(rng, 3),
+                        (Segment(0.0, 1.0, term, rand_hermitian(rng, 6)),))
+    assert calls == [0.0]
 
 
 def test_sys_driven_segment_calls_its_drive_once_per_step():

@@ -24,6 +24,7 @@ from qthermo.linalg import (
     _trace_distance,
 )
 from qthermo.rand import rand_bipartite, rand_density, rand_hermitian, rand_unitary
+from qthermo.thermo import _states
 
 
 def test_hermitian_symmetrizes_roundoff():
@@ -141,6 +142,70 @@ def test_unitary_step_matches_expm_propagator():
         oracle = sla.expm(-1j * h.mat * dt)
         UnitaryMatrix(u)  # raises unless unitary within TOL_UNITARY
         assert np.max(np.abs(u - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.3, 1.0, 7.0, 1e3])
+def test_expi_matches_expm_on_a_matrix_and_a_stack(norm):
+    # ||H dt||_1 above 1/2 runs the squaring path.
+    rng = np.random.default_rng(30)
+    for d in (2, 4, 6):
+        hs = np.stack([rand_hermitian(rng, d).mat for _ in range(3)])
+        dt = norm / np.abs(hs).sum(axis=-1).max()
+        stack = _expi(hs, dt)
+        for h, u in zip(hs, stack):
+            oracle = sla.expm(-1j * h * dt)
+            assert np.max(np.abs(_expi(h, dt) - oracle)) < 1e-12
+            assert np.max(np.abs(u - oracle)) < 1e-12
+            UnitaryMatrix(u)  # raises unless unitary within TOL_UNITARY
+
+
+def test_expi_of_zero_is_the_identity():
+    for dt in (0.0, 0.37, 1e3):
+        assert np.array_equal(_expi(0.0 * np.eye(3), dt), np.eye(3))
+    assert np.array_equal(_expi(np.zeros((2, 4, 4)), 0.5), np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
+def _spoiled(mat, value, i, j):
+    out = np.array(mat, dtype=complex)
+    out[i, j] += value
+    return out
+
+
+_NON_FINITE = [c for v in (np.nan, np.inf, -np.inf) for c in (complex(v, 0.0), complex(0.0, v))]
+
+
+# inf - inf on the one-reduction Hermiticity test warns before the error.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("value", _NON_FINITE,
+                         ids=[f"{p}-{v}" for v in ("nan", "inf", "-inf") for p in ("re", "im")])
+@pytest.mark.parametrize("i, j", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entries_are_rejected_by_name(value, i, j):
+    rng = np.random.default_rng(31)
+    h = rand_hermitian(rng, 3).mat
+    with pytest.raises(InvalidInput, match="^HermitianMatrix contains non-finite entries$"):
+        HermitianMatrix(_spoiled(h, value, i, j))
+    stack = np.stack([rand_density(rng, 3).mat for _ in range(3)])
+    with pytest.raises(InvalidInput, match="^DensityMatrix contains non-finite entries$"):
+        DensityMatrix(_spoiled(stack[1], value, i, j))
+    stack[1] = _spoiled(stack[1], value, i, j)
+    with pytest.raises(InvalidInput, match="^DensityMatrix contains non-finite entries$"):
+        _states(stack)
+
+
+def test_hermiticity_tolerance_is_relative_to_each_matrix():
+    rng = np.random.default_rng(32)
+    big = 1e6 * rand_hermitian(rng, 4).mat
+    big[0, 1] += 1e-7
+    HermitianMatrix(big)
+    small = rand_hermitian(rng, 4).mat.copy()
+    _hermitian_part(np.stack([small, big]))
+    big[0, 1] += 1e-5
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        HermitianMatrix(big)
+    # A large row does not widen the tolerance of a small one.
+    small[0, 1] += 1e-7
+    with pytest.raises(InvalidInput, match="not Hermitian"):
+        _hermitian_part(np.stack([small, 1e6 * rand_hermitian(rng, 4).mat]))
 
 
 def test_rand_unitary_is_unitary():
