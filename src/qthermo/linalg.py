@@ -1,9 +1,8 @@
 """Validated matrix types and dense Hermitian linear algebra.
 
 Everything here assumes small dimensions (products of subsystem sizes up to
-a few dozen), so spectral functions go through a full eigendecomposition,
-the propagator exp(-i H dt) through a dense Taylor series, and no sparse or
-iterative machinery is used.
+a few dozen): spectral functions use a full eigendecomposition, exp(-i H dt)
+a dense Taylor series, and no sparse or iterative machinery is used.
 """
 
 from __future__ import annotations
@@ -45,14 +44,14 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     self-adjointness by more than ``TOL_HERM`` relative to its largest entry
     magnitude (with a floor of 1)."""
     ah = _dag(a)
-    dev = np.abs(a - ah).max()
+    diff = np.abs(a - ah)
     # A non-finite entry leaves its own |A - A^dag| entry non-finite (inf - inf
     # is nan, with NumPy's invalid-value warning), so it fails this test too;
     # below TOL_HERM, the floor of 1 on the scale passes every matrix.
-    if not dev <= TOL_HERM:
+    if not diff.max() <= TOL_HERM:
         if not np.isfinite(a).all():
             raise InvalidInput(f"{what} contains non-finite entries")
-        devs = np.abs(a - ah).max(axis=(-2, -1)).reshape(-1).tolist()
+        devs = diff.max(axis=(-2, -1)).reshape(-1).tolist()
         for dev, scale in zip(devs, np.abs(a).max(axis=(-2, -1)).reshape(-1).tolist()):
             if dev > TOL_HERM * max(scale, 1.0):
                 raise InvalidInput(
@@ -261,11 +260,12 @@ def _expi(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) of a Hermitian matrix or of each matrix of an (n, d, d) stack.
 
     Scaling and squaring without an eigendecomposition (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488, 2011): with A = -i h dt and s the least
-    power for which theta = ||A / 2^s||_1 <= 1/2 over the largest row 1-norm
-    of the stack, the Taylor series of exp(A / 2^s) is summed in Horner form
-    to the degree m whose first dropped term theta^(m+1) / (m+1)! is below
-    unit roundoff, then squared s times.  A zero h gives the identity exactly.
+    SIAM J. Sci. Comput. 33, 488, 2011): with A = -i h dt, s is the least
+    integer for which theta = ||A||_1 / 2^s <= 1/2, taking the largest row
+    1-norm in the stack; the Taylor series of exp(A / 2^s) is summed in Horner
+    form to the degree m whose first dropped term theta^(m+1) / (m+1)! is
+    below unit roundoff, then squared s times.  A zero h gives the identity
+    exactly.
     """
     theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
     while theta > 0.5:
