@@ -25,6 +25,8 @@ from qthermo import (
     tensor_product,
     von_neumann_entropy,
 )
+from qthermo.dynamics import _prefix_products
+from qthermo.linalg import _expi
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
@@ -394,6 +396,41 @@ def test_driven_segment_matches_per_step_reference(drive_int):
     assert np.max(np.abs(traj.segment_rates[0] - rates)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 4, 12])
+def test_prefix_products_match_the_sequential_product(d):
+    # Block widths isqrt(n) with and without identity padding, and one block.
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 15, 16, 17, 150, 512):
+        u = _expi(np.stack([rand_hermitian(rng, d).mat for _ in range(n)]), 0.7)
+        p = _prefix_products(u)
+        expected = [u[0]]
+        for row in u[1:]:
+            expected.append(row @ expected[-1])
+        assert p.shape == u.shape
+        assert np.max(np.abs(p - np.array(expected))) < 1e-13
+
+
+def test_long_driven_segment_stays_a_state_and_matches_expm():
+    # 2000 steps at 3x4 span 36 chunks of prefix products, each started from
+    # the last state of the one before; a pure start makes lambda_min drift show.
+    rng = np.random.default_rng(21)
+    d_s, d_e, steps = 3, 4, 2000
+    sched, _ = _driven_schedule(rng, d_s, d_e, drive_int=True)
+    seg = sched.segments[0]
+    v = rng.normal(size=d_s * d_e) + 1j * rng.normal(size=d_s * d_e)
+    initial = BipartiteState(d_s, d_e, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    rho = evolve(initial, sched, steps_per_segment=steps).rho
+    assert np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) <= 1e-12
+    assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[:, 0].min() >= -1e-12
+    dt = seg.t_end / steps
+    state = initial.mat
+    for i in range(steps):
+        u = sla.expm(-1j * sched.total_hamiltonian((i + 0.5) * dt, seg) * dt)
+        state = u @ state @ u.conj().T
+        assert np.max(np.abs(rho[i + 1] - state)) < 1e-11
+
+
 def test_schedule_reads_the_first_drive_once():
     # d_s is taken from the same evaluation that checks the first h_sys.
     rng = np.random.default_rng(18)
@@ -417,6 +454,19 @@ def test_sys_driven_segment_calls_its_drive_once_per_step():
     calls.clear()
     evolve(initial, sched, steps_per_segment=40)
     assert len(calls) == 40
+
+
+def test_int_driven_segment_calls_its_drive_at_midpoints_and_grid_times():
+    # h_int is read at each midpoint for the propagator and at each grid time
+    # for the rate.
+    rng = np.random.default_rng(17)
+    sched, calls = _driven_schedule(rng, 2, 3, drive_int=True)
+    initial = rand_bipartite(rng, 2, 3)
+    calls.clear()
+    evolve(initial, sched, steps_per_segment=40)
+    dt = sched.tau / 40
+    assert len(calls) == 2 * 40 + 1
+    assert np.allclose(sorted(calls), np.arange(81) * dt / 2, rtol=0, atol=1e-14)
 
 
 def test_callable_term_changing_shape_is_an_invalid_schedule():

@@ -15,6 +15,7 @@ from qthermo import (
     trace_distance,
 )
 from qthermo.linalg import (
+    TOL_HERM,
     _check_unitary,
     _density_spectra,
     _expi,
@@ -206,6 +207,30 @@ def test_hermiticity_tolerance_is_relative_to_each_matrix():
     small[0, 1] += 1e-7
     with pytest.raises(InvalidInput, match="not Hermitian"):
         _hermitian_part(np.stack([small, 1e6 * rand_hermitian(rng, 4).mat]))
+
+
+def test_frobenius_fast_test_keeps_every_entrywise_decision():
+    # ||A - A^dag||_F above TOL_HERM with every entry within it: still accepted,
+    # stored as (A + A^dag)/2 bit for bit.
+    rng = np.random.default_rng(33)
+    a = rand_hermitian(rng, 6, scale=0.4).mat + np.triu(np.full((6, 6), 0.9e-12), 1)
+    skew = a - a.conj().T
+    assert np.abs(skew).max() <= TOL_HERM < np.linalg.norm(skew)
+    assert np.array_equal(HermitianMatrix(a).mat, (a + a.conj().T) / 2.0)
+    stack = np.stack([rand_hermitian(rng, 6).mat, a, 1e3 * rand_hermitian(rng, 6).mat])
+    assert np.array_equal(_hermitian_part(stack), (stack + stack.conj().swapaxes(1, 2)) / 2.0)
+    # Just past TOL_HERM: accepted only where the row's largest entry widens it.
+    stack[2, 0, 1] += 2e-12
+    _hermitian_part(stack)
+    stack[1, 0, 1] += 2e-12
+    with pytest.raises(InvalidInput, match="^matrix is not Hermitian: max"):
+        _hermitian_part(stack)
+    for value in (np.nan, np.inf, -np.inf):
+        spoiled = stack.copy()
+        spoiled[0, 2, 2] = value
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidInput, match="^matrix contains non-finite entries$"):
+                _hermitian_part(spoiled)
 
 
 def test_rand_unitary_is_unitary():
