@@ -9,7 +9,7 @@ H = V diag(w) V^dag: the state at t_start + k dt is V (rho0 o a_k a_k^dag) V^dag
 with rho0 = V^dag rho(t_start) V and phases a_k = exp(-i w k dt), so every grid
 point is exact to rounding, with nothing accumulated over the steps.  The
 environment energy and the heat flux come straight from rho0 and the phases;
-the joint states themselves are built only when ``Trajectory.rho`` is read.
+they, like the joint states, are built only when first read.
 A continuously driven segment applies exp(-i H(t + dt/2) dt) per substep,
 which is unitary to rounding and second-order accurate.  Its midpoint
 Hamiltonians are assembled and exponentiated as stacks, a bounded chunk of
@@ -247,26 +247,24 @@ class _Eigenframe:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Thermodynamic observables on the time grid, joint states on demand.
+    """Thermodynamic observables on the time grid, built on first read.
 
-    ``heat_flux`` holds dQ/dt = -d/dt tr[rho_E H_E]; at interior segment
-    boundaries, where the generator may jump, the cached value is the
-    right-limit and per-segment rates are kept separately for quadrature.
     ``initial`` and ``final`` are stored, with the environment energy and
-    beta* of each in ``env_energy[0]``, ``env_energy[-1]`` and
-    ``beta_star_ends``.  The (K+1, d, d) stack ``rho`` and the grid
-    ``beta_star`` are built the first time they are read.
+    beta* of each in ``env_energy_ends`` and ``beta_star_ends``.  The grid
+    arrays ``env_energy`` and ``heat_flux`` (dQ/dt = -d/dt tr[rho_E H_E]) and
+    the per-segment ``segment_rates`` are built together from the segment
+    states on first read; at interior segment boundaries, where the generator
+    may jump, ``heat_flux`` holds the right-limit.  The stack ``rho`` and the
+    grid ``beta_star`` are likewise built on first read.
     """
 
     d_s: int
     d_e: int
     times: np.ndarray
-    env_energy: np.ndarray
-    beta_star_ends: tuple    # (beta*_0, beta*_tau) of the stored endpoint marginals
-    heat_flux: np.ndarray
+    env_energy_ends: tuple   # (E_0, E_tau): tr[rho_E H_E] of the stored endpoint marginals
+    beta_star_ends: tuple    # (beta*_0, beta*_tau) solved from env_energy_ends
     schedule: HamiltonianSchedule
     segment_slices: tuple    # slice into the grid per segment, endpoints inclusive
-    segment_rates: tuple     # d/dt tr[rho_E H_E] per segment grid point
     initial: BipartiteState
     final: BipartiteState
     _segment_states: tuple   # per segment: an _Eigenframe, or the driven (n+1, d, d) stack
@@ -287,6 +285,28 @@ class Trajectory:
                 src.fill(rho[sl])
         rho.setflags(write=False)
         return rho
+
+    @cached_property
+    def _observables(self) -> tuple:
+        """(env_energy, heat_flux, segment_rates), read-only, in one pass over the segments."""
+        energy, flux, seg_rates = np.empty(len(self.times)), np.empty(len(self.times)), []
+        for sl, seg, src in zip(self.segment_slices, self.schedule.segments, self._segment_states):
+            if isinstance(src, np.ndarray):
+                energies, rates = _driven_observables(self.schedule, seg, src, self.times[sl])
+            else:
+                energies, rates = _constant_observables(self.schedule, src)
+            # Later segments overwrite shared boundaries.
+            energy[sl], flux[sl] = energies, -rates
+            seg_rates.append(rates)
+        energy[0], energy[-1] = self.env_energy_ends
+        for arr in (energy, flux, *seg_rates):
+            arr.setflags(write=False)
+        return energy, flux, tuple(seg_rates)
+
+    # Each read-only, from the one cached pass above.
+    env_energy = property(lambda self: self._observables[0])
+    heat_flux = property(lambda self: self._observables[1])
+    segment_rates = property(lambda self: self._observables[2])
 
     @cached_property
     def beta_star(self) -> np.ndarray:
@@ -363,16 +383,13 @@ def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
     return float(np.einsum("ij,ji->", rho.state.mat, r).real)
 
 
-def _constant_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
-                      dt: float, steps: int):
-    """Closed-form segment: its eigenframe, env energies and energy rates."""
-    frame = _Eigenframe(sched.total_hamiltonian(seg.t_start, seg), rho_start, dt, steps)
+def _constant_observables(sched: HamiltonianSchedule, frame: _Eigenframe):
+    """Env energies and energy rates at a constant segment's grid points."""
     env = frame.vecs.conj().T @ sched._env_term @ frame.vecs
     # V^dag R V for R = -i [I x H_E, H]: H is diagonal in this frame, so the
     # commutator scales each entry by a level difference.
     rate = -1j * env * (frame.freqs[None, :] - frame.freqs[:, None])
-    energies, rates = frame.expectations(np.stack([env, rate]))
-    return frame, energies, rates
+    return frame.expectations(np.stack([env, rate]))
 
 
 def _prefix_products(u: np.ndarray) -> np.ndarray:
@@ -396,9 +413,8 @@ def _prefix_products(u: np.ndarray) -> np.ndarray:
 
 
 def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
-                    dt: float, times: np.ndarray):
-    """Midpoint-propagated segment: its state stack, env energies and energy rates."""
-    steps = len(times) - 1
+                    dt: float, steps: int) -> np.ndarray:
+    """The midpoint-propagated segment's read-only (steps+1, d, d) state stack."""
     d = rho_start.shape[0]
     stack = np.empty((steps + 1, d, d), dtype=complex)
     stack[0] = rho_start
@@ -408,34 +424,40 @@ def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndar
         stack[k0 + 1:k1 + 1] = (p.reshape(-1, d) @ stack[k0]).reshape(-1, d, d) @ _dag(p)
     stack[-1] = _sym(stack[-1])
     stack.setflags(write=False)
+    return stack
+
+
+def _driven_observables(sched: HamiltonianSchedule, seg: Segment, stack: np.ndarray,
+                        times: np.ndarray):
+    """Env energies and energy rates at a driven segment's grid points."""
+    d = stack.shape[1]
     energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
-    rates = np.empty(steps + 1)
-    for k0, k1 in _batches(0, steps + 1, d * d):
+    rates = np.empty(len(times))
+    for k0, k1 in _batches(0, len(times), d * d):
         # R = -i (X^dag - X) for X = h_int (I x H_E), so tr[rho R] = -2 Im tr[rho X].
         h_int = _term_stack(seg.h_int, times[k0:k1], d, "h_int")
         x = (h_int.reshape(-1, d) @ sched._env_term).reshape(-1, d, d)
         rates[k0:k1] = -2.0 * np.einsum("kij,kji->k", stack[k0:k1], x).imag
-    return stack, energies, rates
+    return energies, rates
 
 
 def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
            steps_per_segment: int) -> Trajectory:
     """Propagate the joint state over the schedule grid.
 
-    Each constant segment costs one eigendecomposition of its Hamiltonian
-    and no per-step loop: environment energy and heat flux at its grid
-    points are evaluated in closed form, exact to rounding with no error
-    accumulated over the steps.  Time-dependent segments use the midpoint
+    Only what the final state needs is computed here.  Each constant segment
+    costs one eigendecomposition of its Hamiltonian and no per-step loop; its
+    ``_Eigenframe`` is kept.  Time-dependent segments use the midpoint
     Hamiltonian per substep, assembled and exponentiated (Taylor series with
     scaling and squaring) as stacks a bounded chunk of substeps at a time, and
     each chunk's states come from blocked prefix products of its propagators
-    with no per-substep loop; their heat flux is evaluated from h_int alone,
-    since only the coupling fails to commute with I x H_E.  At the two
+    with no per-substep loop; their state stack is kept.  At the two
     endpoints the environment energy is ``mean_energy`` of the stored marginal
     and beta* is solved from it here, as ``build_bound_report`` solves
-    beta*_0; the interior beta* grid is solved only when
-    ``Trajectory.beta_star`` is first read.  Joint states are kept per segment
-    and assembled into ``Trajectory.rho`` only when it is read.
+    beta*_0.  The grid observables are built from the kept states on first
+    read: energy and heat flux exactly to rounding on constant segments, and
+    from h_int alone on driven ones, since only the coupling fails to commute
+    with I x H_E; then the interior beta* grid and ``Trajectory.rho``.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")
@@ -456,45 +478,36 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     total = len(sched.segments) * steps
     times = np.empty(total + 1)
     times[0] = 0.0
-    env_energy = np.empty(total + 1)
-    heat_flux = np.empty(total + 1)
 
     rho = initial.state.mat
-    slices, seg_rates, seg_states = [], [], []
+    slices, seg_states = [], []
     for j, seg in enumerate(sched.segments):
         dt = (seg.t_end - seg.t_start) / steps
         sl = slice(j * steps, (j + 1) * steps + 1)
         times[sl.start + 1:sl.stop] = seg.t_start + np.arange(1, steps + 1) * dt
         times[sl.stop - 1] = seg.t_end  # pin the endpoint against rounding drift
         if seg.is_constant:
-            src, energies, rates = _constant_segment(sched, seg, rho, dt, steps)
+            src = _Eigenframe(sched.total_hamiltonian(seg.t_start, seg), rho, dt, steps)
             rho = src.end
         else:
-            src, energies, rates = _driven_segment(sched, seg, rho, dt, times[sl])
+            src = _driven_segment(sched, seg, rho, dt, steps)
             rho = src[-1]
-        # Later segments overwrite shared boundaries.
-        env_energy[sl] = energies
-        heat_flux[sl] = -rates
         slices.append(sl)
-        seg_rates.append(rates)
         seg_states.append(src)
 
     # Each endpoint's energy and beta* from its stored marginal, as bounds has it.
     final = BipartiteState._trusted(sched.d_s, sched.d_e, rho)
     gibbs = sched.gibbs
-    env_energy[0], env_energy[-1] = (gibbs.mean_energy(s.rho_env.mat) for s in (initial, final))
-    for arr in (times, env_energy, heat_flux):
-        arr.setflags(write=False)
+    ends = tuple(gibbs.mean_energy(s.rho_env.mat) for s in (initial, final))
+    times.setflags(write=False)
     return Trajectory(
         d_s=sched.d_s,
         d_e=sched.d_e,
         times=times,
-        env_energy=env_energy,
-        beta_star_ends=(gibbs.solve_beta(env_energy[0]), gibbs.solve_beta(env_energy[-1])),
-        heat_flux=heat_flux,
+        env_energy_ends=ends,
+        beta_star_ends=tuple(gibbs.solve_beta(e) for e in ends),
         schedule=sched,
         segment_slices=tuple(slices),
-        segment_rates=tuple(seg_rates),
         initial=initial,
         final=final,
         _segment_states=tuple(seg_states),

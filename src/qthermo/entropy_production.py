@@ -102,6 +102,9 @@ def policy_grid_betas(policy: BetaPolicy, traj: Trajectory) -> np.ndarray:
 
 
 def policy_endpoints(policy: BetaPolicy, traj: Trajectory) -> tuple[float, float]:
+    """Inverse temperature at the two endpoints; EnergyMatching solves no grid."""
+    if isinstance(policy, EnergyMatching):
+        return traj.beta_star_ends
     betas = policy_grid_betas(policy, traj)
     return float(betas[0]), float(betas[-1])
 
@@ -142,11 +145,13 @@ def _entropy_production(initial: _Bipartite, final: _Bipartite, beta0: np.ndarra
 def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     """System entropy change plus the beta-weighted heat integral.
 
-    For ConstantBeta the integral telescopes to the endpoint energy
-    difference and is evaluated in closed form; other policies use
-    per-segment trapezoidal quadrature of beta_t times the analytic
-    environment-energy rate (segment-local rates keep boundary jumps of the
-    generator out of the quadrature error).
+    Two policies take the integral in closed form from endpoint data: for
+    ConstantBeta it telescopes to beta times the endpoint energy difference,
+    and for EnergyMatching, since dS_G = beta dE_G along the thermal family,
+    to the Gibbs-entropy change S_G(beta*_tau) - S_G(beta*_0).  Tabulated
+    policies use per-segment trapezoidal quadrature of beta_t times the
+    analytic environment-energy rate (segment-local rates keep boundary jumps
+    of the generator out of the quadrature error).
     """
     d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
                    - von_neumann_entropy(traj.initial.rho_sys))
@@ -156,13 +161,12 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
 def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
     """The beta-weighted heat integral of the Clausius form."""
     if isinstance(policy, ConstantBeta):
-        return policy.beta * float(traj.env_energy[-1] - traj.env_energy[0])
+        return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
+    if isinstance(policy, EnergyMatching):
+        gibbs, (bs0, bs_tau) = traj.schedule.gibbs, traj.beta_star_ends
+        return gibbs.entropy(bs_tau) - gibbs.entropy(bs0)
+    # Only tabulated policies reach here, and their knots are finite.
     betas = policy_grid_betas(policy, traj)
-    if not np.isfinite(betas).all():
-        raise InvalidInput(
-            "policy produced a non-finite inverse temperature on the grid; "
-            "the quadrature form needs finite values throughout"
-        )
     heat_term = 0.0
     for sl, rates in zip(traj.segment_slices, traj.segment_rates):
         heat_term += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
@@ -182,8 +186,6 @@ def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
     if isinstance(policy, (ConstantBeta, EnergyMatching)):
         return 0.0
     betas = policy_grid_betas(policy, traj)
-    if not np.isfinite(betas).all():
-        raise InvalidInput("temperature_drift_correction needs finite grid betas")
     mismatch = traj.env_energy - traj.schedule.gibbs.energy(betas)
     dbeta = np.diff(betas)
     return float((dbeta * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())

@@ -208,6 +208,18 @@ class BipartiteState:
             DensityMatrix._trusted(_ptrace_stack(obj.state.mat[None], d_s, d_e, k)[0]) for k in "SE")
         return obj
 
+    @classmethod
+    def _product(cls, a: DensityMatrix, b: DensityMatrix) -> "BipartiteState":
+        # a x b of validated factors, validated once: a marginal equal to its
+        # factor bit for bit shares its spectrum; others decompose on first read.
+        state = DensityMatrix(np.kron(a.mat, b.mat))
+        obj = cls._trusted(a.dim, b.dim, state.mat)
+        obj.state = state
+        for marginal, factor in ((obj.rho_sys, a), (obj.rho_env, b)):
+            if np.array_equal(marginal.mat, factor.mat):
+                marginal._eigs = factor._spectrum()
+        return obj
+
     @property
     def dim(self) -> int:
         return self.d_s * self.d_e

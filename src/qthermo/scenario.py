@@ -153,16 +153,17 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
     with _field(where):
         if kind == "explicit":
             state = _density(_need(obj, "state", where), f"{where}.state")
-            return BipartiteState(d_s, d_e, state.mat)
-        if kind == "product":
+            return BipartiteState(d_s, d_e, state)
+        if kind in ("product", "product_gibbs"):
             rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
-            rho_e = _density(_need(obj, "rho_env", where), f"{where}.rho_env")
-            return BipartiteState(d_s, d_e, np.kron(rho_s.mat, rho_e.mat))
-        if kind == "product_gibbs":
-            rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
-            beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
-            gamma = schedule.gibbs.state(beta)
-            return BipartiteState(d_s, d_e, np.kron(rho_s.mat, gamma.mat))
+            if kind == "product":
+                rho_e = _density(_need(obj, "rho_env", where), f"{where}.rho_env")
+            else:
+                rho_e = schedule.gibbs.state(_as_real(_need(obj, "beta", where), f"{where}.beta"))
+            if (rho_s.dim, rho_e.dim) != (d_s, d_e):
+                raise ScenarioError(f"{where}: factor dimensions {rho_s.dim}, {rho_e.dim} "
+                                    f"do not match dims {d_s}, {d_e}")
+            return BipartiteState._product(rho_s, rho_e)
         if kind == "perturbed":
             rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
             beta = _as_real(_need(obj, "beta", where), f"{where}.beta")

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from qthermo import (
+    BipartiteState,
     ConstantBeta,
     ConvergenceError,
+    DensityMatrix,
     EnergyMatching,
     GibbsSolver,
     InvalidInput,
@@ -166,6 +168,33 @@ def test_parse_scenario_explicit_and_product_initials():
     }
     sc = parse_scenario(obj)
     assert abs(sc.initial.mat[3, 3] - 0.2) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["product", "product_gibbs"])
+def test_product_initial_equals_the_validated_product_bit_for_bit(kind):
+    # Only the product is validated; its state and marginal spectra are still
+    # those of the validating constructor.
+    rho_sys, rho_env = [[0.7, 0.1], [0.1, 0.3]], [[0.55, 0.05], [0.05, 0.45]]
+    obj = _base_scenario()
+    obj["initial"] = {"kind": kind, "rho_sys": _matrix(rho_sys), "rho_env": _matrix(rho_env),
+                      "beta": 0.8}
+    initial = parse_scenario(obj).initial
+    env = DensityMatrix(rho_env) if kind == "product" else \
+        GibbsSolver(np.diag([0.0, 1.0])).state(0.8)
+    ref = BipartiteState(2, 2, np.kron(DensityMatrix(rho_sys).mat, env.mat))
+    for got, want in zip((initial.state, initial.rho_sys, initial.rho_env),
+                         (ref.state, ref.rho_sys, ref.rho_env)):
+        assert np.array_equal(got.mat, want.mat)
+        assert np.array_equal(got._spectrum(), want._spectrum())
+
+
+def test_product_initial_factors_must_match_the_dims():
+    # A 4x4 rho_sys with a 1x1 rho_env has the joint size but not the split.
+    obj = _base_scenario()
+    obj["initial"] = {"kind": "product", "rho_sys": _matrix((np.eye(4) / 4).tolist()),
+                      "rho_env": _matrix([[1.0]])}
+    with pytest.raises(ScenarioError, match="initial: factor dimensions 4, 1 do not match"):
+        parse_scenario(obj)
 
 
 def test_run_scenario_bundled():
@@ -440,11 +469,11 @@ def test_beta_star_grid_failure_surfaces_where_the_grid_is_read(tmp_path, monkey
     traj = evolve(sc.initial, sc.schedule, sc.steps_per_segment)
     build_report(traj, ConstantBeta(1.0))
     build_report(traj, TabulatedBeta((0.0, 6.0), (1.0, 0.5)))
-    with pytest.raises(ConvergenceError):
-        build_report(traj, EnergyMatching())
+    build_report(traj, EnergyMatching())
+    # Only the trajectory CSV reads the grid.
     with pytest.raises(ConvergenceError):
         traj.write_csv(io.StringIO())
-    # Both ways, simulate exits 3 and writes nothing.
+    # Under either policy, simulate exits 3 and writes nothing.
     obj = json.loads(open(BUNDLED).read())
     matched = tmp_path / "matched.json"
     matched.write_text(json.dumps(dict(obj, policy={"kind": "energy_matching"})))

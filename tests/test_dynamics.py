@@ -354,6 +354,41 @@ def test_run_scenario_leaves_the_state_stack_unbuilt():
     assert "rho" in traj.__dict__
 
 
+def test_grid_observables_are_built_together_on_first_read_and_read_only():
+    rng = np.random.default_rng(21)
+    sched, _ = _driven_schedule(rng, 2, 3, drive_int=True)
+    driven = sched.segments[0]
+    sched = HamiltonianSchedule(sched.h_env, (
+        driven, Segment(1.3, 2.0, rand_hermitian(rng, 2), rand_hermitian(rng, 6, scale=0.3))))
+    traj = evolve(rand_bipartite(rng, 2, 3), sched, steps_per_segment=20)
+    assert "_observables" not in traj.__dict__
+    energy, flux, rates = traj.env_energy, traj.heat_flux, traj.segment_rates
+    assert "_observables" in traj.__dict__
+    assert traj.env_energy is energy and traj.heat_flux is flux and traj.segment_rates is rates
+    assert (energy[0], energy[-1]) == traj.env_energy_ends
+    for arr in (energy, flux, *rates):
+        assert not arr.flags.writeable
+    for name in ("env_energy", "heat_flux", "segment_rates"):
+        with pytest.raises(AttributeError):
+            setattr(traj, name, energy)
+
+
+def test_drive_wrong_only_at_grid_times_fails_where_the_rates_are_read():
+    # evolve reads h_int at the midpoints alone; grid times come with the rates.
+    rng = np.random.default_rng(22)
+    h_int, steps = rand_hermitian(rng, 4, scale=0.3), 10
+
+    def term(t):
+        k = t * steps
+        return np.zeros((3, 3)) if t > 0 and abs(k - round(k)) < 1e-9 else h_int
+
+    sched = HamiltonianSchedule(rand_env_hamiltonian(rng, 2),
+                                (Segment(0.0, 1.0, rand_hermitian(rng, 2), term),))
+    traj = evolve(rand_bipartite(rng, 2, 2), sched, steps_per_segment=steps)
+    with pytest.raises(InvalidSchedule, match="h_int at t=0.1 "):
+        traj.heat_flux
+
+
 def _driven_schedule(rng, d_s, d_e, drive_int):
     """One segment driven by sin(omega t) V through h_sys or h_int."""
     h_env = rand_env_hamiltonian(rng, d_e)
@@ -457,14 +492,17 @@ def test_sys_driven_segment_calls_its_drive_once_per_step():
 
 
 def test_int_driven_segment_calls_its_drive_at_midpoints_and_grid_times():
-    # h_int is read at each midpoint for the propagator and at each grid time
-    # for the rate.
+    # evolve reads h_int at each midpoint for the propagator; the rates,
+    # built on first read, add each grid time.
     rng = np.random.default_rng(17)
     sched, calls = _driven_schedule(rng, 2, 3, drive_int=True)
     initial = rand_bipartite(rng, 2, 3)
     calls.clear()
-    evolve(initial, sched, steps_per_segment=40)
+    traj = evolve(initial, sched, steps_per_segment=40)
     dt = sched.tau / 40
+    assert len(calls) == 40
+    assert np.allclose(calls, (np.arange(40) + 0.5) * dt, rtol=0, atol=1e-14)
+    traj.heat_flux
     assert len(calls) == 2 * 40 + 1
     assert np.allclose(sorted(calls), np.arange(81) * dt / 2, rtol=0, atol=1e-14)
 

@@ -36,6 +36,7 @@ from qthermo import (
     tensor_product,
     von_neumann_entropy,
 )
+from qthermo.dynamics import _Eigenframe
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/qthermo/data/two_qubit_exchange.json"
@@ -226,9 +227,54 @@ def test_run_scenario_solves_the_beta_star_grid_only_when_read(monkeypatch, kind
     result = run_scenario(sc)
     grid = len(result.trajectory) - 2
     # One-target float-path solves remain: the endpoint pair and the bounds' beta*_0.
+    # No report reads the grid: energy matching takes its heat in closed form.
     assert sizes.count(1) == 3
-    assert sizes.count(grid) == (kind == "energy_matching")
-    assert len(sizes) == 3 + (kind == "energy_matching")
+    assert sizes.count(grid) == 0
+    assert len(sizes) == 3
+
+
+@pytest.mark.parametrize("kind", ["constant", "energy_matching"])
+def test_endpoint_policies_read_no_grid_observable(monkeypatch, kind):
+    policy = {"constant": {"kind": "constant", "beta": 1.0},
+              "energy_matching": {"kind": "energy_matching"}}[kind]
+    sc = parse_scenario(dict(json.loads(BUNDLED.read_text()), policy=policy))
+    solve = GibbsSolver.solve_beta_many
+
+    def endpoint_only(self, energies):
+        if np.size(energies) > 1:
+            raise AssertionError("a report solved the beta* grid")
+        return solve(self, energies)
+
+    def no_expectations(self, ops):
+        raise AssertionError("a report read a grid observable")
+
+    monkeypatch.setattr(GibbsSolver, "solve_beta_many", endpoint_only)
+    monkeypatch.setattr(_Eigenframe, "expectations", no_expectations)
+    traj = run_scenario(sc).trajectory
+    assert "_observables" not in vars(traj) and "beta_star" not in vars(traj)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_energy_matching_heat_is_the_gibbs_entropy_change(driven):
+    # dS_G = beta dE_G along the thermal family, so at beta* the heat integral
+    # is S_G(beta*_tau) - S_G(beta*_0) and the Clausius form is the matched one.
+    rng, sched, _, initial = _ramp_setup(12, d_e=3)
+    if driven:
+        seg = sched.segments[0]
+        drive = rand_hermitian(rng, seg.h_int.dim, scale=0.3).mat
+
+        def h_int(t):
+            return HermitianMatrix(seg.h_int.mat + np.sin(2.1 * t) * drive)
+
+        sched = HamiltonianSchedule(sched.h_env, (Segment(0.0, 1.0, seg.h_sys, h_int),
+                                                  Segment(1.0, 1.5, seg.h_sys, seg.h_int)))
+    traj = evolve(initial, sched, steps_per_segment=40)
+    report = build_report(traj, EnergyMatching())
+    assert abs(report.clausius_entropy_production
+               - report.matched_entropy_production) <= 1e-12
+    assert report.residual_split <= 1e-12
+    assert clausius_entropy_production(traj, EnergyMatching()) \
+        == report.clausius_entropy_production
 
 
 def test_beta_star_grid_is_lazy_and_equals_the_eager_solve():
