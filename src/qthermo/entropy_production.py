@@ -159,7 +159,8 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
 
 
 def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
-    """The beta-weighted heat integral of the Clausius form."""
+    """The beta-weighted heat integral of the Clausius form: beta dE for
+    ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints."""
     if isinstance(policy, ConstantBeta):
         return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
     if isinstance(policy, EnergyMatching):
@@ -194,8 +195,8 @@ def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
 def matched_entropy_production(traj: Trajectory) -> float:
     """Entropy production at the energy-matching temperatures (endpoint form).
 
-    Equals the Clausius form evaluated along beta_star, but is computed from
-    endpoint entropies alone so it carries no quadrature error.
+    Equals the Clausius form along beta_star, whose heat integral is the
+    Gibbs-entropy change; both read endpoint entropies alone.
     """
     bs0, bs_tau = traj.beta_star_ends
     return float(_matched_entropy_form(
@@ -252,10 +253,10 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
 class EPReport:
     """Full decomposition ledger for one trajectory and policy.
 
-    ``residual_split`` is |entropy_production - clausius - drift| and is
-    limited by quadrature accuracy; ``residual_matched_split`` checks the
-    endpoint-only decomposition through the matched value and the two
-    Gibbs-mismatch terms, and should sit at rounding level.
+    ``residual_split`` is |entropy_production - clausius - drift|: limited by
+    quadrature accuracy for tabulated policies, at rounding level otherwise.
+    ``residual_matched_split`` checks the endpoint-only decomposition through
+    the matched value and the two Gibbs-mismatch terms, at rounding level.
     """
 
     entropy_production: float
