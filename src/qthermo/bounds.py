@@ -39,7 +39,6 @@ from .thermo import (
     _bipartite_one,
     _Gibbs,
     _gibbs_entropy,
-    _gibbs_one,
     _gibbs_relative_entropy,
     _gibbs_states,
     _as_beta,
@@ -131,7 +130,7 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
-    return float(_entropy_gap(_bipartite_one(initial), _gibbs_one(solver),
+    return float(_entropy_gap(_bipartite_one(initial), solver._g,
                               _row(solver.beta_star(initial.rho_env)))[0])
 
 
@@ -199,7 +198,7 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
         raise InvalidInput("endpoint states must share dimensions")
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     lhs, rhs = _sufficient_general(_bipartite_one(final), _row(beta_tau), _bipartite_one(initial),
-                                   _row(beta0), _gibbs_one(solver),
+                                   _row(beta0), solver._g,
                                    _row(solver.beta_star(initial.rho_env)))
     return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
@@ -224,7 +223,7 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
         raise InvalidInput("environment marginals must match the Hamiltonian dimension")
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     lhs, rhs = _sufficient_product(final_env.mat[None], _row(beta_tau), rho_env.mat[None],
-                                   _row(beta0), _gibbs_one(solver), _row(solver.beta_star(rho_env)))
+                                   _row(beta0), solver._g, _row(solver.beta_star(rho_env)))
     return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
@@ -338,7 +337,7 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     return BoundReport(
         beta_star=beta_star,
         distance_to_reference=float(delta[0]),
-        entropy_gap_bound=float(_entropy_gap(state, _gibbs_one(solver), _row(beta_star))[0]),
+        entropy_gap_bound=float(_entropy_gap(state, solver._g, _row(beta_star))[0]),
         trace_distance_bound=float(_continuity_bound(delta, initial.d_s * initial.d_e)[0]),
         product_trace_distance_bound=product,
         is_product=product is not None,

@@ -27,7 +27,6 @@ from .thermo import (
     _env_divergence,
     _Gibbs,
     _gibbs_entropy,
-    _gibbs_one,
     _mutual_information,
     _solver,
     von_neumann_entropy,
@@ -103,10 +102,15 @@ def policy_grid_betas(policy: BetaPolicy, traj: Trajectory) -> np.ndarray:
 
 def policy_endpoints(policy: BetaPolicy, traj: Trajectory) -> tuple[float, float]:
     """Inverse temperature at the two endpoints; EnergyMatching solves no grid."""
+    return _policy_grid(policy, traj)[0]
+
+
+def _policy_grid(policy: BetaPolicy, traj: Trajectory):
+    """``policy_endpoints`` and the grid betas they come from (None under EnergyMatching)."""
     if isinstance(policy, EnergyMatching):
-        return traj.beta_star_ends
+        return traj.beta_star_ends, None
     betas = policy_grid_betas(policy, traj)
-    return float(betas[0]), float(betas[-1])
+    return (float(betas[0]), float(betas[-1])), betas
 
 
 def entropy_production(initial: BipartiteState, final: BipartiteState,
@@ -129,7 +133,7 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     return float(_entropy_production(_bipartite_one(initial), _bipartite_one(final),
                                      np.array([beta0]), np.array([beta_tau]),
-                                     _gibbs_one(solver))[0])
+                                     solver._g)[0])
 
 
 def _entropy_production(initial: _Bipartite, final: _Bipartite, beta0: np.ndarray,
@@ -155,11 +159,11 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     """
     d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
                    - von_neumann_entropy(traj.initial.rho_sys))
-    return d_s_entropy + _heat_term(traj, policy)
+    return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1])
 
 
-def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
-    """The beta-weighted heat integral of the Clausius form: beta dE for
+def _heat_term(traj: Trajectory, policy: BetaPolicy, betas) -> float:
+    """The beta-weighted heat integral over the grid ``betas``: beta dE for
     ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints."""
     if isinstance(policy, ConstantBeta):
         return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
@@ -167,7 +171,6 @@ def _heat_term(traj: Trajectory, policy: BetaPolicy) -> float:
         gibbs, (bs0, bs_tau) = traj.schedule.gibbs, traj.beta_star_ends
         return gibbs.entropy(bs_tau) - gibbs.entropy(bs0)
     # Only tabulated policies reach here, and their knots are finite.
-    betas = policy_grid_betas(policy, traj)
     heat_term = 0.0
     for sl, rates in zip(traj.segment_slices, traj.segment_rates):
         heat_term += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
@@ -184,9 +187,12 @@ def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
     piecewise-linear tabulated policies incur only the O(dt^2) error of the
     smooth factor.
     """
+    return _drift(traj, policy, _policy_grid(policy, traj)[1])
+
+
+def _drift(traj: Trajectory, policy: BetaPolicy, betas) -> float:
     if isinstance(policy, (ConstantBeta, EnergyMatching)):
         return 0.0
-    betas = policy_grid_betas(policy, traj)
     mismatch = traj.env_energy - traj.schedule.gibbs.energy(betas)
     dbeta = np.diff(betas)
     return float((dbeta * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())
@@ -200,7 +206,7 @@ def matched_entropy_production(traj: Trajectory) -> float:
     """
     bs0, bs_tau = traj.beta_star_ends
     return float(_matched_entropy_form(
-        _bipartite_one(traj.initial), _bipartite_one(traj.final), _gibbs_one(traj.schedule.gibbs),
+        _bipartite_one(traj.initial), _bipartite_one(traj.final), traj.schedule.gibbs._g,
         np.array([bs0]), np.array([bs_tau]),
     )[0])
 
@@ -286,7 +292,7 @@ EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     """Evaluate every decomposition quantity for one trajectory and policy."""
     solver = traj.schedule.gibbs
-    beta0, beta_tau = policy_endpoints(policy, traj)
+    (beta0, beta_tau), betas = _policy_grid(policy, traj)
     bs0, bs_tau = traj.beta_star_ends
 
     # Each endpoint entropy once: joint, system and environment.
@@ -298,8 +304,8 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     s_gibbs = (solver.entropy(bs_tau) - se1) - (solver.entropy(bs0) - se0)
 
     ep = entropy_production(initial, final, beta0, beta_tau, solver.h_env)
-    cl = s_sys + _heat_term(traj, policy)
-    drift = temperature_drift_correction(traj, policy)
+    cl = s_sys + _heat_term(traj, policy, betas)
+    drift = _drift(traj, policy, betas)
     matched = s_sys + s_env + s_gibbs
     mism0 = solver.gibbs_relative_entropy(bs0, beta0)
     mism_tau = solver.gibbs_relative_entropy(bs_tau, beta_tau)

@@ -35,7 +35,7 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + _dag(a)) / 2.0
 
 
-# The validators below decide the common case with one reduction over the whole
+# The validators below decide the common case with few reductions over the whole
 # stack: on the constructors' one matrix, each NumPy call costs microseconds.
 
 def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -43,16 +43,14 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     raises where one has a non-finite entry, or deviates from
     self-adjointness by more than ``TOL_HERM`` relative to its largest entry
     magnitude (with a floor of 1)."""
+    # Entries are tested only where ||A||_F^2 is not finite: A - A^dag never meets inf - inf.
+    if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
+        raise InvalidInput(f"{what} contains non-finite entries")
     ah = _dag(a)
     skew = a - ah
-    # One BLAS reduction accepts the common case: ||A - A^dag||_F <= TOL_HERM
-    # bounds every entry, below which the floor of 1 on the scale passes every
-    # matrix.  A non-finite entry leaves its own A - A^dag entry non-finite
-    # (inf - inf is nan, with NumPy's invalid-value warning), so the sum fails
-    # the test too; all else takes the exact per-row test.
+    # ||A - A^dag||_F <= TOL_HERM bounds every entry, below which the floor of 1
+    # on the scale passes every matrix; all else takes the exact per-row test.
     if not np.vdot(skew, skew).real <= TOL_HERM ** 2:
-        if not np.isfinite(a).all():
-            raise InvalidInput(f"{what} contains non-finite entries")
         devs = np.abs(skew).max(axis=(-2, -1)).reshape(-1).tolist()
         for dev, scale in zip(devs, np.abs(a).max(axis=(-2, -1)).reshape(-1).tolist()):
             if dev > TOL_HERM * max(scale, 1.0):
@@ -93,8 +91,8 @@ class HermitianMatrix:
     The stored array is read-only so instances can be shared freely.
     """
 
-    # _gibbs: the GibbsSolver thermo._solver caches; _eigh: a stack's eigh row.
-    __slots__ = ("mat", "_gibbs", "_eigh")
+    # _gibbs: the GibbsSolver thermo._solver caches.
+    __slots__ = ("mat", "_gibbs")
 
     def __init__(self, mat):
         what = type(self).__name__

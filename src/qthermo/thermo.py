@@ -188,7 +188,9 @@ class GibbsSolver:
 
     The scalar maps (energy, variance, entropy, log-partition) take a float or
     an array of finite inverse temperatures and run one row kernel on either,
-    so an array entry equals the float result bit for bit.  The energy inversion
+    so an array entry equals the float result bit for bit.  A solver is the
+    ``_gibbs`` stack ``_g`` of its one row, and its one-target beta* is
+    ``_solve_beta`` on its ``_spectrum_table``, as a stack row's is.  The energy inversion
     measures a target E from the near spectral edge: below the beta = 0
     energy (the level mean), beta >= 0 with gaps eps = w - w_0 and
     u = E - w_0; above it, beta < 0 with eps = w_top - w and u = w_top - E.
@@ -202,22 +204,9 @@ class GibbsSolver:
     def __init__(self, h_env: HermitianMatrix):
         if not isinstance(h_env, HermitianMatrix):
             h_env = HermitianMatrix(h_env)
-        if h_env.dim < 2:
-            raise InvalidInput("environment Hamiltonian needs dimension >= 2")
-        w, v = getattr(h_env, "_eigh", None) or np.linalg.eigh(h_env.mat)
-        scale = max(float(np.abs(w).max()), 1.0)
-        if w[-1] - w[0] <= _DEGEN_TOL * scale:
-            raise InvalidInput("Hamiltonian must have at least two distinct eigenvalues")
-        self.h_env = h_env
-        self.energies = w
-        self.basis = v
-        # On Python floats, which the one-target solve reads: the level mean,
-        # the edges, and per side (0: from the ground level, 1: from the top
-        # level) the count of zero gaps and the positive gaps, ascending.
-        wl = w.tolist()
-        self._mid, self._edges = sum(wl) / len(wl), (wl[0], wl[-1])
-        self._gaps = tuple((float(g.count(0.0)), [x for x in g if x > 0.0])
-                           for g in ([x - wl[0] for x in wl], [wl[-1] - x for x in wl[::-1]]))
+        self.h_env, self._g = h_env, _gibbs(h_env.mat[None], check=False)
+        self.energies, self.basis = self._g.levels[0], self._g.basis[0]
+        self._table = _spectrum_table(self.energies.tolist())
 
     @property
     def dim(self) -> int:
@@ -235,9 +224,9 @@ class GibbsSolver:
         (here one row of levels, broadcast), at one beta (a float; +-inf allowed)
         or at each finite beta of an array."""
         if np.ndim(beta) == 0:
-            return float(kernel(self.energies[None], np.array([_as_beta(beta)]))[0])
+            return float(kernel(self._g.levels, np.array([_as_beta(beta)]))[0])
         b = _finite_betas(beta)
-        return kernel(self.energies[None], b.ravel()).reshape(b.shape)
+        return kernel(self._g.levels, b.ravel()).reshape(b.shape)
 
     def energy(self, beta):
         return self._map(lambda w, b: _energy_variance(w, b)[0], beta)
@@ -262,22 +251,9 @@ class GibbsSolver:
     # -- relative entropies in the thermal family -----------------------------
 
     def gibbs_relative_entropy(self, beta_a: float, beta_b: float) -> float:
-        """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b.
-
-        Finite beta_b uses log-populations -beta_b eps - ln Z~ over the gaps eps
-        from the level beta_b favours, so none underflows to ln 0.
-        """
-        p = self.populations(beta_a)
-        beta_b = _as_beta(beta_b)
-        if math.isinf(beta_b):
-            q, on = self.populations(beta_b), p > EIG_ZERO_TOL
-            if (q[on] <= 0.0).any():
-                return math.inf
-            return float((p[on] * (np.log(p[on]) - np.log(q[on]))).sum())
-        a = -beta_b * (self.energies - self._edges[beta_b < 0.0])
-        log_q = a - math.log(np.exp(a).sum())
-        on = p > 0.0
-        return float(p[on] @ (np.log(p[on]) - log_q[on]))
+        """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b."""
+        return float(_gibbs_relative_entropy(self._g, np.array([_as_beta(beta_a)]),
+                                             np.array([_as_beta(beta_b)]))[0])
 
     def relative_entropy_profile(self, rho_env: DensityMatrix, betas) -> np.ndarray:
         """D(rho_env || gamma(beta)) over an array of finite betas.
@@ -287,7 +263,7 @@ class GibbsSolver:
         """
         if not isinstance(rho_env, DensityMatrix):
             rho_env = DensityMatrix(rho_env)
-        return _env_divergence(_one(rho_env), _finite_betas(betas)[None], _gibbs_one(self))[0]
+        return _env_divergence(_one(rho_env), _finite_betas(betas)[None], self._g)[0]
 
     # -- energy inversion ----------------------------------------------------
 
@@ -322,49 +298,17 @@ class GibbsSolver:
         if not np.isfinite(e_target).all():
             raise InvalidInput("target energies must be finite")
         if e_target.size == 1:
-            return np.full(e_target.shape, self._solve_one(e_target.item()))
+            return np.full(e_target.shape, _solve_beta(self._table, e_target.item()))
         out = np.empty_like(e_target)
-        top = e_target > self._mid
+        top = e_target > self._table[0]
         for side, mask in ((False, ~top), (True, top)):
             if mask.any():
                 out[mask] = self._invert_energy(e_target[mask], side)
         return out
 
-    def _near_edge(self, e, top: bool):
-        """Sign of beta, gaps and u for targets e (float or array) on one side."""
-        u = self._edges[1] - e if top else e - self._edges[0]
-        worst = -(u.min() if isinstance(u, np.ndarray) else u)
-        if worst > _BETA_ABS_TOL:
-            raise InfeasibleEnergy(f"target energy escapes [{self._edges[0]:.12g}, "
-                                   f"{self._edges[1]:.12g}] by {worst:.3e}")
-        return (-1.0 if top else 1.0), self._gaps[top], u
-
-    def _solve_one(self, e: float) -> float:
-        """``_invert_energy`` for one target, on Python floats."""
-        sign, (g0, eps), u = self._near_edge(e, e > self._mid)
-        if u <= 0.0:
-            return sign * math.inf
-        x = float(_qubit_x(u, eps[0])) if self.dim == 2 else 0.0
-        lo, hi = 0.0, math.inf
-        for _ in range(_BETA_MAX_ITER if self.dim > 2 else 0):
-            ln_big_u, u_over_var = _edge_moments(x, g0, eps)[1:]
-            step = (ln_big_u - math.log(u)) * u_over_var
-            if abs(step) <= 1e-14 * (1.0 + x):
-                x += step
-                break
-            lo, hi = (x, hi) if step > 0.0 else (lo, x)
-            if lo < x + step < hi:
-                x += step
-            else:
-                x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
-        if x * eps[0] >= _BETA_CLAMP:
-            return sign * math.inf
-        _check_residual(abs(_edge_moments(x, g0, eps)[0] - u))
-        return sign * x
-
     def _invert_energy(self, e_target: np.ndarray, top: bool) -> np.ndarray:
         """beta* for an array of targets on one side of the beta = 0 energy."""
-        sign, (g0, eps), u = self._near_edge(e_target, top)
+        sign, (g0, eps), u = _near_edge(self._table, e_target, top)
         gaps = (g0, np.array(eps), np.power.outer(eps, (0, 1, 2)))
         ok = u > 0.0
         x = np.full(u.shape, math.inf)
@@ -395,6 +339,50 @@ class GibbsSolver:
         residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
         _check_residual(float(residual.max(initial=0.0)))
         return sign * np.where(solved, x, math.inf)
+
+
+def _spectrum_table(wl: list) -> tuple:
+    """The float beta* solve's view of ascending levels ``wl``: mean, edges, and per side
+    (0: from the ground, 1: from the top level) zero-gap count and ascending positive gaps."""
+    return (sum(wl) / len(wl), (wl[0], wl[-1]),
+            tuple((float(g.count(0.0)), [x for x in g if x > 0.0])
+                  for g in ([x - wl[0] for x in wl], [wl[-1] - x for x in wl[::-1]])))
+
+
+def _near_edge(table: tuple, e, top: bool):
+    """Sign of beta, gaps and u for targets e (float or array) on one side."""
+    _, (bottom, ceiling), gaps = table
+    u = ceiling - e if top else e - bottom
+    worst = -(u.min() if isinstance(u, np.ndarray) else u)
+    if worst > _BETA_ABS_TOL:
+        raise InfeasibleEnergy(f"target energy escapes [{bottom:.12g}, "
+                               f"{ceiling:.12g}] by {worst:.3e}")
+    return (-1.0 if top else 1.0), gaps[top], u
+
+
+def _solve_beta(table: tuple, e: float) -> float:
+    """``GibbsSolver._invert_energy`` for one target, on Python floats."""
+    sign, (g0, eps), u = _near_edge(table, e, e > table[0])
+    if u <= 0.0:
+        return sign * math.inf
+    qubit = g0 + len(eps) == 2
+    x = float(_qubit_x(u, eps[0])) if qubit else 0.0
+    lo, hi = 0.0, math.inf
+    for _ in range(0 if qubit else _BETA_MAX_ITER):
+        ln_big_u, u_over_var = _edge_moments(x, g0, eps)[1:]
+        step = (ln_big_u - math.log(u)) * u_over_var
+        if abs(step) <= 1e-14 * (1.0 + x):
+            x += step
+            break
+        lo, hi = (x, hi) if step > 0.0 else (lo, x)
+        if lo < x + step < hi:
+            x += step
+        else:
+            x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+    if x * eps[0] >= _BETA_CLAMP:
+        return sign * math.inf
+    _check_residual(abs(_edge_moments(x, g0, eps)[0] - u))
+    return sign * x
 
 
 def _populations(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -439,32 +427,30 @@ def _mean_energy(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 class _Gibbs(NamedTuple):
-    """The thermal families of a stack of Hamiltonians: each row's GibbsSolver,
-    with levels (n, d), eigenbases and matrices (n, d, d) stacked."""
-    solvers: list
+    """The thermal families of a stack of Hamiltonians: levels (n, d), eigenbases
+    and matrices (n, d, d).  A GibbsSolver holds the stack of its one row."""
     levels: np.ndarray
     basis: np.ndarray
     h: np.ndarray
 
 
-def _gibbs(h: np.ndarray) -> _Gibbs:
-    """A validated Hamiltonian stack; each row's solver reads one batched eigh."""
-    h = _hermitian_part(h, "HermitianMatrix")
+def _gibbs(h: np.ndarray, check: bool = True) -> _Gibbs:
+    """A Hamiltonian stack by one batched eigh, rows validated as by HermitianMatrix or trusted;
+    raises unless d >= 2 and each row has levels apart by over ``_DEGEN_TOL`` times its scale."""
+    h = _hermitian_part(h, "HermitianMatrix") if check else h
+    if h.shape[-1] < 2:
+        raise InvalidInput("environment Hamiltonian needs dimension >= 2")
     w, v = np.linalg.eigh(h)
-    rows = [HermitianMatrix._trusted(m) for m in h]
-    for m, eig in zip(rows, zip(w, v)):
-        m._eigh = eig
-    return _Gibbs([_solver(m) for m in rows], w, v, h)
-
-
-def _gibbs_one(solver: GibbsSolver) -> _Gibbs:
-    return _Gibbs([solver], solver.energies[None], solver.basis[None], solver.h_env.mat[None])
+    for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist()):
+        if not hi - lo > _DEGEN_TOL * max(abs(lo), abs(hi), 1.0):
+            raise InvalidInput("Hamiltonian must have at least two distinct eigenvalues")
+    return _Gibbs(w, v, h)
 
 
 def _beta_star(g: _Gibbs, rho_env: np.ndarray) -> np.ndarray:
     """beta* per row, each by the float path of ``GibbsSolver.beta_star``."""
-    energies = _mean_energy(rho_env, g.h).tolist()
-    return np.array([s._solve_one(e) for s, e in zip(g.solvers, energies)])
+    return np.array([_solve_beta(_spectrum_table(w), e) for w, e in
+                     zip(g.levels.tolist(), _mean_energy(rho_env, g.h).tolist())])
 
 
 def _env_divergence(rho: _States, beta: np.ndarray, g: _Gibbs) -> np.ndarray:
@@ -480,9 +466,20 @@ def _gibbs_entropy(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
 
 
 def _gibbs_relative_entropy(g: _Gibbs, beta_a: np.ndarray, beta_b: np.ndarray) -> np.ndarray:
-    """``GibbsSolver.gibbs_relative_entropy`` row by row, on Python floats."""
-    return np.array([s.gibbs_relative_entropy(a, b)
-                     for s, a, b in zip(g.solvers, beta_a.tolist(), beta_b.tolist())])
+    """D(gamma(beta_a) || gamma(beta_b)) per row: ln q = -beta_b eps - ln Z~ over gaps eps from the
+    level beta_b favours, never ln 0; at beta_b = +-inf, inf past EIG_ZERO_TOL off that level."""
+    p = _populations(g.levels, beta_a)
+    inf = np.isinf(beta_b)
+    any_inf = any(inf.tolist())
+    b = (np.where(inf, 0.0, beta_b) if any_inf else beta_b)[:, None]
+    a = -b * (g.levels - np.where(b < 0.0, g.levels[:, -1:], g.levels[:, :1]))
+    log_q = a - np.log(np.exp(a).sum(axis=1, keepdims=True))
+    on = p > (EIG_ZERO_TOL * inf[:, None] if any_inf else 0.0)
+    if any_inf:  # off ``on``, p and ln q drop out: ln q = ln 0 = -inf off the edge level
+        with np.errstate(divide="ignore"):
+            log_q = np.where(inf[:, None], np.log(_populations(g.levels, beta_b)), log_q)
+        p, log_q = np.where(on, p, 0.0), np.where(on, log_q, 0.0)
+    return _dot_rows(p, np.log(p, out=np.zeros_like(p), where=on) - log_q)
 
 
 def _gibbs_states(g: _Gibbs, beta: np.ndarray) -> np.ndarray:

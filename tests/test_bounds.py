@@ -11,6 +11,7 @@ from qthermo import (
     DomainError,
     GibbsSolver,
     HamiltonianSchedule,
+    HermitianMatrix,
     InvalidPerturbation,
     Segment,
     binary_entropy,
@@ -324,7 +325,7 @@ def test_stacked_bounds_match_one_state_calls():
         a, b, hk = initial[k], final[k], h[k]
         assert ep[k] == entropy_production(a, b, beta0[k], beta_tau[k], hk)
         s = von_neumann_entropy
-        gibbs = g.solvers[k].entropy
+        gibbs = GibbsSolver(HermitianMatrix(g.h[k])).entropy
         assert matched[k] == ((s(b.rho_sys) - s(a.rho_sys)) + (s(b.rho_env) - s(a.rho_env))
                               + ((gibbs(bs1[k]) - s(b.rho_env)) - (gibbs(bs0[k]) - s(a.rho_env))))
         assert gap[k] == entropy_gap_bound(a, hk)

@@ -1,5 +1,6 @@
 """Tests for the entropy production decomposition and its rate form."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -196,6 +197,25 @@ def test_split_residual_shrinks_with_steps():
     # trapezoid quadrature converges at second order
     assert residuals[0] > residuals[-1]
     assert residuals[0] / residuals[-1] > 8
+
+
+def test_tabulated_report_evaluates_the_beta_grid_once(monkeypatch):
+    rng, sched, policy, initial = _ramp_setup(8)
+    traj = evolve(initial, sched, steps_per_segment=40)
+    expected = (policy_endpoints(policy, traj), clausius_entropy_production(traj, policy),
+                temperature_drift_correction(traj, policy))
+    calls = []
+    module = importlib.import_module("qthermo.entropy_production")
+
+    def counting(policy, traj):
+        calls.append(policy)
+        return policy_grid_betas(policy, traj)
+
+    monkeypatch.setattr(module, "policy_grid_betas", counting)
+    rep = build_report(traj, policy)
+    assert calls == [policy]
+    assert ((rep.beta_0, rep.beta_tau), rep.clausius_entropy_production,
+            rep.temperature_drift_correction) == expected
 
 
 def test_energy_matching_drift_is_exactly_zero(monkeypatch):

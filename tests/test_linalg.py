@@ -1,5 +1,7 @@
 """Tests for the Hermitian container types, marginals and the propagator."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -175,8 +177,6 @@ def _spoiled(mat, value, i, j):
 _NON_FINITE = [c for v in (np.nan, np.inf, -np.inf) for c in (complex(v, 0.0), complex(0.0, v))]
 
 
-# inf - inf on the one-reduction Hermiticity test warns before the error.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @pytest.mark.parametrize("value", _NON_FINITE,
                          ids=[f"{p}-{v}" for v in ("nan", "inf", "-inf") for p in ("re", "im")])
 @pytest.mark.parametrize("i, j", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
@@ -191,6 +191,17 @@ def test_non_finite_entries_are_rejected_by_name(value, i, j):
     stack[1] = _spoiled(stack[1], value, i, j)
     with pytest.raises(InvalidInput, match="^DensityMatrix contains non-finite entries$"):
         _states(stack)
+
+
+def test_infinite_diagonal_is_rejected_without_a_warning():
+    # inf - inf on the one-reduction Hermiticity test makes no RuntimeWarning.
+    stack = np.stack([np.eye(2) / 2.0, [[np.inf, 0.0], [0.0, 1.0]]]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="^HermitianMatrix contains non-finite entries$"):
+            HermitianMatrix([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidInput, match="^DensityMatrix contains non-finite entries$"):
+            _states(stack)
 
 
 def test_hermiticity_tolerance_is_relative_to_each_matrix():

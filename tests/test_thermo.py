@@ -25,7 +25,13 @@ from qthermo import (
     tensor_product,
     von_neumann_entropy,
 )
-from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_product
+from qthermo.rand import (
+    rand_bipartite,
+    rand_density,
+    rand_env_hamiltonian,
+    rand_product,
+    rand_unitary,
+)
 from qthermo.thermo import (
     _BETA_ABS_TOL,
     _BETA_CLAMP,
@@ -36,6 +42,7 @@ from qthermo.thermo import (
     _env_divergence,
     _gibbs,
     _gibbs_entropy,
+    _gibbs_relative_entropy,
     _gibbs_states,
     _log_partition,
     _mutual_information,
@@ -492,6 +499,7 @@ def test_stacked_thermal_kernels_match_one_row_calls():
     for d_s, d_e in ((1, 2), (2, 3), (3, 4)):
         n = 6
         g = _gibbs(np.stack([rand_env_hamiltonian(rng, d_e).mat for _ in range(n)]))
+        solvers = [GibbsSolver(HermitianMatrix(row)) for row in g.h]
         states = [rand_bipartite(rng, d_s, d_e) for _ in range(n)]
         stack = _bipartite(np.stack([s.mat for s in states]), d_s, d_e)
         env = [s.rho_env for s in states]
@@ -502,19 +510,53 @@ def test_stacked_thermal_kernels_match_one_row_calls():
         energy, variance = _energy_variance(g.levels, beta)
         assert _mutual_information(stack).tolist() == [mutual_information(s) for s in states]
         assert _beta_star(g, stack.rho_env.mat).tolist() == [
-            s.beta_star(r) for s, r in zip(g.solvers, env)]
-        assert _gibbs_entropy(g, beta).tolist() == [s.entropy(b) for s, b in zip(g.solvers, beta)]
-        assert energy.tolist() == [s.energy(b) for s, b in zip(g.solvers, beta)]
-        assert variance.tolist() == [s.variance(b) for s, b in zip(g.solvers, beta)]
+            s.beta_star(r) for s, r in zip(solvers, env)]
+        assert _gibbs_entropy(g, beta).tolist() == [s.entropy(b) for s, b in zip(solvers, beta)]
+        assert energy.tolist() == [s.energy(b) for s, b in zip(solvers, beta)]
+        assert variance.tolist() == [s.variance(b) for s, b in zip(solvers, beta)]
         assert _relative_entropy(stack.rho_env, gammas).tolist() == [
-            relative_entropy(r, s.state(b)) for r, s, b in zip(env, g.solvers, beta)]
-        for k, s in enumerate(g.solvers):
+            relative_entropy(r, s.state(b)) for r, s, b in zip(env, solvers, beta)]
+        for k, s in enumerate(solvers):
             assert np.array_equal(gammas[k], s.state(beta[k]).mat)
             assert np.array_equal(_populations(g.levels, beta)[k], s.populations(beta[k]))
             assert np.array_equal(_env_divergence(stack.rho_env, finite, g)[k],
                                   s.relative_entropy_profile(env[k], finite[k]))
             assert np.array_equal(_log_partition(g.levels[:, None, :], finite)[k],
                                   s.log_partition(finite[k]))
+
+
+def test_stack_validation_raises_the_solver_messages():
+    # One bad row fails the whole stack with the message GibbsSolver gives it.
+    rng = np.random.default_rng(45)
+    good = rand_env_hamiltonian(rng, 3).mat
+    skew = good.copy()
+    skew[0, 1] += 1e-3
+    for bad in (0.7 * np.eye(3), skew, np.full((1, 1), 0.3)):
+        with pytest.raises(InvalidInput) as one:
+            GibbsSolver(bad)
+        rows = [bad, bad] if len(bad) == 1 else [good, bad, good]
+        with pytest.raises(InvalidInput) as stack:
+            _gibbs(np.stack(rows).astype(complex))
+        assert str(stack.value) == str(one.value)
+    assert str(one.value) == "environment Hamiltonian needs dimension >= 2"
+
+
+def test_stacked_gibbs_relative_entropy_at_infinite_beta_b():
+    # At beta_b = +-inf the reference is the edge projector: a row supported
+    # on the edge level (to EIG_ZERO_TOL) is finite, any other is inf.
+    rng = np.random.default_rng(46)
+    levels = np.array([0.0, 1.0, 2.5])
+    h = np.stack([(u.mat * levels) @ u.mat.conj().T for u in
+                  (rand_unitary(rng, 3) for _ in range(5))])
+    g = _gibbs(h)
+    solvers = [GibbsSolver(HermitianMatrix(row)) for row in h]
+    beta_a = np.array([math.inf, 60.0, 1.0, -math.inf, -0.5])
+    beta_b = np.array([math.inf, math.inf, math.inf, -math.inf, -math.inf])
+    found = _gibbs_relative_entropy(g, beta_a, beta_b)
+    assert found.tolist() == [s.gibbs_relative_entropy(a, b)
+                              for s, a, b in zip(solvers, beta_a, beta_b)]
+    assert np.isfinite(found[[0, 1, 3]]).all() and np.isinf(found[[2, 4]]).all()
+    assert found[0] == found[3] == 0.0
 
 
 def test_stacked_relative_entropy_is_infinite_in_the_deficient_row_only():

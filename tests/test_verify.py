@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qthermo import VerifySuiteConfig
+from qthermo import GibbsSolver, VerifySuiteConfig, run_verify
 from qthermo.verify import _REGISTRY
 
 
@@ -21,3 +21,21 @@ def test_residuals_do_not_depend_on_the_stack_a_case_lands_in(index):
     _, _, check = _REGISTRY[index]
     few, many = _residuals(check, index, 7), _residuals(check, index, 20)
     assert few == many[:len(few)]
+
+
+def test_endpoint_checks_build_no_gibbs_solver(monkeypatch):
+    # Endpoint checks read one validated H_E stack; only the schedules of the
+    # trajectory checks build a solver, one each.
+    built = []
+    init = GibbsSolver.__init__
+
+    def counting(self, h_env):
+        built.append(h_env)
+        init(self, h_env)
+
+    monkeypatch.setattr(GibbsSolver, "__init__", counting)
+    results = run_verify(VerifySuiteConfig(num_random_scenarios=20, seed=1))
+    trajectory_cases = sum(r.num_cases for r in results
+                           if r.name in ("clausius_split", "rate_formula"))
+    assert all(r.passed for r in results)
+    assert 0 < len(built) <= trajectory_cases
