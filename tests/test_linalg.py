@@ -194,7 +194,7 @@ def test_non_finite_entries_are_rejected_by_name(value, i, j):
 
 
 def test_infinite_diagonal_is_rejected_without_a_warning():
-    # inf - inf on the one-reduction Hermiticity test makes no RuntimeWarning.
+    # A - A^dag would meet inf - inf on this diagonal; no RuntimeWarning may precede the error.
     stack = np.stack([np.eye(2) / 2.0, [[np.inf, 0.0], [0.0, 1.0]]]).astype(complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

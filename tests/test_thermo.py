@@ -543,19 +543,20 @@ def test_stack_validation_raises_the_solver_messages():
 
 def test_stacked_gibbs_relative_entropy_at_infinite_beta_b():
     # At beta_b = +-inf the reference is the edge projector: a row supported
-    # on the edge level (to EIG_ZERO_TOL) is finite, any other is inf.
+    # on the edge level (to EIG_ZERO_TOL) is finite, any other is inf.  The
+    # last two rows keep a finite beta_b in the same stack.
     rng = np.random.default_rng(46)
     levels = np.array([0.0, 1.0, 2.5])
     h = np.stack([(u.mat * levels) @ u.mat.conj().T for u in
-                  (rand_unitary(rng, 3) for _ in range(5))])
+                  (rand_unitary(rng, 3) for _ in range(7))])
     g = _gibbs(h)
     solvers = [GibbsSolver(HermitianMatrix(row)) for row in h]
-    beta_a = np.array([math.inf, 60.0, 1.0, -math.inf, -0.5])
-    beta_b = np.array([math.inf, math.inf, math.inf, -math.inf, -math.inf])
+    beta_a = np.array([math.inf, 60.0, 1.0, -math.inf, -0.5, 0.3, math.inf])
+    beta_b = np.array([math.inf, math.inf, math.inf, -math.inf, -math.inf, 1.1, -2.0])
     found = _gibbs_relative_entropy(g, beta_a, beta_b)
     assert found.tolist() == [s.gibbs_relative_entropy(a, b)
                               for s, a, b in zip(solvers, beta_a, beta_b)]
-    assert np.isfinite(found[[0, 1, 3]]).all() and np.isinf(found[[2, 4]]).all()
+    assert np.isfinite(found[[0, 1, 3, 5, 6]]).all() and np.isinf(found[[2, 4]]).all()
     assert found[0] == found[3] == 0.0
 
 
