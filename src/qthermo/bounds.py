@@ -31,19 +31,23 @@ from .linalg import (
     HermitianMatrix,
     _kron,
     _ptrace_stack,
+    _sym,
     _trace_distance,
 )
 from .thermo import (
     GibbsSolver,
     _Bipartite,
     _bipartite_one,
+    _entropy_from_eigs,
     _Gibbs,
     _gibbs_entropy,
     _gibbs_relative_entropy,
     _gibbs_states,
     _as_beta,
     _as_real,
+    _populations,
     _solver,
+    _thermal,
 )
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
@@ -74,8 +78,9 @@ def _reference_distance(state: _Bipartite, gamma: np.ndarray) -> np.ndarray:
     return _trace_distance(state.state.mat, _kron(state.rho_sys.mat, gamma))
 
 
-def _entropy_gap(initial: _Bipartite, g: _Gibbs, beta_star: np.ndarray) -> np.ndarray:
-    return initial.state.s - initial.rho_sys.s - _gibbs_entropy(g, beta_star)
+def _entropy_gap(initial: _Bipartite, g: _Gibbs, beta_star: np.ndarray, s_gibbs=None) -> np.ndarray:
+    s_gibbs = _gibbs_entropy(g, beta_star) if s_gibbs is None else s_gibbs  # S_G(beta*_0)
+    return initial.state.s - initial.rho_sys.s - s_gibbs
 
 
 def _continuity_bound(delta: np.ndarray, dim: int) -> np.ndarray:
@@ -315,7 +320,7 @@ def is_product_state(state: BipartiteState) -> bool:
     """True when the joint state equals the product of its marginals."""
     if not isinstance(state, BipartiteState):
         raise InvalidInput("expected a BipartiteState")
-    prod = np.kron(state.rho_sys.mat, state.rho_env.mat)
+    prod = _kron(state.rho_sys.mat[None], state.rho_env.mat[None])[0]
     scale = max(float(np.abs(state.state.mat).max()), 1.0)
     return float(np.abs(state.state.mat - prod).max()) <= _PRODUCT_TOL * scale
 
@@ -324,12 +329,15 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     """Evaluate every bound on one initial state.
 
     The product-only bound is included when the state factorizes to
-    rounding accuracy and is None otherwise.
+    rounding accuracy and is None otherwise.  beta*_0 is read from the
+    environment marginal's cache when ``evolve`` has solved it, and one
+    populations pass at it gives both gamma(beta*_0) and S_G(beta*_0).
     """
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
     beta_star = solver.beta_star(initial.rho_env)
-    gamma = solver.state(beta_star).mat[None]
+    p = _populations(solver._g.levels, _row(beta_star))
+    gamma = _sym(_thermal(solver._g.basis, p))
     state = _bipartite_one(initial)
     delta = _reference_distance(state, gamma)
     product = (float(_product_bound(state.rho_env.mat, gamma)[0])
@@ -337,7 +345,8 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     return BoundReport(
         beta_star=beta_star,
         distance_to_reference=float(delta[0]),
-        entropy_gap_bound=float(_entropy_gap(state, solver._g, _row(beta_star))[0]),
+        entropy_gap_bound=float(_entropy_gap(state, solver._g, _row(beta_star),
+                                             s_gibbs=_entropy_from_eigs(p))[0]),
         trace_distance_bound=float(_continuity_bound(delta, initial.d_s * initial.d_e)[0]),
         product_trace_distance_bound=product,
         is_product=product is not None,

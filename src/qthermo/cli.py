@@ -142,9 +142,7 @@ def _random_sweep_scenario(rng: np.random.Generator, d_s: int, d_e: int,
 
     beta0 = rng.uniform(-2.0, 2.0)
     if index % 2 == 0:
-        rho_s = rand_density(rng, d_s)
-        gamma = schedule.gibbs.state(beta0)
-        initial = BipartiteState(d_s, d_e, np.kron(rho_s.mat, gamma.mat))
+        initial = BipartiteState._product(rand_density(rng, d_s), schedule.gibbs.state(beta0))
     else:
         initial = rand_bipartite(rng, d_s, d_e)
 

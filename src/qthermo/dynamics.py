@@ -453,11 +453,12 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     each chunk's states come from blocked prefix products of its propagators
     with no per-substep loop; their state stack is kept.  At the two
     endpoints the environment energy is ``mean_energy`` of the stored marginal
-    and beta* is solved from it here, as ``build_bound_report`` solves
-    beta*_0.  The grid observables are built from the kept states on first
-    read: energy and heat flux exactly to rounding on constant segments, and
-    from h_int alone on driven ones, since only the coupling fails to commute
-    with I x H_E; then the interior beta* grid and ``Trajectory.rho``.
+    and beta* is solved from it here and cached on the marginal, where
+    ``build_bound_report`` reads beta*_0.  The grid observables are built
+    from the kept states on first read: energy and heat flux exactly to
+    rounding on constant segments, and from h_int alone on driven ones, since
+    only the coupling fails to commute with I x H_E; then the interior beta*
+    grid and ``Trajectory.rho``.
     """
     if not isinstance(initial, BipartiteState):
         raise InvalidInput("evolve expects a BipartiteState initial condition")
@@ -495,17 +496,16 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         slices.append(sl)
         seg_states.append(src)
 
-    # Each endpoint's energy and beta* from its stored marginal, as bounds has it.
+    # Each endpoint's energy and beta* from its stored marginal, which caches beta*.
     final = BipartiteState._trusted(sched.d_s, sched.d_e, rho)
-    gibbs = sched.gibbs
-    ends = tuple(gibbs.mean_energy(s.rho_env.mat) for s in (initial, final))
+    (e0, b0), (e1, b1) = (sched.gibbs._endpoint(s.rho_env) for s in (initial, final))
     times.setflags(write=False)
     return Trajectory(
         d_s=sched.d_s,
         d_e=sched.d_e,
         times=times,
-        env_energy_ends=ends,
-        beta_star_ends=tuple(gibbs.solve_beta(e) for e in ends),
+        env_energy_ends=(e0, e1),
+        beta_star_ends=(b0, b1),
         schedule=sched,
         segment_slices=tuple(slices),
         initial=initial,

@@ -27,6 +27,7 @@ from .thermo import (
     _env_divergence,
     _Gibbs,
     _gibbs_entropy,
+    _gibbs_relative_entropy,
     _mutual_information,
     _solver,
     von_neumann_entropy,
@@ -162,14 +163,16 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1])
 
 
-def _heat_term(traj: Trajectory, policy: BetaPolicy, betas) -> float:
+def _heat_term(traj: Trajectory, policy: BetaPolicy, betas, s_gibbs=None) -> float:
     """The beta-weighted heat integral over the grid ``betas``: beta dE for
-    ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints."""
+    ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints
+    (``s_gibbs``, S_G at the two beta*, when the caller has it)."""
     if isinstance(policy, ConstantBeta):
         return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
     if isinstance(policy, EnergyMatching):
-        gibbs, (bs0, bs_tau) = traj.schedule.gibbs, traj.beta_star_ends
-        return gibbs.entropy(bs_tau) - gibbs.entropy(bs0)
+        s0, s_tau = s_gibbs or _gibbs_entropy(traj.schedule.gibbs._g,
+                                              np.array(traj.beta_star_ends)).tolist()
+        return s_tau - s0
     # Only tabulated policies reach here, and their knots are finite.
     heat_term = 0.0
     for sl, rates in zip(traj.segment_slices, traj.segment_rates):
@@ -290,25 +293,26 @@ EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 
 
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
-    """Evaluate every decomposition quantity for one trajectory and policy."""
-    solver = traj.schedule.gibbs
+    """Evaluate every decomposition quantity for one trajectory and policy, in
+    one pass over the endpoints: each entropy once, S_G at both beta* in one
+    two-row call that the EnergyMatching heat reuses, both mismatches in another."""
+    g = traj.schedule.gibbs._g
     (beta0, beta_tau), betas = _policy_grid(policy, traj)
-    bs0, bs_tau = traj.beta_star_ends
+    ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
+    beta_stars = np.array(traj.beta_star_ends)
+    initial, final = _bipartite_one(traj.initial), _bipartite_one(traj.final)
 
-    # Each endpoint entropy once: joint, system and environment.
-    initial, final = traj.initial, traj.final
-    sj0, ss0, se0 = map(von_neumann_entropy, (initial.state, initial.rho_sys, initial.rho_env))
-    sj1, ss1, se1 = map(von_neumann_entropy, (final.state, final.rho_sys, final.rho_env))
+    (sj0, ss0, se0), (sj1, ss1, se1) = ([float(x.s[0]) for x in st] for st in (initial, final))
     mi_change = (ss1 + se1 - sj1) - (ss0 + se0 - sj0)
     s_sys, s_env = ss1 - ss0, se1 - se0
-    s_gibbs = (solver.entropy(bs_tau) - se1) - (solver.entropy(bs0) - se0)
+    sg = _gibbs_entropy(g, beta_stars).tolist()
+    s_gibbs = (sg[1] - se1) - (sg[0] - se0)
 
-    ep = entropy_production(initial, final, beta0, beta_tau, solver.h_env)
-    cl = s_sys + _heat_term(traj, policy, betas)
+    ep = float(_entropy_production(initial, final, ends[:1], ends[1:], g)[0])
+    cl = s_sys + _heat_term(traj, policy, betas, sg)
     drift = _drift(traj, policy, betas)
     matched = s_sys + s_env + s_gibbs
-    mism0 = solver.gibbs_relative_entropy(bs0, beta0)
-    mism_tau = solver.gibbs_relative_entropy(bs_tau, beta_tau)
+    mism0, mism_tau = _gibbs_relative_entropy(g, beta_stars, ends).tolist()
 
     return EPReport(
         entropy_production=ep,
@@ -325,6 +329,6 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
         residual_matched_split=abs(ep - matched - mism_tau + mism0),
         beta_0=beta0,
         beta_tau=beta_tau,
-        beta_star_0=bs0,
-        beta_star_tau=bs_tau,
+        beta_star_0=traj.beta_star_ends[0],
+        beta_star_tau=traj.beta_star_ends[1],
     )

@@ -128,10 +128,10 @@ class DensityMatrix(HermitianMatrix):
     Trace must be 1 within ``TOL_TRACE`` and the smallest eigenvalue no
     lower than ``-TOL_PSD``.  The stored matrix is kept exactly as given
     (after Hermitian symmetrization); eigenvalues are never clipped here.
-    Its ``eigvalsh`` spectrum and entropy are computed once and cached.
+    Its ``eigvalsh`` spectrum, entropy and (solver, beta*) are cached once computed.
     """
 
-    __slots__ = ("_eigs", "_s")
+    __slots__ = ("_eigs", "_s", "_beta")
 
     def _check(self) -> None:
         self._eigs = _density_spectra(self.mat[None])[0]
@@ -210,7 +210,7 @@ class BipartiteState:
     def _product(cls, a: DensityMatrix, b: DensityMatrix) -> "BipartiteState":
         # a x b of validated factors, validated once: a marginal equal to its
         # factor bit for bit shares its spectrum; others decompose on first read.
-        state = DensityMatrix(np.kron(a.mat, b.mat))
+        state = DensityMatrix(_kron(a.mat[None], b.mat[None])[0])
         obj = cls._trusted(a.dim, b.dim, state.mat)
         obj.state = state
         for marginal, factor in ((obj.rho_sys, a), (obj.rho_env, b)):

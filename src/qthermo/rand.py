@@ -86,9 +86,7 @@ def rand_bipartite(rng: np.random.Generator, d_s: int, d_e: int) -> BipartiteSta
 
 def rand_product(rng: np.random.Generator, d_s: int, d_e: int) -> BipartiteState:
     """Random product state rho_S x rho_E."""
-    a = rand_density(rng, d_s)
-    b = rand_density(rng, d_e)
-    return BipartiteState(d_s, d_e, np.kron(a.mat, b.mat))
+    return BipartiteState._product(rand_density(rng, d_s), rand_density(rng, d_e))
 
 
 def rand_env_hamiltonian(rng: np.random.Generator, dim: int, spread: float = 1.0,

@@ -51,7 +51,7 @@ _BETA_MAX_ITER = 200
 
 def _entropy_from_eigs(w: np.ndarray) -> np.ndarray | float:
     """Shannon entropy of eigenvalue rows; works on (..., d) stacks."""
-    lam = np.clip(w, 0.0, 1.0)
+    lam = np.minimum(np.maximum(w, 0.0), 1.0)
     safe = np.where(lam > EIG_ZERO_TOL, lam, 1.0)
     s = -(safe * np.log(safe)).sum(axis=-1)
     if np.ndim(s) == 0:
@@ -278,13 +278,21 @@ class GibbsSolver:
         Unique because the thermal energy is strictly decreasing in beta.
         Returns +inf (-inf) only when the energy sits at or below the bottom
         (at or above the top) of the spectrum; energies outside the spectral
-        range by more than ``_BETA_ABS_TOL`` raise InfeasibleEnergy.
+        range by more than ``_BETA_ABS_TOL`` raise InfeasibleEnergy.  Cached
+        on rho_env for this solver, as ``evolve`` leaves it at the endpoints.
         """
         if not isinstance(rho_env, DensityMatrix):
             rho_env = DensityMatrix(rho_env)
         if rho_env.dim != self.dim:
             raise InvalidInput(f"dimension mismatch: state {rho_env.dim} vs H {self.dim}")
-        return self.solve_beta(self.mean_energy(rho_env.mat))
+        solver, beta = getattr(rho_env, "_beta", (None, 0.0))
+        return beta if solver is self else self._endpoint(rho_env)[1]
+
+    def _endpoint(self, rho_env: DensityMatrix) -> tuple[float, float]:
+        """tr[rho_env H] and beta*, which is cached on rho_env for this solver."""
+        energy = self.mean_energy(rho_env.mat)
+        rho_env._beta = (self, self.solve_beta(energy))
+        return energy, rho_env._beta[1]
 
     def solve_beta(self, energy: float) -> float:
         return float(self.solve_beta_many(np.array([energy]))[0])

@@ -30,7 +30,10 @@ from qthermo import (
     run_scenario,
     run_verify,
 )
+import qthermo.cli
+import qthermo.rand
 from qthermo.cli import _random_sweep_scenario, main
+from qthermo.rand import rand_density
 from qthermo.verify import CHECK_NAMES, CheckResult, format_results
 
 BUNDLED = "src/qthermo/data/two_qubit_exchange.json"
@@ -170,18 +173,34 @@ def test_parse_scenario_explicit_and_product_initials():
     assert abs(sc.initial.mat[3, 3] - 0.2) < 1e-15
 
 
-@pytest.mark.parametrize("kind", ["product", "product_gibbs"])
-def test_product_initial_equals_the_validated_product_bit_for_bit(kind):
+@pytest.mark.parametrize("kind", ["product", "product_gibbs", "rand_product", "sweep"])
+def test_product_initial_equals_the_validated_product_bit_for_bit(kind, monkeypatch):
     # Only the product is validated; its state and marginal spectra are still
-    # those of the validating constructor.
-    rho_sys, rho_env = [[0.7, 0.1], [0.1, 0.3]], [[0.55, 0.05], [0.05, 0.45]]
-    obj = _base_scenario()
-    obj["initial"] = {"kind": kind, "rho_sys": _matrix(rho_sys), "rho_env": _matrix(rho_env),
-                      "beta": 0.8}
-    initial = parse_scenario(obj).initial
-    env = DensityMatrix(rho_env) if kind == "product" else \
-        GibbsSolver(np.diag([0.0, 1.0])).state(0.8)
-    ref = BipartiteState(2, 2, np.kron(DensityMatrix(rho_sys).mat, env.mat))
+    # those of the validating constructor.  ``rand_product`` and the
+    # product-Gibbs initial states of ``qthermo sweep`` build theirs the same way.
+    drawn = []  # the factors rand_density returns, in order
+
+    def recording(rng, dim):
+        drawn.append(rand_density(rng, dim))
+        return drawn[-1]
+
+    if kind == "rand_product":
+        monkeypatch.setattr(qthermo.rand, "rand_density", recording)
+        initial = qthermo.rand.rand_product(np.random.default_rng(3), 2, 3)
+        sys_factor, env = drawn
+    elif kind == "sweep":
+        monkeypatch.setattr(qthermo.cli, "rand_density", recording)
+        sc = _random_sweep_scenario(np.random.default_rng(3), 2, 3, 10, "constant", 0)
+        initial, (sys_factor,), env = sc.initial, drawn, sc.schedule.gibbs.state(sc.policy.beta)
+    else:
+        rho_sys, rho_env = [[0.7, 0.1], [0.1, 0.3]], [[0.55, 0.05], [0.05, 0.45]]
+        obj = _base_scenario()
+        obj["initial"] = {"kind": kind, "rho_sys": _matrix(rho_sys),
+                          "rho_env": _matrix(rho_env), "beta": 0.8}
+        initial, sys_factor = parse_scenario(obj).initial, DensityMatrix(rho_sys)
+        env = DensityMatrix(rho_env) if kind == "product" else \
+            GibbsSolver(np.diag([0.0, 1.0])).state(0.8)
+    ref = BipartiteState(initial.d_s, initial.d_e, np.kron(sys_factor.mat, env.mat))
     for got, want in zip((initial.state, initial.rho_sys, initial.rho_env),
                          (ref.state, ref.rho_sys, ref.rho_env)):
         assert np.array_equal(got.mat, want.mat)

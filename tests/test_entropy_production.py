@@ -1,5 +1,6 @@
 """Tests for the entropy production decomposition and its rate form."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -22,19 +23,25 @@ from qthermo import (
     TabulatedBeta,
     build_report,
     clausius_entropy_production,
+    distance_to_reference,
+    effective_beta,
+    entropy_gap_bound,
     entropy_production,
     entropy_production_rate,
     evolve,
+    is_product_state,
     matched_entropy_production,
     mutual_information,
     parse_scenario,
     policy_endpoints,
     policy_grid_betas,
+    product_trace_distance_bound,
     run_scenario,
     sufficient_nonneg_general,
     sufficient_nonneg_product,
     temperature_drift_correction,
     tensor_product,
+    trace_distance_bound,
     von_neumann_entropy,
 )
 from qthermo.dynamics import _Eigenframe
@@ -246,11 +253,64 @@ def test_run_scenario_solves_the_beta_star_grid_only_when_read(monkeypatch, kind
     monkeypatch.setattr(GibbsSolver, "solve_beta_many", counting)
     result = run_scenario(sc)
     grid = len(result.trajectory) - 2
-    # One-target float-path solves remain: the endpoint pair and the bounds' beta*_0.
+    # One-target float-path solves remain: the endpoint pair, whose beta*_0 the
+    # bounds read back from the initial marginal's cache.
     # No report reads the grid: energy matching takes its heat in closed form.
-    assert sizes.count(1) == 3
+    assert sizes.count(1) == 2
     assert sizes.count(grid) == 0
-    assert len(sizes) == 3
+    assert len(sizes) == 2
+
+
+@pytest.mark.parametrize("initial", ["product", "correlated"])
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "energy_matching"])
+def test_report_and_bounds_equal_the_one_quantity_functions(kind, initial):
+    # The report and the bounds read one endpoint pass (stacked thermal rows,
+    # beta*_0 cached by evolve); each field equals the public function of its
+    # quantity bit for bit.  The public calls get fresh copies of the endpoint
+    # states, so their beta* is solved again, not read from evolve's cache.
+    policy = {"constant": {"kind": "constant", "beta": 1.0},
+              "tabulated": {"kind": "tabulated", "times": [0.0, 6.0], "betas": [1.0, 0.5]},
+              "energy_matching": {"kind": "energy_matching"}}[kind]
+    sc = parse_scenario(dict(json.loads(BUNDLED.read_text()), policy=policy))
+    if initial == "correlated":
+        sc = dataclasses.replace(sc, initial=rand_bipartite(np.random.default_rng(4), 2, 2))
+    result = run_scenario(sc)
+    traj, h_env, solver, s = result.trajectory, sc.schedule.h_env, sc.schedule.gibbs, \
+        von_neumann_entropy
+    ini, fin = (BipartiteState(x.d_s, x.d_e, x.state) for x in (traj.initial, traj.final))
+    beta0, beta_tau = policy_endpoints(sc.policy, traj)
+    bs0, bs_tau = (effective_beta(x.rho_env, h_env) for x in (ini, fin))
+    want = {
+        "entropy_production": entropy_production(ini, fin, beta0, beta_tau, h_env),
+        "clausius_entropy_production": clausius_entropy_production(traj, sc.policy),
+        "temperature_drift_correction": temperature_drift_correction(traj, sc.policy),
+        "matched_entropy_production": matched_entropy_production(traj),
+        "gibbs_mismatch_initial": solver.gibbs_relative_entropy(bs0, beta0),
+        "gibbs_mismatch_final": solver.gibbs_relative_entropy(bs_tau, beta_tau),
+        "mutual_info_change": mutual_information(fin) - mutual_information(ini),
+        "system_entropy_change": s(fin.rho_sys) - s(ini.rho_sys),
+        "env_entropy_change": s(fin.rho_env) - s(ini.rho_env),
+        "gibbs_entropy_change": ((solver.entropy(bs_tau) - s(fin.rho_env))
+                                 - (solver.entropy(bs0) - s(ini.rho_env))),
+        "beta_0": beta0, "beta_tau": beta_tau, "beta_star_0": bs0, "beta_star_tau": bs_tau,
+    }
+    ep, cl, matched = (want[k] for k in ("entropy_production", "clausius_entropy_production",
+                                         "matched_entropy_production"))
+    want["residual_split"] = abs(ep - cl - want["temperature_drift_correction"])
+    want["residual_matched_split"] = abs(ep - matched - want["gibbs_mismatch_final"]
+                                         + want["gibbs_mismatch_initial"])
+    assert result.report.to_dict() == want
+    product = is_product_state(ini)
+    assert product == (initial == "product")
+    assert result.bounds.to_dict() == {
+        "beta_star": bs0,
+        "distance_to_reference": distance_to_reference(ini, h_env),
+        "entropy_gap_bound": entropy_gap_bound(ini, h_env),
+        "trace_distance_bound": trace_distance_bound(ini, h_env),
+        "product_trace_distance_bound":
+            product_trace_distance_bound(ini.rho_sys, ini.rho_env, h_env) if product else None,
+        "is_product": product,
+    }
 
 
 @pytest.mark.parametrize("kind", ["constant", "energy_matching"])

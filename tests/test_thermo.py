@@ -35,10 +35,12 @@ from qthermo.rand import (
 from qthermo.thermo import (
     _BETA_ABS_TOL,
     _BETA_CLAMP,
+    EIG_ZERO_TOL,
     _beta_star,
     _bipartite,
     _edge_moments_many,
     _energy_variance,
+    _entropy_from_eigs,
     _env_divergence,
     _gibbs,
     _gibbs_entropy,
@@ -64,6 +66,23 @@ def test_entropy_fixed_oracle():
     # Eigenvalues 0.2 and 0.8 by construction; entropy computed by hand.
     rho = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     assert abs(von_neumann_entropy(rho) - 0.50040242353818787) < 1e-14
+
+
+def test_entropy_clamps_eigenvalues_as_np_clip_does():
+    # Eigenvalues are clamped to [0, 1] by min/max, which is cheaper than np.clip
+    # and gives the same entropies bit for bit: on rounding negatives, exact 0
+    # and 1, values above 1 and NaN, per row and as a stack.
+    rng = np.random.default_rng(44)
+    w = np.concatenate([
+        [[-1e-17, 0.3, 0.7 + 1e-16], [0.0, 0.0, 1.0], [-0.0, 0.5, 0.5],
+         [1.0 + 1e-15, -2e-16, 1e-15], [np.nan, 0.25, 0.75], [1e-14, 1e-13, 1.0 - 1e-13]],
+        rng.dirichlet(np.ones(3), size=20) + rng.normal(scale=1e-16, size=(20, 3)),
+    ])
+    lam = np.clip(w, 0.0, 1.0)
+    safe = np.where(lam > EIG_ZERO_TOL, lam, 1.0)
+    want = -(safe * np.log(safe)).sum(axis=-1)
+    assert np.array_equal(_entropy_from_eigs(w), want)
+    assert [_entropy_from_eigs(row) for row in w] == want.tolist()
 
 
 def test_entropy_unitary_invariance():
@@ -482,6 +501,25 @@ def test_degenerate_hamiltonian_fails_on_every_call():
             _solver(h)
         with pytest.raises(InvalidInput):
             effective_beta(rho, h)
+
+
+def test_beta_star_is_cached_on_the_state_per_solver(monkeypatch):
+    # One rho_E read with two H_E objects gets each solver's own beta*; a
+    # repeated read with the same solver solves nothing.
+    rng = np.random.default_rng(45)
+    rho = rand_density(rng, 3)
+    h1, h2 = rand_env_hamiltonian(rng, 3), rand_env_hamiltonian(rng, 3, spread=2.0)
+    own = [effective_beta(DensityMatrix(rho.mat), h) for h in (h1, h2)]
+    assert own[0] != own[1]
+    for _ in range(2):
+        assert [effective_beta(rho, h) for h in (h1, h2)] == own
+    solve = GibbsSolver.solve_beta_many
+    calls = []
+    monkeypatch.setattr(GibbsSolver, "solve_beta_many",
+                        lambda self, e: calls.append(e) or solve(self, e))
+    assert (effective_beta(rho, h2), effective_beta(rho, h1), effective_beta(rho, h1)) == \
+        (own[1], own[0], own[0])
+    assert len(calls) == 1
 
 
 def test_raw_array_hamiltonian_gets_a_fresh_solver():
