@@ -298,7 +298,7 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     two-row call that the EnergyMatching heat reuses, both mismatches in another."""
     g = traj.schedule.gibbs._g
     (beta0, beta_tau), betas = _policy_grid(policy, traj)
-    ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
+    beta_ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
     beta_stars = np.array(traj.beta_star_ends)
     initial, final = _bipartite_one(traj.initial), _bipartite_one(traj.final)
 
@@ -308,11 +308,11 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     sg = _gibbs_entropy(g, beta_stars).tolist()
     s_gibbs = (sg[1] - se1) - (sg[0] - se0)
 
-    ep = float(_entropy_production(initial, final, ends[:1], ends[1:], g)[0])
+    ep = float(_entropy_production(initial, final, beta_ends[:1], beta_ends[1:], g)[0])
     cl = s_sys + _heat_term(traj, policy, betas, sg)
     drift = _drift(traj, policy, betas)
     matched = s_sys + s_env + s_gibbs
-    mism0, mism_tau = _gibbs_relative_entropy(g, beta_stars, ends).tolist()
+    mism0, mism_tau = _gibbs_relative_entropy(g, beta_stars, beta_ends).tolist()
 
     return EPReport(
         entropy_production=ep,
