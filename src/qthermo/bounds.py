@@ -78,8 +78,8 @@ def _reference_distance(state: _Bipartite, gamma: np.ndarray) -> np.ndarray:
     return _trace_distance(state.state.mat, _kron(state.rho_sys.mat, gamma))
 
 
-def _entropy_gap(initial: _Bipartite, g: _Gibbs, beta_star: np.ndarray, s_gibbs=None) -> np.ndarray:
-    s_gibbs = _gibbs_entropy(g, beta_star) if s_gibbs is None else s_gibbs  # S_G(beta*_0)
+def _entropy_gap(initial: _Bipartite, s_gibbs: np.ndarray) -> np.ndarray:
+    # s_gibbs is S_G(beta*_0) per row.
     return initial.state.s - initial.rho_sys.s - s_gibbs
 
 
@@ -135,8 +135,8 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
-    return float(_entropy_gap(_bipartite_one(initial), solver._g,
-                              _row(solver.beta_star(initial.rho_env)))[0])
+    s_gibbs = _gibbs_entropy(solver._g, _row(solver.beta_star(initial.rho_env)))
+    return float(_entropy_gap(_bipartite_one(initial), s_gibbs)[0])
 
 
 def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix) -> float:
@@ -345,8 +345,7 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     return BoundReport(
         beta_star=beta_star,
         distance_to_reference=float(delta[0]),
-        entropy_gap_bound=float(_entropy_gap(state, solver._g, _row(beta_star),
-                                             s_gibbs=_entropy_from_eigs(p))[0]),
+        entropy_gap_bound=float(_entropy_gap(state, _entropy_from_eigs(p))[0]),
         trace_distance_bound=float(_continuity_bound(delta, initial.d_s * initial.d_e)[0]),
         product_trace_distance_bound=product,
         is_product=product is not None,

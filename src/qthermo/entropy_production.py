@@ -160,18 +160,18 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     """
     d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
                    - von_neumann_entropy(traj.initial.rho_sys))
-    return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1])
+    s_gibbs = _gibbs_entropy(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).tolist()
+    return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1], s_gibbs)
 
 
-def _heat_term(traj: Trajectory, policy: BetaPolicy, betas, s_gibbs=None) -> float:
+def _heat_term(traj: Trajectory, policy: BetaPolicy, betas, s_gibbs: list) -> float:
     """The beta-weighted heat integral over the grid ``betas``: beta dE for
     ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints
-    (``s_gibbs``, S_G at the two beta*, when the caller has it)."""
+    (``s_gibbs``, S_G at the two beta*)."""
     if isinstance(policy, ConstantBeta):
         return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
     if isinstance(policy, EnergyMatching):
-        s0, s_tau = s_gibbs or _gibbs_entropy(traj.schedule.gibbs._g,
-                                              np.array(traj.beta_star_ends)).tolist()
+        s0, s_tau = s_gibbs
         return s_tau - s0
     # Only tabulated policies reach here, and their knots are finite.
     heat_term = 0.0

@@ -291,8 +291,9 @@ class GibbsSolver:
     def _endpoint(self, rho_env: DensityMatrix) -> tuple[float, float]:
         """tr[rho_env H] and beta*, which is cached on rho_env for this solver."""
         energy = self.mean_energy(rho_env.mat)
-        rho_env._beta = (self, self.solve_beta(energy))
-        return energy, rho_env._beta[1]
+        beta = self.solve_beta(energy)
+        rho_env._beta = (self, beta)
+        return energy, beta
 
     def solve_beta(self, energy: float) -> float:
         return float(self.solve_beta_many(np.array([energy]))[0])

@@ -316,7 +316,7 @@ def _check_lower_bound_chain(rng, cfg):
         g = _gibbs(_env_matrix(levels, g_h))
         bs0, _, star = _matched(initial, _rotated(initial, g_u, d_s, d_e), g)
         gamma = _gibbs_states(g, bs0)
-        gap = _entropy_gap(initial, g, bs0)
+        gap = _entropy_gap(initial, _gibbs_entropy(g, bs0))
         dist = _continuity_bound(_reference_distance(initial, gamma), d_s * d_e)
         worst = np.maximum(np.maximum(gap - star, dist - gap), 0.0)
         if product:
@@ -356,9 +356,10 @@ def _check_special_cases(rng, cfg):
         rho = _initial(d_s, d_e, True, drawn)[0] if product else \
             _env_preserving_correlated(g, *drawn, d_s)
         bs0 = _beta_star(g, rho.rho_env.mat)
-        gap = _entropy_gap(rho, g, bs0)
+        s_gibbs = _gibbs_entropy(g, bs0)
+        gap = _entropy_gap(rho, s_gibbs)
         if product:
-            return np.abs(gap - (rho.rho_env.s - _gibbs_entropy(g, bs0)))
+            return np.abs(gap - (rho.rho_env.s - s_gibbs))
         return np.abs(gap + _mutual_information(rho))
 
     return _stacked(rng, _cases(cfg, alternate=True), draw, evaluate)

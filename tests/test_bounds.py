@@ -51,7 +51,7 @@ from qthermo.bounds import (
     _sufficient_product,
 )
 from qthermo.entropy_production import _entropy_production, _matched_entropy_form
-from qthermo.thermo import _beta_star, _bipartite, _gibbs, _gibbs_states
+from qthermo.thermo import _beta_star, _bipartite, _gibbs, _gibbs_entropy, _gibbs_states
 
 
 def test_binary_entropy_values():
@@ -314,7 +314,7 @@ def test_stacked_bounds_match_one_state_calls():
     bs0, bs1 = _beta_star(g, ini.rho_env.mat), _beta_star(g, fin.rho_env.mat)
     gamma = _gibbs_states(g, bs0)
     ep = _entropy_production(ini, fin, beta0, beta_tau, g)
-    gap = _entropy_gap(ini, g, bs0)
+    gap = _entropy_gap(ini, _gibbs_entropy(g, bs0))
     dist = _reference_distance(ini, gamma)
     bound = _continuity_bound(dist, d_s * d_e)
     prod = _product_bound(ini.rho_env.mat, gamma)

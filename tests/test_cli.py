@@ -433,9 +433,10 @@ def test_cli_sweep_deterministic(tmp_path):
 
 
 def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
-    # bounds.beta_star (float path on the stored rho_E(0)) and
-    # report.beta_star_0 (once the array path on the frame energy) differed by
-    # up to 1e-12 in 5 of these 6 rows of `sweep --dims 2x3 --seed 5 --steps 100`.
+    # bounds.beta_star and report.beta_star_0 (once the array path on the frame
+    # energy) differed by up to 1e-12 in 5 of these 6 rows of
+    # `sweep --dims 2x3 --seed 5 --steps 100`.  evolve caches beta* on the stored
+    # marginals, so the reference is solved again on fresh copies of them.
     rng = np.random.default_rng(5)
     scenarios = [_random_sweep_scenario(rng, 2, 3, 100, "energy_matching", i) for i in range(6)]
     one_step = dict(json.loads(open(BUNDLED).read()), steps_per_segment=1,
@@ -444,9 +445,11 @@ def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
     for sc in scenarios:
         result = run_scenario(sc)
         traj, h_env = result.trajectory, sc.schedule.h_env
-        assert result.bounds.beta_star == result.report.beta_star_0
-        assert traj.beta_star[0] == effective_beta(traj.initial.rho_env, h_env)
-        assert traj.beta_star[-1] == effective_beta(traj.final.rho_env, h_env)
+        fresh0, fresh1 = (effective_beta(DensityMatrix(s.rho_env.mat), h_env)
+                          for s in (traj.initial, traj.final))
+        assert result.bounds.beta_star == result.report.beta_star_0 == fresh0
+        assert traj.beta_star[0] == fresh0
+        assert traj.beta_star[-1] == fresh1
         # ... and from the same energies the trajectory stores there.
         gibbs = sc.schedule.gibbs
         assert traj.env_energy[0] == gibbs.mean_energy(traj.initial.rho_env.mat)
