@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
 from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _ptrace_stack, _sym
-from .thermo import GibbsSolver, _as_real, _entropy_from_eigs, _solver
+from .thermo import GibbsSolver, _as_int, _as_real, _entropy_from_eigs, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -467,12 +467,7 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
             f"initial state dims ({initial.d_s},{initial.d_e}) do not match "
             f"schedule dims ({sched.d_s},{sched.d_e})"
         )
-    if isinstance(steps_per_segment, bool) or \
-            not isinstance(steps_per_segment, (int, np.integer)):
-        raise InvalidInput(
-            f"steps_per_segment must be an integer, got {steps_per_segment!r}"
-        )
-    steps = int(steps_per_segment)
+    steps = _as_int(steps_per_segment, "steps_per_segment")
     if steps < 1:
         raise InvalidInput("steps_per_segment must be at least 1")
 

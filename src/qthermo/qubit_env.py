@@ -12,7 +12,6 @@ through its magnitude, so grids scan (longitudinal, |coherence|).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -23,7 +22,7 @@ from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .io import atomic_write_text
 from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import _as_beta, _as_real, _solver
+from .thermo import _as_beta, _as_int, _as_real, _solver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -233,10 +232,7 @@ class RegionGrid:
             raise InvalidInput("beta_tau_policy must be ConstantBeta or EnergyMatching")
         for name in ("s_count", "b_count"):
             value = getattr(self, name)
-            try:
-                n = 0 if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                n = 0
+            n = _as_int(value, name)
             if n < 1:
                 raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, n)

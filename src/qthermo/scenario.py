@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,7 +62,6 @@ class Scenario:
     policy: BetaPolicy
     steps_per_segment: int
     seed: Optional[int] = None
-    source: dict = field(default_factory=dict, repr=False)
 
     @property
     def d_s(self) -> int:
@@ -172,14 +171,28 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
     raise ScenarioError(f"{where}: unknown initial kind {kind!r}")
 
 
-def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
-    """Validate a parsed JSON document into a Scenario."""
+def _document(obj, source_name: str) -> dict:
+    """A JSON document as an object of the supported ``spec_version``."""
     obj = _as_obj(obj, source_name)
     version = _need(obj, "spec_version", source_name)
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"{source_name}: unsupported spec_version {version!r}, expected {SCHEMA_VERSION}"
         )
+    return obj
+
+
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
+    """Validate a parsed JSON document into a Scenario."""
+    obj = _document(obj, source_name)
     name = _need(obj, "name", source_name)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{source_name}: name must be a nonempty string")
@@ -236,17 +249,12 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
         seed = _as_int(obj["seed"], f"{source_name}.seed")
 
     return Scenario(name=name, schedule=schedule, initial=initial, policy=policy,
-                    steps_per_segment=steps, seed=seed, source=obj)
+                    steps_per_segment=steps, seed=seed)
 
 
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario(obj, source_name=path)
+    return parse_scenario(_load_json(path), source_name=path)
 
 
 def parse_region_grid(obj: dict, source_name: str = "grid") -> RegionGrid:
@@ -256,12 +264,7 @@ def parse_region_grid(obj: dict, source_name: str = "grid") -> RegionGrid:
     coherence_abs, optional initial_longitudinal, and axis objects
     "s"/"b" each holding min, max, count.
     """
-    obj = _as_obj(obj, source_name)
-    version = _need(obj, "spec_version", source_name)
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"{source_name}: unsupported spec_version {version!r}, expected {SCHEMA_VERSION}"
-        )
+    obj = _document(obj, source_name)
     policy = _parse_policy(_need(obj, "policy", source_name), f"{source_name}.policy")
     if isinstance(policy, TabulatedBeta):
         raise ScenarioError(
@@ -296,12 +299,7 @@ def parse_region_grid(obj: dict, source_name: str = "grid") -> RegionGrid:
 
 def load_region_grid(path: str) -> RegionGrid:
     """Read and validate a region-grid JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_region_grid(obj, source_name=path)
+    return parse_region_grid(_load_json(path), source_name=path)
 
 
 @dataclass(frozen=True)

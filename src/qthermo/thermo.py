@@ -172,6 +172,13 @@ def _as_real(value, name: str) -> float:
     return v
 
 
+def _as_int(value, name: str) -> int:
+    """An integer (a bool is not one) as an int; anything else raises InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _finite_betas(beta) -> np.ndarray:
     """An array of inverse temperatures as floats; NaN, +-inf and non-reals raise."""
     b = np.asarray(beta)

@@ -57,6 +57,7 @@ from .rand import (
     rand_hermitian,
 )
 from .thermo import (
+    _as_int,
     _beta_star,
     _Bipartite,
     _bipartite,
@@ -114,12 +115,6 @@ class VerifySuiteConfig:
                 ok = False
             if not ok:
                 raise InvalidInput(f"tolerance {name}={tol!r} must be finite and >= 0")
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

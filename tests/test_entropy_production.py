@@ -25,6 +25,7 @@ from qthermo import (
     clausius_entropy_production,
     distance_to_reference,
     effective_beta,
+    env_energy_rate,
     entropy_gap_bound,
     entropy_production,
     entropy_production_rate,
@@ -498,6 +499,66 @@ def test_rate_is_finite_at_a_spectral_edge():
     moving = entropy_production_rate(state, h_tot, sched.h_env, 1.0, -0.1)
     assert moving == frozen - 0.1 * (0.0 - GibbsSolver(sched.h_env).energy(1.0))
     assert moving == 0.026894142136999512
+
+
+def _rho_sys_dot(state, h):
+    """tr_E(-i[H, rho]) by an explicit loop over the environment index."""
+    c = (-1j * (h @ state.mat - state.mat @ h)).reshape(state.d_s, state.d_e,
+                                                        state.d_s, state.d_e)
+    return sum(c[:, e, :, e] for e in range(state.d_e))
+
+
+def test_rate_is_the_generator_closed_form_on_full_rank_states():
+    # At beta_dot = 0: -tr[rho_S' logm(rho_S)] + beta d/dt tr[rho_E H_E].
+    rng = np.random.default_rng(41)
+    for d_s, d_e in [(2, 2), (2, 3), (3, 4)] * 4:
+        state = rand_bipartite(rng, d_s, d_e)
+        h_tot = rand_hermitian(rng, d_s * d_e)
+        h_env = rand_env_hamiltonian(rng, d_e)
+        beta = float(rng.uniform(-2.0, 2.0))
+        ds_dt = -np.trace(_rho_sys_dot(state, h_tot.mat) @ sla.logm(state.rho_sys.mat)).real
+        oracle = ds_dt + beta * env_energy_rate(state, h_tot, h_env)
+        rate = entropy_production_rate(state, h_tot, h_env, beta, 0.0)
+        assert abs(rate - oracle) < 1e-13, (d_s, d_e)
+
+
+def test_rate_vanishes_for_a_pure_system_in_a_product():
+    # S_S stays 0 to first order from a pure rho_S, so at beta = 0 the
+    # rate, which is then dS_S/dt, is zero.
+    rng = np.random.default_rng(42)
+    for d_s, d_e in [(2, 2), (2, 3), (3, 4)] * 4:
+        state = BipartiteState._product(rand_density(rng, d_s, rank=1), rand_density(rng, d_e))
+        h_tot = rand_hermitian(rng, d_s * d_e)
+        rate = entropy_production_rate(state, h_tot, rand_env_hamiltonian(rng, d_e), 0.0, 0.0)
+        assert abs(rate) < 1e-14, (d_s, d_e)
+
+
+def test_rate_is_exact_for_a_rank_deficient_correlated_system():
+    # rho on span{|0>, |1>} x C^d_e with d_s = 3: rho_S has a kernel, whose
+    # block of rho_S' vanishes, so dS_S/dt is the closed form on the support.
+    rng = np.random.default_rng(43)
+    for d_e in (2, 3, 4):
+        mat = np.zeros((3 * d_e, 3 * d_e), dtype=complex)
+        mat[:2 * d_e, :2 * d_e] = rand_density(rng, 2 * d_e).mat
+        state = BipartiteState(3, d_e, mat)
+        h_tot = rand_hermitian(rng, 3 * d_e)
+        h_env = rand_env_hamiltonian(rng, d_e)
+        beta = float(rng.uniform(-2.0, 2.0))
+        rho_dot = _rho_sys_dot(state, h_tot.mat)
+        assert abs(rho_dot[2, 2]) <= 1e-15
+        ds_dt = -np.trace(rho_dot[:2, :2] @ sla.logm(state.rho_sys.mat[:2, :2])).real
+        rate = entropy_production_rate(state, h_tot, h_env, beta, 0.0)
+        assert math.isfinite(rate)
+        assert abs(rate - (ds_dt + beta * env_energy_rate(state, h_tot, h_env))) < 1e-13, d_e
+
+
+@pytest.mark.parametrize("h_total, h_env", [
+    (np.eye(6), HermitianMatrix(np.diag([0.0, 1.0]))),
+    (np.eye(4), HermitianMatrix(np.diag([0.0, 1.0, 2.0]))),
+], ids=["h_total", "h_env"])
+def test_rate_rejects_mismatched_hamiltonians(h_total, h_env):
+    with pytest.raises(InvalidInput):
+        entropy_production_rate(BipartiteState(2, 2, np.eye(4) / 4), h_total, h_env, 1.0, 0.0)
 
 
 _QUBIT = HermitianMatrix(np.diag([0.0, 1.0]))

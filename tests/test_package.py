@@ -39,6 +39,51 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level ``_`` functions, classes and constants, and ``_`` methods."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.Assign):
+            found += [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append((node.target.id, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, m.lineno) for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, line) for name, line in found if _is_private(name)]
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private definitions whose name no module in ``sources`` loads, as 'file:line name'."""
+    trees = {path: ast.parse(text, filename=path) for path, text in sources.items()}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [f"{path}:{line} {name}" for path, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in loaded]
+
+
+def test_no_unreferenced_private_definitions():
+    # Dead private code: a helper, constant or method left behind when its
+    # last caller went.  An import is not a load: a name imported elsewhere
+    # but never used there is the unused-import scan's to catch.
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in sorted((ROOT / "src/qthermo").glob("*.py"))}
+    assert _unreferenced_private(sources) == []
+    # The scan does see unreferenced names.
+    synthetic = ("_USED = 1\n_STRAY = 2\n\n\ndef _f():\n    return _USED\n\n\n"
+                 "class _C:\n    def __init__(self):\n        _f()\n\n"
+                 "    def _m(self):\n        pass\n")
+    assert _unreferenced_private({"m.py": synthetic}) == ["m.py:2 _STRAY", "m.py:9 _C",
+                                                          "m.py:13 _m"]
+
+
 def _gibbs_solver_calls(path: Path) -> list[str]:
     """``GibbsSolver(...)`` calls in a module, as 'file:line in function'."""
     found = []
