@@ -101,7 +101,8 @@ def _sufficient_general(final: _Bipartite, beta_tau: np.ndarray, initial: _Bipar
     lhs = _reference_distance(final, _gibbs_states(g, beta_tau)) ** 2
     bound = _continuity_bound(_reference_distance(initial, _gibbs_states(g, beta_star0)),
                               initial.state.mat.shape[-1])
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, beta_star0, beta0) - bound)
+    across = _gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
+    return lhs, 0.5 * (across - bound)
 
 
 def _sufficient_product(final_env: np.ndarray, beta_tau: np.ndarray, rho_env: np.ndarray,
@@ -109,7 +110,8 @@ def _sufficient_product(final_env: np.ndarray, beta_tau: np.ndarray, rho_env: np
     """(lhs, rhs) of ``sufficient_nonneg_product`` per row."""
     lhs = _trace_distance(final_env, _gibbs_states(g, beta_tau)) ** 2
     bound = _product_bound(rho_env, _gibbs_states(g, beta_star0))
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, beta_star0, beta0) - bound)
+    across = _gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
+    return lhs, 0.5 * (across - bound)
 
 
 def _row(value: float) -> np.ndarray:

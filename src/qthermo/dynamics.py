@@ -65,9 +65,12 @@ def _term_at(term: HamiltonianTerm, t: float, dim: int, name: str) -> np.ndarray
 
 def _term_stack(term: HamiltonianTerm, times, dim: int, name: str) -> np.ndarray:
     """``term`` at each time as an (n, dim, dim) stack; a fixed term is one row."""
-    if callable(term):
-        return np.stack([_term_at(term, float(t), dim, name) for t in times])
-    return term.mat[None]
+    if not callable(term):
+        return term.mat[None]
+    out = np.empty((len(times), dim, dim), dtype=complex)
+    for i, t in enumerate(times):
+        out[i] = _term_at(term, float(t), dim, name)
+    return out
 
 
 @dataclass(frozen=True)

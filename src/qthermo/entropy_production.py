@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import Trajectory, env_energy_rate
+from .dynamics import Trajectory
 from .errors import InvalidInput
 from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
 from .thermo import (
@@ -25,11 +25,13 @@ from .thermo import (
     _as_real,
     _Bipartite,
     _bipartite_one,
+    _entropy_from_eigs,
     _env_divergence,
     _Gibbs,
     _gibbs_entropy,
     _gibbs_relative_entropy,
     _mutual_information,
+    _populations,
     _solver,
     von_neumann_entropy,
 )
@@ -231,7 +233,8 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     rho_S' = tr_E(-i[H, rho]), taken in the eigenbasis of rho_S over its
     support.  It is exact for rank-deficient rho_S: with P0 the projector on
     the kernel of rho_S, rho (P0 x I) = 0, so P0 rho_S' P0 = 0.  The heat
-    term is ``env_energy_rate``.  The mismatch term is beta_dot (tr[rho_E
+    term reads the same commutator: dE_E/dt = tr[tr_S(-i[H, rho]) H_E], the
+    value of ``env_energy_rate``.  The mismatch term is beta_dot (tr[rho_E
     H_E] - E(beta)), exactly zero when ``beta`` equals the state's effective
     inverse temperature or when ``beta_dot`` is zero; it stays finite where
     that temperature is +-inf.
@@ -241,12 +244,13 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     beta, beta_dot = _as_real(beta, "beta"), _as_real(beta_dot, "beta_dot")
     if not isinstance(h_total, HermitianMatrix):
         h_total = HermitianMatrix(h_total)
-
     solver = _solver(h_env)
-    rate_env = env_energy_rate(rho, h_total, solver.h_env)
+    if h_total.dim != rho.dim or solver.dim != rho.d_e:
+        raise InvalidInput("Hamiltonian dimensions do not match the state")
 
     h, r = h_total.mat, rho.state.mat
-    drho_sys = _ptrace_stack((-1j * (h @ r - r @ h))[None], rho.d_s, rho.d_e, "S")[0]
+    drho = (-1j * (h @ r - r @ h))[None]
+    drho_sys, drho_env = (_ptrace_stack(drho, rho.d_s, rho.d_e, k)[0] for k in "SE")
     w, v = np.linalg.eigh(rho.rho_sys.mat)
     on = w > EIG_ZERO_TOL
     w_dot = np.einsum("ji,jk,ki->i", v.conj(), drho_sys, v).real
@@ -256,8 +260,8 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
         mismatch_term = 0.0
     else:
         mismatch_term = beta_dot * (solver.mean_energy(rho.rho_env.mat) - solver.energy(beta))
-    # -beta dQ/dt with dQ/dt = -rate_env.
-    return ds_dt + beta * rate_env + mismatch_term
+    # -beta dQ/dt with dQ/dt = -dE_E/dt.
+    return ds_dt + beta * solver.mean_energy(drho_env) + mismatch_term
 
 
 @dataclass(frozen=True)
@@ -296,8 +300,8 @@ EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     """Evaluate every decomposition quantity for one trajectory and policy, in
-    one pass over the endpoints: each entropy once, S_G at both beta* in one
-    two-row call that the EnergyMatching heat reuses, both mismatches in another."""
+    one pass over the endpoints: each entropy once, and one populations pass at
+    both beta* for S_G, which the EnergyMatching heat reuses, and both mismatches."""
     g = traj.schedule.gibbs._g
     (beta0, beta_tau), betas = _policy_grid(policy, traj)
     beta_ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
@@ -307,14 +311,15 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     (sj0, ss0, se0), (sj1, ss1, se1) = ([float(x.s[0]) for x in st] for st in (initial, final))
     mi_change = (ss1 + se1 - sj1) - (ss0 + se0 - sj0)
     s_sys, s_env = ss1 - ss0, se1 - se0
-    sg = _gibbs_entropy(g, beta_stars).tolist()
+    p_stars = _populations(g.levels, beta_stars)
+    sg = _entropy_from_eigs(p_stars).tolist()
     s_gibbs = (sg[1] - se1) - (sg[0] - se0)
 
     ep = float(_entropy_production(initial, final, beta_ends[:1], beta_ends[1:], g)[0])
     cl = s_sys + _heat_term(traj, policy, betas, sg)
     drift = _drift(traj, policy, betas)
     matched = s_sys + s_env + s_gibbs
-    mism0, mism_tau = _gibbs_relative_entropy(g, beta_stars, beta_ends).tolist()
+    mism0, mism_tau = _gibbs_relative_entropy(g, p_stars, beta_ends).tolist()
 
     return EPReport(
         entropy_production=ep,

@@ -39,14 +39,16 @@ def _sym(a: np.ndarray) -> np.ndarray:
 # stack: on the constructors' one matrix, each NumPy call costs microseconds.
 
 def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """(A + A^dag)/2 of a matrix or of each matrix of an (n, d, d) stack;
-    raises where one has a non-finite entry, or deviates from
-    self-adjointness by more than ``TOL_HERM`` relative to its largest entry
-    magnitude (with a floor of 1)."""
+    """(A + A^dag)/2 of a matrix or of each matrix of an (n, d, d) stack, as a new array: a
+    copy of A if A == A^dag (then only the sign of a zero can differ); raises where one has a
+    non-finite entry, or deviates from self-adjointness by more than ``TOL_HERM`` relative to
+    its largest entry magnitude (with a floor of 1)."""
     # Entries are tested only where ||A||_F^2 is not finite: A - A^dag never meets inf - inf.
     if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
         raise InvalidInput(f"{what} contains non-finite entries")
     ah = _dag(a)
+    if not np.count_nonzero(a != ah):
+        return a.copy()
     skew = a - ah
     # ||A - A^dag||_F <= TOL_HERM bounds every entry, below which the floor of 1
     # on the scale passes every matrix; all else takes the exact per-row test.
@@ -85,8 +87,9 @@ def _check_unitary(u: np.ndarray) -> None:
 class HermitianMatrix:
     """A validated self-adjoint complex matrix.
 
-    Construction symmetrizes ``(A + A^dag)/2`` when the deviation from
-    self-adjointness is within ``TOL_HERM`` relative to the largest entry
+    Exactly self-adjoint input (A == A^dag) is stored as given, in a copy;
+    otherwise construction symmetrizes ``(A + A^dag)/2`` when the deviation
+    from self-adjointness is within ``TOL_HERM`` relative to the largest entry
     magnitude; larger deviations raise rather than being silently repaired.
     The stored array is read-only so instances can be shared freely.
     """
@@ -289,8 +292,12 @@ def _expi(h: np.ndarray, dt: float) -> np.ndarray:
         term *= theta / (m + 1)
     eye = np.eye(a.shape[-1])
     p = eye + a / m if m else np.broadcast_to(eye, a.shape) + 0j
+    tmp = np.empty_like(p)  # each step in place, rounding as p = a @ p / k + eye does
     for k in range(m - 1, 0, -1):
-        p = a @ p / k + eye
+        np.matmul(a, p, out=tmp)
+        tmp /= k
+        tmp += eye
+        p, tmp = tmp, p
     for _ in range(s):
-        p = p @ p
+        p, tmp = np.matmul(p, p, out=tmp), p
     return p

@@ -259,7 +259,7 @@ class GibbsSolver:
 
     def gibbs_relative_entropy(self, beta_a: float, beta_b: float) -> float:
         """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b."""
-        return float(_gibbs_relative_entropy(self._g, np.array([_as_beta(beta_a)]),
+        return float(_gibbs_relative_entropy(self._g, self.populations(beta_a)[None],
                                              np.array([_as_beta(beta_b)]))[0])
 
     def relative_entropy_profile(self, rho_env: DensityMatrix, betas) -> np.ndarray:
@@ -481,10 +481,10 @@ def _gibbs_entropy(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
     return _entropy_from_eigs(_populations(g.levels, beta))
 
 
-def _gibbs_relative_entropy(g: _Gibbs, beta_a: np.ndarray, beta_b: np.ndarray) -> np.ndarray:
-    """D(gamma(beta_a) || gamma(beta_b)) per row: ln q = -beta_b eps - ln Z~ over gaps eps from the
-    level beta_b favours, never ln 0; at beta_b = +-inf, inf past EIG_ZERO_TOL off that level."""
-    p = _populations(g.levels, beta_a)
+def _gibbs_relative_entropy(g: _Gibbs, p: np.ndarray, beta_b: np.ndarray) -> np.ndarray:
+    """D(gamma(beta_a) || gamma(beta_b)) per row, from the populations p of gamma(beta_a): ln q =
+    -beta_b eps - ln Z~ over gaps eps from the level beta_b favours, never ln 0; at beta_b = +-inf,
+    inf past EIG_ZERO_TOL off that level."""
     inf = np.isinf(beta_b)
     any_inf = any(inf.tolist())
     b = (np.where(inf, 0.0, beta_b) if any_inf else beta_b)[:, None]

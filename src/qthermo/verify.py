@@ -69,6 +69,7 @@ from .thermo import (
     _gibbs_relative_entropy,
     _gibbs_states,
     _mutual_information,
+    _populations,
     _relative_entropy,
     _states,
     _thermal,
@@ -249,7 +250,7 @@ def _check_pythagorean(rng, cfg):
         beta_star = _beta_star(g, rho.mat)
         total = _relative_entropy(rho, _gibbs_states(g, beta))
         to_star = _relative_entropy(rho, _gibbs_states(g, beta_star))
-        across = _gibbs_relative_entropy(g, beta_star, beta)
+        across = _gibbs_relative_entropy(g, _populations(g.levels, beta_star), beta)
         r1 = np.abs(total - to_star - across)
         r2 = np.abs(to_star - (_gibbs_entropy(g, beta_star) - rho.s))
         return np.maximum(r1, r2)
@@ -266,8 +267,8 @@ def _check_general_split(rng, cfg):
         beta0, beta_tau = drawn[4:]
         bs0, bs1, star = _matched(initial, final, g)
         ep = _entropy_production(initial, final, beta0, beta_tau, g)
-        recon = (star + _gibbs_relative_entropy(g, bs1, beta_tau)
-                 - _gibbs_relative_entropy(g, bs0, beta0))
+        recon = (star + _gibbs_relative_entropy(g, _populations(g.levels, bs1), beta_tau)
+                 - _gibbs_relative_entropy(g, _populations(g.levels, bs0), beta0))
         return np.abs(ep - recon)
 
     return _stacked(rng, _cases(cfg), draw, evaluate)

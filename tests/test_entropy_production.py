@@ -552,6 +552,19 @@ def test_rate_is_exact_for_a_rank_deficient_correlated_system():
         assert abs(rate - (ds_dt + beta * env_energy_rate(state, h_tot, h_env))) < 1e-13, d_e
 
 
+def test_rate_heat_term_equals_env_energy_rate():
+    # At beta_dot = 0 the rate is dS_S/dt + beta dE_E/dt, so the rates at
+    # beta = 1 and beta = 0 differ by the heat term alone.
+    rng = np.random.default_rng(44)
+    for d_s, d_e in [(2, 3), (3, 4)] * 6:
+        state = rand_bipartite(rng, d_s, d_e)
+        h_tot = rand_hermitian(rng, d_s * d_e)
+        h_env = rand_env_hamiltonian(rng, d_e)
+        heat = (entropy_production_rate(state, h_tot, h_env, 1.0, 0.0)
+                - entropy_production_rate(state, h_tot, h_env, 0.0, 0.0))
+        assert abs(heat - env_energy_rate(state, h_tot, h_env)) < 1e-14, (d_s, d_e)
+
+
 @pytest.mark.parametrize("h_total, h_env", [
     (np.eye(6), HermitianMatrix(np.diag([0.0, 1.0]))),
     (np.eye(4), HermitianMatrix(np.diag([0.0, 1.0, 2.0]))),

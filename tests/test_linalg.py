@@ -168,6 +168,37 @@ def test_expi_of_zero_is_the_identity():
     assert np.array_equal(_expi(np.zeros((2, 4, 4)), 0.5), np.broadcast_to(np.eye(4), (2, 4, 4)))
 
 
+def _horner_reference(h, dt):
+    """_expi's series summed out of place: a fresh array per Horner and squaring step."""
+    theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
+    while theta > 0.5:
+        theta, s = theta / 2.0, s + 1
+    a = (-1j * dt / 2.0 ** s) * h
+    m, term = 0, theta
+    while term > 2.0 ** -53:
+        m += 1
+        term *= theta / (m + 1)
+    eye = np.eye(a.shape[-1])
+    p = eye + a / m if m else np.broadcast_to(eye, a.shape) + 0j
+    for k in range(m - 1, 0, -1):
+        p = a @ p / k + eye
+    for _ in range(s):
+        p = p @ p
+    return p
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.3, 7.0, 1e3])
+def test_expi_in_place_matches_the_out_of_place_sum_bit_for_bit(norm):
+    rng = np.random.default_rng(34)
+    for d in (2, 4, 6, 12):
+        hs = np.stack([rand_hermitian(rng, d).mat for _ in range(5)])
+        dt = norm / np.abs(hs).sum(axis=-1).max()
+        for h in (hs, hs[2]):
+            u = _expi(h, dt)
+            assert u.shape == h.shape
+            assert u.tobytes() == _horner_reference(h, dt).tobytes(), d
+
+
 def _spoiled(mat, value, i, j):
     out = np.array(mat, dtype=complex)
     out[i, j] += value
@@ -202,6 +233,36 @@ def test_infinite_diagonal_is_rejected_without_a_warning():
             HermitianMatrix([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidInput, match="^DensityMatrix contains non-finite entries$"):
             _states(stack)
+
+
+def test_exactly_self_adjoint_input_is_stored_as_given():
+    # A drive value base + sin(w t) V of exactly self-adjoint pieces is exactly
+    # self-adjoint: stored as given, which is (A + A^dag)/2 bit for bit, in a copy.
+    rng = np.random.default_rng(35)
+    for d in (2, 4, 12):
+        base, drive = rand_hermitian(rng, d).mat, rand_hermitian(rng, d).mat
+        a = base + np.sin(2.3) * drive
+        assert (a == a.conj().T).all()
+        given = a.copy()
+        h = HermitianMatrix(a)
+        assert h.mat.tobytes() == given.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+        assert not h.mat.flags.writeable and not np.shares_memory(h.mat, a)
+        a[0, 1] += 1.0
+        assert h.mat.tobytes() == given.tobytes()
+        stack = np.stack([given, -given])
+        part = _hermitian_part(stack)
+        assert part.tobytes() == stack.tobytes() and not np.shares_memory(part, stack)
+
+
+def test_input_one_ulp_off_self_adjoint_is_symmetrized():
+    rng = np.random.default_rng(36)
+    for d in (2, 4, 12):
+        a = rand_hermitian(rng, d).mat.copy()
+        a[0, d - 1] = complex(np.nextafter(a[0, d - 1].real, np.inf), a[0, d - 1].imag)
+        assert not (a == a.conj().T).all()
+        h = HermitianMatrix(a)
+        assert (h.mat == h.mat.conj().T).all()
+        assert h.mat.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
 
 
 def test_hermiticity_tolerance_is_relative_to_each_matrix():

@@ -591,7 +591,7 @@ def test_stacked_gibbs_relative_entropy_at_infinite_beta_b():
     solvers = [GibbsSolver(HermitianMatrix(row)) for row in h]
     beta_a = np.array([math.inf, 60.0, 1.0, -math.inf, -0.5, 0.3, math.inf])
     beta_b = np.array([math.inf, math.inf, math.inf, -math.inf, -math.inf, 1.1, -2.0])
-    found = _gibbs_relative_entropy(g, beta_a, beta_b)
+    found = _gibbs_relative_entropy(g, _populations(g.levels, beta_a), beta_b)
     assert found.tolist() == [s.gibbs_relative_entropy(a, b)
                               for s, a, b in zip(solvers, beta_a, beta_b)]
     assert np.isfinite(found[[0, 1, 3, 5, 6]]).all() and np.isinf(found[[2, 4]]).all()
