@@ -98,20 +98,20 @@ def _product_bound(rho_env: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 def _sufficient_general(final: _Bipartite, beta_tau: np.ndarray, initial: _Bipartite,
                         beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
     """(lhs, rhs) of ``sufficient_nonneg_general`` per row."""
-    p0 = _populations(g.levels, beta_star0)
     lhs = _reference_distance(final, _gibbs_states(g, beta_tau)) ** 2
-    bound = _continuity_bound(_reference_distance(initial, _sym(_thermal(g.basis, p0))),
+    bound = _continuity_bound(_reference_distance(initial, _gibbs_states(g, beta_star0)),
                               initial.state.mat.shape[-1])
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, p0, beta0) - bound)
+    return lhs, 0.5 * (_gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
+                       - bound)
 
 
 def _sufficient_product(final_env: np.ndarray, beta_tau: np.ndarray, rho_env: np.ndarray,
                         beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
     """(lhs, rhs) of ``sufficient_nonneg_product`` per row."""
-    p0 = _populations(g.levels, beta_star0)
     lhs = _trace_distance(final_env, _gibbs_states(g, beta_tau)) ** 2
-    bound = _product_bound(rho_env, _sym(_thermal(g.basis, p0)))
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, p0, beta0) - bound)
+    bound = _product_bound(rho_env, _gibbs_states(g, beta_star0))
+    return lhs, 0.5 * (_gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
+                       - bound)
 
 
 def _row(value: float) -> np.ndarray:

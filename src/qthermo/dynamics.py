@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule
 from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _ptrace_stack, _sym
-from .thermo import GibbsSolver, _as_int, _as_real, _entropy_from_eigs, _solver
+from .thermo import GibbsSolver, _as_int, _as_real, _entropy_from_eigs, _mean_energy, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -369,10 +369,15 @@ class Trajectory:
 
 def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
                     h_env: HermitianMatrix) -> float:
-    """Analytic d/dt tr[rho_E H_E] = tr(-i [H_total, rho] (I x H_E)).
+    """Analytic d/dt tr[rho_E H_E] = tr[tr_S(-i [H_total, rho]) H_E].
 
     The heat flux is the negative of this value.
     """
+    return _generator_rates(rho, h_total, h_env)[1]
+
+
+def _generator_rates(rho: BipartiteState, h_total, h_env) -> tuple[np.ndarray, float]:
+    """(tr_E rho', ``env_energy_rate``) from one rho' = -i [H_total, rho]."""
     if not isinstance(rho, BipartiteState):
         raise InvalidInput("env_energy_rate expects a BipartiteState")
     if not isinstance(h_total, HermitianMatrix):
@@ -381,9 +386,10 @@ def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
         h_env = HermitianMatrix(h_env)
     if h_total.dim != rho.dim or h_env.dim != rho.d_e:
         raise InvalidInput("Hamiltonian dimensions do not match the state")
-    env, h = np.kron(np.eye(rho.d_s), h_env.mat), h_total.mat
-    r = -1j * (env @ h - h @ env)  # R = -i [I x H_E, H]
-    return float(np.einsum("ij,ji->", rho.state.mat, r).real)
+    h, r = h_total.mat, rho.state.mat
+    drho = (-1j * (h @ r - r @ h))[None]
+    drho_sys, drho_env = (_ptrace_stack(drho, rho.d_s, rho.d_e, k)[0] for k in "SE")
+    return drho_sys, float(_mean_energy(drho_env, h_env.mat))
 
 
 def _constant_observables(sched: HamiltonianSchedule, frame: _Eigenframe):

@@ -17,9 +17,9 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _generator_rates
 from .errors import InvalidInput
-from .linalg import BipartiteState, HermitianMatrix, _ptrace_stack
+from .linalg import BipartiteState, HermitianMatrix
 from .thermo import (
     EIG_ZERO_TOL,
     _as_real,
@@ -242,15 +242,9 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     if not isinstance(rho, BipartiteState):
         raise InvalidInput("entropy_production_rate expects a BipartiteState")
     beta, beta_dot = _as_real(beta, "beta"), _as_real(beta_dot, "beta_dot")
-    if not isinstance(h_total, HermitianMatrix):
-        h_total = HermitianMatrix(h_total)
     solver = _solver(h_env)
-    if h_total.dim != rho.dim or solver.dim != rho.d_e:
-        raise InvalidInput("Hamiltonian dimensions do not match the state")
+    drho_sys, rate_env = _generator_rates(rho, h_total, solver.h_env)
 
-    h, r = h_total.mat, rho.state.mat
-    drho = (-1j * (h @ r - r @ h))[None]
-    drho_sys, drho_env = (_ptrace_stack(drho, rho.d_s, rho.d_e, k)[0] for k in "SE")
     w, v = np.linalg.eigh(rho.rho_sys.mat)
     on = w > EIG_ZERO_TOL
     w_dot = np.einsum("ji,jk,ki->i", v.conj(), drho_sys, v).real
@@ -260,8 +254,8 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
         mismatch_term = 0.0
     else:
         mismatch_term = beta_dot * (solver.mean_energy(rho.rho_env.mat) - solver.energy(beta))
-    # -beta dQ/dt with dQ/dt = -dE_E/dt.
-    return ds_dt + beta * solver.mean_energy(drho_env) + mismatch_term
+    # -beta dQ/dt with dQ/dt = -rate_env.
+    return ds_dt + beta * rate_env + mismatch_term
 
 
 @dataclass(frozen=True)

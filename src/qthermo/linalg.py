@@ -31,7 +31,7 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag)/2: exactly Hermitian, and A itself when A is."""
+    """(A + A^dag)/2: exactly Hermitian, and equal to A when A is, up to the sign of a zero."""
     return (a + _dag(a)) / 2.0
 
 
@@ -39,10 +39,10 @@ def _sym(a: np.ndarray) -> np.ndarray:
 # stack: on the constructors' one matrix, each NumPy call costs microseconds.
 
 def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """(A + A^dag)/2 of a matrix or of each matrix of an (n, d, d) stack, as a new array: a
-    copy of A if A == A^dag (then only the sign of a zero can differ); raises where one has a
-    non-finite entry, or deviates from self-adjointness by more than ``TOL_HERM`` relative to
-    its largest entry magnitude (with a floor of 1)."""
+    """(A + A^dag)/2 of a matrix or of each matrix of an (n, d, d) stack, as a new array: a copy
+    of A if A == A^dag, keeping signed zeros ``_sym`` makes +0.0 (the -0.0 diagonal imaginary
+    parts of -M for a real M); raises where one has a non-finite entry, or deviates from
+    self-adjointness by more than ``TOL_HERM`` relative to its largest entry (floor 1)."""
     # Entries are tested only where ||A||_F^2 is not finite: A - A^dag never meets inf - inf.
     if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
         raise InvalidInput(f"{what} contains non-finite entries")
@@ -87,10 +87,11 @@ def _check_unitary(u: np.ndarray) -> None:
 class HermitianMatrix:
     """A validated self-adjoint complex matrix.
 
-    Exactly self-adjoint input (A == A^dag) is stored as given, in a copy;
-    otherwise construction symmetrizes ``(A + A^dag)/2`` when the deviation
-    from self-adjointness is within ``TOL_HERM`` relative to the largest entry
-    magnitude; larger deviations raise rather than being silently repaired.
+    Exactly self-adjoint input (A == A^dag) is stored as given, signed zeros
+    included, in a copy; otherwise construction symmetrizes ``(A + A^dag)/2``
+    when the deviation from self-adjointness is within ``TOL_HERM`` relative to
+    the largest entry magnitude; larger deviations raise rather than being
+    silently repaired.
     The stored array is read-only so instances can be shared freely.
     """
 

@@ -579,6 +579,26 @@ def test_stack_validation_raises_the_solver_messages():
     assert str(one.value) == "environment Hamiltonian needs dimension >= 2"
 
 
+def test_signed_zeros_kept_from_exactly_self_adjoint_input_move_no_thermal_value():
+    # -M for a real M has -0.0 imaginary parts: HermitianMatrix keeps them, and
+    # (A + A^dag)/2, which _trusted stores, turns them into +0.0.  eigh may sign a
+    # zero of an eigenvector differently; every thermal value is the same bit for bit.
+    rng = np.random.default_rng(37)
+    for d in (2, 3, 4, 6, 12):
+        for _ in range(8):
+            m = rng.normal(size=(d, d))
+            a = -(m + m.T).astype(complex)
+            kept, summed = HermitianMatrix(a), HermitianMatrix._trusted(a)
+            assert np.signbit(kept.mat.imag).any() and not np.signbit(summed.mat.imag).any()
+            s, t = GibbsSolver(kept), GibbsSolver(summed)
+            assert s._g.levels.tobytes() == t._g.levels.tobytes()
+            assert (s._g.basis == t._g.basis).all()
+            for beta in (-1.3, 0.0, 0.7, math.inf):
+                assert s.populations(beta).tobytes() == t.populations(beta).tobytes()
+                assert s.state(beta).mat.tobytes() == t.state(beta).mat.tobytes()
+                assert [s.energy(beta), s.entropy(beta)] == [t.energy(beta), t.entropy(beta)]
+
+
 def test_stacked_gibbs_relative_entropy_at_infinite_beta_b():
     # At beta_b = +-inf the reference is the edge projector: a row supported
     # on the edge level (to EIG_ZERO_TOL) is finite, any other is inf.  The
