@@ -31,23 +31,17 @@ from .linalg import (
     HermitianMatrix,
     _kron,
     _ptrace_stack,
-    _sym,
     _trace_distance,
 )
 from .thermo import (
     GibbsSolver,
     _Bipartite,
     _bipartite_one,
-    _entropy_from_eigs,
-    _Gibbs,
-    _gibbs_entropy,
+    _GibbsRows,
     _gibbs_relative_entropy,
-    _gibbs_states,
     _as_beta,
     _as_real,
-    _populations,
     _solver,
-    _thermal,
 )
 
 # Absolute slack (relative to the matrix scale) allowed on the structural
@@ -95,23 +89,25 @@ def _product_bound(rho_env: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return _continuity_bound(_trace_distance(rho_env, gamma), rho_env.shape[-1])
 
 
-def _sufficient_general(final: _Bipartite, beta_tau: np.ndarray, initial: _Bipartite,
-                        beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
-    """(lhs, rhs) of ``sufficient_nonneg_general`` per row."""
-    lhs = _reference_distance(final, _gibbs_states(g, beta_tau)) ** 2
-    bound = _continuity_bound(_reference_distance(initial, _gibbs_states(g, beta_star0)),
+def _sufficiency_rhs(star0: _GibbsRows, beta0: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    # Both conditions' rhs: half of D(gamma(beta*_0) || gamma(beta0)) minus the bound.
+    return 0.5 * (_gibbs_relative_entropy(star0.g, star0.p, beta0) - bound)
+
+
+def _sufficient_general(final: _Bipartite, gamma_tau: np.ndarray, initial: _Bipartite,
+                        beta0: np.ndarray, star0: _GibbsRows):
+    """(lhs, rhs) of ``sufficient_nonneg_general`` per row from gamma(beta_tau), beta*_0 rows."""
+    lhs = _reference_distance(final, gamma_tau) ** 2
+    bound = _continuity_bound(_reference_distance(initial, star0.gamma),
                               initial.state.mat.shape[-1])
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
-                       - bound)
+    return lhs, _sufficiency_rhs(star0, beta0, bound)
 
 
-def _sufficient_product(final_env: np.ndarray, beta_tau: np.ndarray, rho_env: np.ndarray,
-                        beta0: np.ndarray, g: _Gibbs, beta_star0: np.ndarray):
-    """(lhs, rhs) of ``sufficient_nonneg_product`` per row."""
-    lhs = _trace_distance(final_env, _gibbs_states(g, beta_tau)) ** 2
-    bound = _product_bound(rho_env, _gibbs_states(g, beta_star0))
-    return lhs, 0.5 * (_gibbs_relative_entropy(g, _populations(g.levels, beta_star0), beta0)
-                       - bound)
+def _sufficient_product(final_env: np.ndarray, gamma_tau: np.ndarray, rho_env: np.ndarray,
+                        beta0: np.ndarray, star0: _GibbsRows):
+    """(lhs, rhs) of ``sufficient_nonneg_product`` per row, as ``_sufficient_general``."""
+    lhs = _trace_distance(final_env, gamma_tau) ** 2
+    return lhs, _sufficiency_rhs(star0, beta0, _product_bound(rho_env, star0.gamma))
 
 
 def _row(value: float) -> np.ndarray:
@@ -135,18 +131,12 @@ def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     entropy production of any unitary evolution started here is bounded
     below by this number.
     """
-    solver = _solver(h_env)
-    _check_bipartite_env(initial, solver)
-    s_gibbs = _gibbs_entropy(solver._g, _row(solver.beta_star(initial.rho_env)))
-    return float(_entropy_gap(_bipartite_one(initial), s_gibbs)[0])
+    return build_bound_report(initial, h_env).entropy_gap_bound
 
 
 def distance_to_reference(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Trace distance between the state and its reference product."""
-    solver = _solver(h_env)
-    _check_bipartite_env(initial, solver)
-    gamma = solver.state(solver.beta_star(initial.rho_env))
-    return float(_reference_distance(_bipartite_one(initial), gamma.mat[None])[0])
+    return build_bound_report(initial, h_env).distance_to_reference
 
 
 def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
@@ -155,8 +145,7 @@ def trace_distance_bound(initial: BipartiteState, h_env: HermitianMatrix) -> flo
     Nonpositive, and never above ``entropy_gap_bound`` in magnitude terms:
     entropy_gap_bound >= trace_distance_bound always holds.
     """
-    return float(_continuity_bound(_row(distance_to_reference(initial, h_env)),
-                                   initial.d_s * initial.d_e)[0])
+    return build_bound_report(initial, h_env).trace_distance_bound
 
 
 def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
@@ -204,9 +193,10 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
     if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
         raise InvalidInput("endpoint states must share dimensions")
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
-    lhs, rhs = _sufficient_general(_bipartite_one(final), _row(beta_tau), _bipartite_one(initial),
-                                   _row(beta0), solver._g,
-                                   _row(solver.beta_star(initial.rho_env)))
+    g = solver._g
+    lhs, rhs = _sufficient_general(_bipartite_one(final), _GibbsRows(g, _row(beta_tau)).gamma,
+                                   _bipartite_one(initial), _row(beta0),
+                                   _GibbsRows(g, _row(solver.beta_star(initial.rho_env))))
     return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
@@ -229,8 +219,10 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     if final_env.dim != solver.dim or rho_env.dim != solver.dim:
         raise InvalidInput("environment marginals must match the Hamiltonian dimension")
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
-    lhs, rhs = _sufficient_product(final_env.mat[None], _row(beta_tau), rho_env.mat[None],
-                                   _row(beta0), solver._g, _row(solver.beta_star(rho_env)))
+    g = solver._g
+    lhs, rhs = _sufficient_product(final_env.mat[None], _GibbsRows(g, _row(beta_tau)).gamma,
+                                   rho_env.mat[None], _row(beta0),
+                                   _GibbsRows(g, _row(solver.beta_star(rho_env))))
     return SufficiencyCheck(holds=bool(lhs[0] >= rhs[0]), lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
@@ -333,21 +325,20 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     The product-only bound is included when the state factorizes to
     rounding accuracy and is None otherwise.  beta*_0 is read from the
     environment marginal's cache when ``evolve`` has solved it, and one
-    populations pass at it gives both gamma(beta*_0) and S_G(beta*_0).
+    populations pass at it gives both gamma(beta*_0) and S_G(beta*_0).  The
+    one-bound functions above return these fields.
     """
     solver = _solver(h_env)
     _check_bipartite_env(initial, solver)
-    beta_star = solver.beta_star(initial.rho_env)
-    p = _populations(solver._g.levels, _row(beta_star))
-    gamma = _sym(_thermal(solver._g.basis, p))
+    star = _GibbsRows(solver._g, _row(solver.beta_star(initial.rho_env)))
     state = _bipartite_one(initial)
-    delta = _reference_distance(state, gamma)
-    product = (float(_product_bound(state.rho_env.mat, gamma)[0])
+    delta = _reference_distance(state, star.gamma)
+    product = (float(_product_bound(state.rho_env.mat, star.gamma)[0])
                if is_product_state(initial) else None)
     return BoundReport(
-        beta_star=beta_star,
+        beta_star=float(star.beta[0]),
         distance_to_reference=float(delta[0]),
-        entropy_gap_bound=float(_entropy_gap(state, _entropy_from_eigs(p))[0]),
+        entropy_gap_bound=float(_entropy_gap(state, star.s)[0]),
         trace_distance_bound=float(_continuity_bound(delta, initial.d_s * initial.d_e)[0]),
         product_trace_distance_bound=product,
         is_product=product is not None,

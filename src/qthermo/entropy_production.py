@@ -25,13 +25,11 @@ from .thermo import (
     _as_real,
     _Bipartite,
     _bipartite_one,
-    _entropy_from_eigs,
     _env_divergence,
     _Gibbs,
-    _gibbs_entropy,
+    _GibbsRows,
     _gibbs_relative_entropy,
     _mutual_information,
-    _populations,
     _solver,
     von_neumann_entropy,
 )
@@ -160,7 +158,7 @@ def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
     """
     d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
                    - von_neumann_entropy(traj.initial.rho_sys))
-    s_gibbs = _gibbs_entropy(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).tolist()
+    s_gibbs = _GibbsRows(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).s.tolist()
     return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1], s_gibbs)
 
 
@@ -207,21 +205,19 @@ def matched_entropy_production(traj: Trajectory) -> float:
     Equals the Clausius form along beta_star, whose heat integral is the
     Gibbs-entropy change; both read endpoint entropies alone.
     """
-    bs0, bs_tau = traj.beta_star_ends
-    return float(_matched_entropy_form(
-        _bipartite_one(traj.initial), _bipartite_one(traj.final), traj.schedule.gibbs._g,
-        np.array([bs0]), np.array([bs_tau]),
-    )[0])
+    s_gibbs = _GibbsRows(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).s
+    return float(_matched_entropy_form(_bipartite_one(traj.initial), _bipartite_one(traj.final),
+                                       s_gibbs[:1], s_gibbs[1:])[-1][0])
 
 
-def _matched_entropy_form(initial: _Bipartite, final: _Bipartite, g: _Gibbs,
-                          beta_star_0: np.ndarray, beta_star_tau: np.ndarray) -> np.ndarray:
-    """The matched entropy production per row of stacked endpoints and H_E."""
+def _matched_entropy_form(initial: _Bipartite, final: _Bipartite, s_gibbs_0: np.ndarray,
+                          s_gibbs_tau: np.ndarray) -> tuple:
+    """The matched entropy production per row of stacked endpoints from S_G at both beta*:
+    the system, environment and Gibbs-entropy changes, and their sum last."""
     d_s_entropy = final.rho_sys.s - initial.rho_sys.s
     d_e_entropy = final.rho_env.s - initial.rho_env.s
-    d_gibbs = ((_gibbs_entropy(g, beta_star_tau) - final.rho_env.s)
-               - (_gibbs_entropy(g, beta_star_0) - initial.rho_env.s))
-    return d_s_entropy + d_e_entropy + d_gibbs
+    d_gibbs = (s_gibbs_tau - final.rho_env.s) - (s_gibbs_0 - initial.rho_env.s)
+    return d_s_entropy, d_e_entropy, d_gibbs, d_s_entropy + d_e_entropy + d_gibbs
 
 
 def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
@@ -293,27 +289,21 @@ EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 
 
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
-    """Evaluate every decomposition quantity for one trajectory and policy, in
-    one pass over the endpoints: each entropy once, and one populations pass at
-    both beta* for S_G, which the EnergyMatching heat reuses, and both mismatches."""
+    """Evaluate every decomposition quantity for one trajectory and policy, in one pass over
+    the endpoints: each entropy once, one populations pass at both beta* for S_G (read by the
+    matched kernel ``verify`` checks and the EnergyMatching heat), and both mismatches."""
     g = traj.schedule.gibbs._g
     (beta0, beta_tau), betas = _policy_grid(policy, traj)
     beta_ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
-    beta_stars = np.array(traj.beta_star_ends)
+    stars = _GibbsRows(g, np.array(traj.beta_star_ends))
     initial, final = _bipartite_one(traj.initial), _bipartite_one(traj.final)
 
-    (sj0, ss0, se0), (sj1, ss1, se1) = ([float(x.s[0]) for x in st] for st in (initial, final))
-    mi_change = (ss1 + se1 - sj1) - (ss0 + se0 - sj0)
-    s_sys, s_env = ss1 - ss0, se1 - se0
-    p_stars = _populations(g.levels, beta_stars)
-    sg = _entropy_from_eigs(p_stars).tolist()
-    s_gibbs = (sg[1] - se1) - (sg[0] - se0)
-
+    s_sys, s_env, s_gibbs, matched = (float(x[0]) for x in _matched_entropy_form(
+        initial, final, stars.s[:1], stars.s[1:]))
     ep = float(_entropy_production(initial, final, beta_ends[:1], beta_ends[1:], g)[0])
-    cl = s_sys + _heat_term(traj, policy, betas, sg)
+    cl = s_sys + _heat_term(traj, policy, betas, stars.s.tolist())
     drift = _drift(traj, policy, betas)
-    matched = s_sys + s_env + s_gibbs
-    mism0, mism_tau = _gibbs_relative_entropy(g, p_stars, beta_ends).tolist()
+    mism0, mism_tau = _gibbs_relative_entropy(g, stars.p, beta_ends).tolist()
 
     return EPReport(
         entropy_production=ep,
@@ -322,7 +312,7 @@ def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
         matched_entropy_production=matched,
         gibbs_mismatch_initial=mism0,
         gibbs_mismatch_final=mism_tau,
-        mutual_info_change=mi_change,
+        mutual_info_change=float((_mutual_information(final) - _mutual_information(initial))[0]),
         system_entropy_change=s_sys,
         env_entropy_change=s_env,
         gibbs_entropy_change=s_gibbs,

@@ -60,7 +60,8 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
                     f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} exceeds "
                     f"{TOL_HERM:g} relative to the largest entry"
                 )
-    return (a + ah) / 2.0
+    # Halved before the sum: (A + A^dag)/2 rounds the same but overflows near the float maximum.
+    return a / 2.0 + ah / 2.0
 
 
 def _density_spectra(h: np.ndarray) -> np.ndarray:

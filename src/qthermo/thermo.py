@@ -8,6 +8,7 @@ every consumer branches explicitly on ``math.isinf`` so the boundary cases
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +80,10 @@ class _States(NamedTuple):
     s: np.ndarray
 
 
-def _states(mat: np.ndarray, check: bool = True) -> _States:
-    """The rows of a stack as states, validated as by DensityMatrix or trusted."""
-    h = _hermitian_part(mat, "DensityMatrix") if check else _sym(mat)
-    return _States(h, _entropy_from_eigs(_density_spectra(h) if check else np.linalg.eigvalsh(h)))
+def _states(mat: np.ndarray) -> _States:
+    """The rows of a stack as states, validated as by DensityMatrix."""
+    h = _hermitian_part(mat, "DensityMatrix")
+    return _States(h, _entropy_from_eigs(_density_spectra(h)))
 
 
 def _one(rho: DensityMatrix) -> _States:
@@ -96,11 +97,10 @@ class _Bipartite(NamedTuple):
     rho_env: _States
 
 
-def _bipartite(mat: np.ndarray, d_s: int, d_e: int, check: bool = True) -> _Bipartite:
-    """The rows of a stack as joint states, validated as by BipartiteState or trusted."""
-    state = _states(mat, check)
-    return _Bipartite(state, *(_states(_ptrace_stack(state.mat, d_s, d_e, k), check)
-                               for k in "SE"))
+def _bipartite(mat: np.ndarray, d_s: int, d_e: int) -> _Bipartite:
+    """The rows of a stack as joint states, validated as by BipartiteState."""
+    state = _states(mat)
+    return _Bipartite(state, *(_states(_ptrace_stack(state.mat, d_s, d_e, k)) for k in "SE"))
 
 
 def _bipartite_one(rho: BipartiteState) -> _Bipartite:
@@ -211,7 +211,7 @@ class GibbsSolver:
     def __init__(self, h_env: HermitianMatrix):
         if not isinstance(h_env, HermitianMatrix):
             h_env = HermitianMatrix(h_env)
-        self.h_env, self._g = h_env, _gibbs(h_env.mat[None], check=False)
+        self.h_env, self._g = h_env, _gibbs(h_env.mat[None])
         self.energies, self.basis = self._g.levels[0], self._g.basis[0]
         self._table = _spectrum_table(self.energies.tolist())
 
@@ -253,7 +253,7 @@ class GibbsSolver:
     def state(self, beta: float) -> DensityMatrix:
         """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
         state on the extremal eigenspace."""
-        return DensityMatrix._trusted(_thermal(self.basis, self.populations(beta)))
+        return DensityMatrix._trusted(_GibbsRows(self._g, np.array([_as_beta(beta)])).gamma[0])
 
     # -- relative entropies in the thermal family -----------------------------
 
@@ -450,10 +450,10 @@ class _Gibbs(NamedTuple):
     h: np.ndarray
 
 
-def _gibbs(h: np.ndarray, check: bool = True) -> _Gibbs:
-    """A Hamiltonian stack by one batched eigh, rows validated as by HermitianMatrix or trusted;
-    raises unless d >= 2 and each row has levels apart by over ``_DEGEN_TOL`` times its scale."""
-    h = _hermitian_part(h, "HermitianMatrix") if check else h
+def _gibbs(h: np.ndarray) -> _Gibbs:
+    """A Hamiltonian stack by one batched eigh, rows validated as by HermitianMatrix; raises
+    unless d >= 2 and each row has levels apart by over ``_DEGEN_TOL`` times its scale."""
+    h = _hermitian_part(h, "HermitianMatrix")
     if h.shape[-1] < 2:
         raise InvalidInput("environment Hamiltonian needs dimension >= 2")
     w, v = np.linalg.eigh(h)
@@ -477,10 +477,6 @@ def _env_divergence(rho: _States, beta: np.ndarray, g: _Gibbs) -> np.ndarray:
     return d.reshape(beta.shape)
 
 
-def _gibbs_entropy(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
-    return _entropy_from_eigs(_populations(g.levels, beta))
-
-
 def _gibbs_relative_entropy(g: _Gibbs, p: np.ndarray, beta_b: np.ndarray) -> np.ndarray:
     """D(gamma(beta_a) || gamma(beta_b)) per row, from the populations p of gamma(beta_a): ln q =
     -beta_b eps - ln Z~ over gaps eps from the level beta_b favours, never ln 0; at beta_b = +-inf,
@@ -498,9 +494,20 @@ def _gibbs_relative_entropy(g: _Gibbs, p: np.ndarray, beta_b: np.ndarray) -> np.
     return _dot_rows(p, np.log(p, out=np.zeros_like(p), where=on) - log_q)
 
 
-def _gibbs_states(g: _Gibbs, beta: np.ndarray) -> np.ndarray:
-    """Each row's Gibbs state at its beta, as ``GibbsSolver.state`` builds it."""
-    return _sym(_thermal(g.basis, _populations(g.levels, beta)))
+class _GibbsRows:
+    """Gibbs rows of a thermal-family stack at (n,) betas: one populations pass ``p`` (n, d),
+    from which S_G (n,) and gamma (n, d, d) are built on first read, as GibbsSolver's."""
+
+    def __init__(self, g: _Gibbs, beta: np.ndarray):
+        self.g, self.beta, self.p = g, beta, _populations(g.levels, beta)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return _entropy_from_eigs(self.p)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _sym(_thermal(self.g.basis, self.p))
 
 
 def _qubit_x(u, gap):

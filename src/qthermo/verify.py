@@ -65,11 +65,9 @@ from .thermo import (
     _env_divergence,
     _Gibbs,
     _gibbs,
-    _gibbs_entropy,
+    _GibbsRows,
     _gibbs_relative_entropy,
-    _gibbs_states,
     _mutual_information,
-    _populations,
     _relative_entropy,
     _states,
     _thermal,
@@ -176,7 +174,7 @@ def _rotated(state: _Bipartite, g_u, d_s, d_e) -> _Bipartite:
     """The states after the Haar-random joint unitaries of the draws ``g_u``."""
     u = _haar(g_u)
     _check_unitary(u)
-    return _bipartite(u @ state.state.mat @ _dag(u), d_s, d_e, check=False)
+    return _bipartite(u @ state.state.mat @ _dag(u), d_s, d_e)
 
 
 def _draw_endpoints(rng, d_s, d_e):
@@ -190,10 +188,9 @@ def _endpoints(d_s, d_e, g_rho, g_u, levels, g_h) -> tuple[_Bipartite, _Bipartit
 
 
 def _matched(initial: _Bipartite, final: _Bipartite, g: _Gibbs):
-    """beta* at both endpoints and the matched entropy production."""
-    bs0 = _beta_star(g, initial.rho_env.mat)
-    bs1 = _beta_star(g, final.rho_env.mat)
-    return bs0, bs1, _matched_entropy_form(initial, final, g, bs0, bs1)
+    """The Gibbs rows at beta* of both endpoints and the matched entropy production."""
+    star0, star1 = (_GibbsRows(g, _beta_star(g, x.rho_env.mat)) for x in (initial, final))
+    return star0, star1, _matched_entropy_form(initial, final, star0.s, star1.s)[-1]
 
 
 def _check_mutual_info_decomposition(rng, cfg):
@@ -234,8 +231,8 @@ def _check_clausius_split(rng, cfg):
 def _check_star_reduction(rng, cfg):
     def evaluate(d_s, d_e, *drawn):
         initial, final, g = _endpoints(d_s, d_e, *drawn)
-        bs0, bs1, star = _matched(initial, final, g)
-        return np.abs(_entropy_production(initial, final, bs0, bs1, g) - star)
+        star0, star1, star = _matched(initial, final, g)
+        return np.abs(_entropy_production(initial, final, star0.beta, star1.beta, g) - star)
 
     return _stacked(rng, _cases(cfg), _draw_endpoints, evaluate)
 
@@ -247,12 +244,12 @@ def _check_pythagorean(rng, cfg):
     def evaluate(_, d_e, g_rho, levels, g_h, beta):
         rho = _states(_wishart(g_rho))
         g = _gibbs(_env_matrix(levels, g_h))
-        beta_star = _beta_star(g, rho.mat)
-        total = _relative_entropy(rho, _gibbs_states(g, beta))
-        to_star = _relative_entropy(rho, _gibbs_states(g, beta_star))
-        across = _gibbs_relative_entropy(g, _populations(g.levels, beta_star), beta)
+        star = _GibbsRows(g, _beta_star(g, rho.mat))
+        total = _relative_entropy(rho, _GibbsRows(g, beta).gamma)
+        to_star = _relative_entropy(rho, star.gamma)
+        across = _gibbs_relative_entropy(g, star.p, beta)
         r1 = np.abs(total - to_star - across)
-        r2 = np.abs(to_star - (_gibbs_entropy(g, beta_star) - rho.s))
+        r2 = np.abs(to_star - (star.s - rho.s))
         return np.maximum(r1, r2)
 
     return _stacked(rng, _cases(cfg), draw, evaluate)
@@ -265,10 +262,10 @@ def _check_general_split(rng, cfg):
     def evaluate(d_s, d_e, *drawn):
         initial, final, g = _endpoints(d_s, d_e, *drawn[:4])
         beta0, beta_tau = drawn[4:]
-        bs0, bs1, star = _matched(initial, final, g)
+        star0, star1, star = _matched(initial, final, g)
         ep = _entropy_production(initial, final, beta0, beta_tau, g)
-        recon = (star + _gibbs_relative_entropy(g, _populations(g.levels, bs1), beta_tau)
-                 - _gibbs_relative_entropy(g, _populations(g.levels, bs0), beta0))
+        recon = (star + _gibbs_relative_entropy(g, star1.p, beta_tau)
+                 - _gibbs_relative_entropy(g, star0.p, beta0))
         return np.abs(ep - recon)
 
     return _stacked(rng, _cases(cfg), draw, evaluate)
@@ -277,10 +274,10 @@ def _check_general_split(rng, cfg):
 def _check_star_minimality(rng, cfg):
     def evaluate(d_s, d_e, *drawn):
         initial, final, g = _endpoints(d_s, d_e, *drawn)
-        bs0, bs1, star = _matched(initial, final, g)
-        grid = bs1[:, None] + np.linspace(-2.0, 2.0, 201)
+        star0, star1, star = _matched(initial, final, g)
+        grid = star1.beta[:, None] + np.linspace(-2.0, 2.0, 201)
         base = (_mutual_information(final) - _mutual_information(initial)
-                - _relative_entropy(initial.rho_env, _gibbs_states(g, bs0)))
+                - _relative_entropy(initial.rho_env, star0.gamma))
         values = base[:, None] + _env_divergence(final.rho_env, grid, g)
         far = np.abs(np.argmin(values, axis=1) - 100) > 1
         return np.where(far, math.inf, np.maximum(star - values.min(axis=1), 0.0))
@@ -294,7 +291,7 @@ def _check_reference_projection(rng, cfg):
 
     def evaluate(d_s, d_e, g_rho, levels, g_h, beta):
         rho = _bipartite(_wishart(g_rho), d_s, d_e)
-        gamma = _gibbs_states(_gibbs(_env_matrix(levels, g_h)), beta)
+        gamma = _GibbsRows(_gibbs(_env_matrix(levels, g_h)), beta).gamma
         joint = _relative_entropy(rho.state, _kron(rho.rho_sys.mat, gamma))
         split = _mutual_information(rho) + _relative_entropy(rho.rho_env, gamma)
         return np.abs(joint - split)
@@ -310,13 +307,12 @@ def _check_lower_bound_chain(rng, cfg):
     def evaluate(d_s, d_e, product, *drawn):
         initial, (levels, g_h, g_u) = _initial(d_s, d_e, product, drawn)
         g = _gibbs(_env_matrix(levels, g_h))
-        bs0, _, star = _matched(initial, _rotated(initial, g_u, d_s, d_e), g)
-        gamma = _gibbs_states(g, bs0)
-        gap = _entropy_gap(initial, _gibbs_entropy(g, bs0))
-        dist = _continuity_bound(_reference_distance(initial, gamma), d_s * d_e)
+        star0, _, star = _matched(initial, _rotated(initial, g_u, d_s, d_e), g)
+        gap = _entropy_gap(initial, star0.s)
+        dist = _continuity_bound(_reference_distance(initial, star0.gamma), d_s * d_e)
         worst = np.maximum(np.maximum(gap - star, dist - gap), 0.0)
         if product:
-            prod = _product_bound(initial.rho_env.mat, gamma)
+            prod = _product_bound(initial.rho_env.mat, star0.gamma)
             worst = np.maximum(np.maximum(worst, prod - gap), dist - prod)
         return worst
 
@@ -332,7 +328,7 @@ def _env_preserving_correlated(g: _Gibbs, beta, g_rho, thetas, d_s: int) -> _Bip
     """
     d_e = g.levels.shape[1]
     rho_s = _states(_wishart(g_rho)).mat
-    gamma = _gibbs_states(g, beta)
+    gamma = _GibbsRows(g, beta).gamma
     phases = _thermal(g.basis[:, None], np.exp(-1j * thetas[:, :, None] * g.levels[:, None, :]))
     # Block (j, k) is rho_s[j, k] P_j gamma P_k^dag.
     blocks = rho_s[..., None, None] * (phases[:, :, None] @ gamma[:, None, None]
@@ -351,8 +347,7 @@ def _check_special_cases(rng, cfg):
         g = _gibbs(_env_matrix(levels, g_h))
         rho = _initial(d_s, d_e, True, drawn)[0] if product else \
             _env_preserving_correlated(g, *drawn, d_s)
-        bs0 = _beta_star(g, rho.rho_env.mat)
-        s_gibbs = _gibbs_entropy(g, bs0)
+        s_gibbs = _GibbsRows(g, _beta_star(g, rho.rho_env.mat)).s
         gap = _entropy_gap(rho, s_gibbs)
         if product:
             return np.abs(gap - (rho.rho_env.s - s_gibbs))
@@ -397,12 +392,13 @@ def _check_sufficient_conditions(rng, cfg):
         g = _gibbs(_env_matrix(levels, g_h))
         final = _rotated(initial, g_u, d_s, d_e)
         ep = _entropy_production(initial, final, beta0, beta_tau, g)
-        bs0 = _beta_star(g, initial.rho_env.mat)
-        lhs, rhs = _sufficient_general(final, beta_tau, initial, beta0, g, bs0)
+        star0 = _GibbsRows(g, _beta_star(g, initial.rho_env.mat))
+        gamma_tau = _GibbsRows(g, beta_tau).gamma
+        lhs, rhs = _sufficient_general(final, gamma_tau, initial, beta0, star0)
         residual = np.where(lhs >= rhs, np.maximum(-ep, 0.0), 0.0)
         if product:
-            lhs, rhs = _sufficient_product(final.rho_env.mat, beta_tau, initial.rho_env.mat,
-                                           beta0, g, bs0)
+            lhs, rhs = _sufficient_product(final.rho_env.mat, gamma_tau, initial.rho_env.mat,
+                                           beta0, star0)
             residual = np.where(lhs >= rhs, np.maximum(np.maximum(residual, -ep), 0.0), residual)
         return residual
 
@@ -417,7 +413,7 @@ def _check_second_law(rng, cfg):
     def evaluate(d_s, d_e, levels, g_h, beta0, g_rho, g_u):
         g = _gibbs(_env_matrix(levels, g_h))
         rho_s = _states(_wishart(g_rho)).mat
-        initial = _bipartite(_kron(rho_s, _gibbs_states(g, beta0)), d_s, d_e)
+        initial = _bipartite(_kron(rho_s, _GibbsRows(g, beta0).gamma), d_s, d_e)
         final = _rotated(initial, g_u, d_s, d_e)
         ep_const = _entropy_production(initial, final, beta0, beta0, g)
         ep_matched = _matched(initial, final, g)[2]
@@ -479,7 +475,7 @@ def _check_beta_roundtrip(rng, cfg):
 
     def evaluate(d_e, levels, g_h, beta):
         g = _gibbs(_env_matrix(levels, g_h))
-        return np.abs(_beta_star(g, _gibbs_states(g, beta)) - beta)
+        return np.abs(_beta_star(g, _GibbsRows(g, beta).gamma) - beta)
 
     return _stacked(rng, ((2 + i % 7,) for i in range(cfg.num_random_scenarios)), draw, evaluate)
 

@@ -51,7 +51,7 @@ from qthermo.bounds import (
     _sufficient_product,
 )
 from qthermo.entropy_production import _entropy_production, _matched_entropy_form
-from qthermo.thermo import _beta_star, _bipartite, _gibbs, _gibbs_entropy, _gibbs_states
+from qthermo.thermo import _beta_star, _bipartite, _gibbs, _GibbsRows
 
 
 def test_binary_entropy_values():
@@ -312,15 +312,17 @@ def test_stacked_bounds_match_one_state_calls():
     ini, fin = (_bipartite(np.stack([s.mat for s in x]), d_s, d_e) for x in (initial, final))
     beta0, beta_tau = rng.uniform(-2.0, 2.0, size=(2, n))
     bs0, bs1 = _beta_star(g, ini.rho_env.mat), _beta_star(g, fin.rho_env.mat)
-    gamma = _gibbs_states(g, bs0)
+    gamma = _GibbsRows(g, bs0).gamma
     ep = _entropy_production(ini, fin, beta0, beta_tau, g)
-    gap = _entropy_gap(ini, _gibbs_entropy(g, bs0))
+    gap = _entropy_gap(ini, _GibbsRows(g, bs0).s)
     dist = _reference_distance(ini, gamma)
     bound = _continuity_bound(dist, d_s * d_e)
     prod = _product_bound(ini.rho_env.mat, gamma)
-    general = _sufficient_general(fin, beta_tau, ini, beta0, g, bs0)
-    product = _sufficient_product(fin.rho_env.mat, beta_tau, ini.rho_env.mat, beta0, g, bs0)
-    matched = _matched_entropy_form(ini, fin, g, bs0, bs1)
+    gamma_tau = _GibbsRows(g, beta_tau).gamma
+    general = _sufficient_general(fin, gamma_tau, ini, beta0, _GibbsRows(g, bs0))
+    product = _sufficient_product(fin.rho_env.mat, gamma_tau, ini.rho_env.mat, beta0,
+                                  _GibbsRows(g, bs0))
+    matched = _matched_entropy_form(ini, fin, _GibbsRows(g, bs0).s, _GibbsRows(g, bs1).s)[-1]
     for k in range(n):
         a, b, hk = initial[k], final[k], h[k]
         assert ep[k] == entropy_production(a, b, beta0[k], beta_tau[k], hk)

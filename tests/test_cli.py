@@ -432,6 +432,37 @@ def test_cli_sweep_deterministic(tmp_path):
     assert "beta_star" in header
 
 
+def test_cli_simulate_perturbed_initial(tmp_path):
+    # I/2 x gamma(1) + chi, chi = 0.05 sx x sx: chi has no system marginal and no
+    # diagonal environment weight, so beta*_0 stays at 1; the distance is |chi|_1 / 2.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    obj = dict(json.loads(open(BUNDLED).read()), initial={
+        "kind": "perturbed", "rho_sys": _matrix([[0.5, 0.0], [0.0, 0.5]]), "beta": 1.0,
+        "chi": _matrix((0.05 * np.kron(sx, sx)).tolist())})
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "two_qubit_exchange_report.json").read_text())
+    assert abs(doc["report"]["beta_star_0"] - 1.0) <= 1e-12
+    assert abs(doc["bounds"]["beta_star"] - 1.0) <= 1e-12
+    assert abs(doc["bounds"]["distance_to_reference"] - 0.1) <= 1e-12
+
+
+def test_cli_sweep_tabulated_policy(tmp_path):
+    assert main(["sweep", "--num", "6", "--dims", "2x3", "--policy", "tabulated",
+                 "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    assert len(rows) == 6
+    # The trapezoid error of the heat integral, 1e-6 at dt = 1e-3 and second order
+    # in dt, at the longest tau a sweep draws (3) over the default 200 steps.
+    tol_split = 1e-6 * (3.0 / (200 * 1e-3)) ** 2
+    for row in rows:
+        values = dict(zip(header.split(",")[4:], map(float, row.split(",")[4:])))
+        assert all(math.isfinite(v) for v in values.values()), row
+        assert values["residual_matched_split"] <= 1e-8
+        assert values["residual_split"] <= tol_split
+
+
 def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
     # bounds.beta_star and report.beta_star_0 (once the array path on the frame
     # energy) differed by up to 1e-12 in 5 of these 6 rows of

@@ -265,6 +265,17 @@ def test_input_one_ulp_off_self_adjoint_is_symmetrized():
         assert h.mat.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
 
 
+def test_symmetrizing_next_to_the_float_maximum_stays_finite_without_a_warning():
+    # (A + A^dag)/2 overflowed here, to inf + nan*j with a RuntimeWarning; halving
+    # before the sum keeps the entry.
+    a = [[1e308, 1.0], [np.nextafter(1.0, 2.0), 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = HermitianMatrix(a)
+    assert np.isfinite(h.mat).all() and h.mat[0, 0] == 1e308
+    assert (h.mat == h.mat.conj().T).all()
+
+
 def test_hermiticity_tolerance_is_relative_to_each_matrix():
     rng = np.random.default_rng(32)
     big = 1e6 * rand_hermitian(rng, 4).mat

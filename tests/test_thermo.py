@@ -43,9 +43,8 @@ from qthermo.thermo import (
     _entropy_from_eigs,
     _env_divergence,
     _gibbs,
-    _gibbs_entropy,
+    _GibbsRows,
     _gibbs_relative_entropy,
-    _gibbs_states,
     _log_partition,
     _mutual_information,
     _populations,
@@ -544,12 +543,12 @@ def test_stacked_thermal_kernels_match_one_row_calls():
         beta = rng.uniform(-3.0, 3.0, size=n)
         beta[0], beta[1] = math.inf, -math.inf
         finite = rng.uniform(-3.0, 3.0, size=(n, 4))
-        gammas = _gibbs_states(g, beta)
+        gammas = _GibbsRows(g, beta).gamma
         energy, variance = _energy_variance(g.levels, beta)
         assert _mutual_information(stack).tolist() == [mutual_information(s) for s in states]
         assert _beta_star(g, stack.rho_env.mat).tolist() == [
             s.beta_star(r) for s, r in zip(solvers, env)]
-        assert _gibbs_entropy(g, beta).tolist() == [s.entropy(b) for s, b in zip(solvers, beta)]
+        assert _GibbsRows(g, beta).s.tolist() == [s.entropy(b) for s, b in zip(solvers, beta)]
         assert energy.tolist() == [s.energy(b) for s, b in zip(solvers, beta)]
         assert variance.tolist() == [s.variance(b) for s, b in zip(solvers, beta)]
         assert _relative_entropy(stack.rho_env, gammas).tolist() == [
