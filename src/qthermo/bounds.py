@@ -154,7 +154,7 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
 
     Sharper than the general bound because the reference differs only on
     the environment factor, so the continuity estimate pays the environment
-    dimension alone.  The system factor enters dimension checks only.
+    dimension alone.  The system factor is validated as a state and not used.
     """
     if not isinstance(rho_sys, DensityMatrix):
         rho_sys = DensityMatrix(rho_sys)

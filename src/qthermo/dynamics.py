@@ -185,6 +185,9 @@ def _batches(start: int, stop: int, width: int):
         yield k0, min(k0 + rows, stop)
 
 
+# Both segment kinds, _Eigenframe and _Driven, are built as Kind(sched, seg,
+# rho_start, dt, steps) and answer steps, end, _states(start, stop) for the
+# states at k in [start, stop), and observables(times) for the grid.
 class _Eigenframe:
     """A constant segment in the eigenbasis of its Hamiltonian H = V diag(w) V^dag.
 
@@ -194,12 +197,14 @@ class _Eigenframe:
     offset or wide spectra.
     """
 
-    def __init__(self, h: np.ndarray, rho_start: np.ndarray, dt: float, steps: int):
-        w, self.vecs = np.linalg.eigh(h)
+    def __init__(self, sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
+                 dt: float, steps: int):
+        w, self.vecs = np.linalg.eigh(sched.total_hamiltonian(seg.t_start, seg))
         self.freqs = w - w[0]
         self.rho0 = self.vecs.conj().T @ rho_start @ self.vecs
         self.dt = dt
         self.steps = steps
+        self._env_term = sched._env_term
         # a_k = a_{qm} a_r for k = qm + r: a table of m ~ sqrt(steps) rows a_r
         # and one of a_{qm} per batch replace a complex exponential per grid
         # point and level, at one rounding per entry, never accumulated.
@@ -241,11 +246,67 @@ class _Eigenframe:
         half = (mixed.reshape(n * d, d) @ vh).reshape(n, d, d)
         return (half.conj().transpose(0, 2, 1).reshape(n * d, d) @ vh).reshape(n, d, d)
 
-    def fill(self, out: np.ndarray) -> None:
-        """Write the states at k = 1..steps into out[1:]; out[0] is the start."""
-        for k0, k1 in _batches(1, self.steps, out.shape[1] ** 2):
-            out[k0:k1] = self._states(k0, k1)
-        out[self.steps] = self.end
+    def observables(self, times: np.ndarray):
+        """Env energies and energy rates at the segment's grid points."""
+        env = self.vecs.conj().T @ self._env_term @ self.vecs
+        # V^dag R V for R = -i [I x H_E, H]: H is diagonal in this frame, so the
+        # commutator scales each entry by a level difference.
+        rate = -1j * env * (self.freqs[None, :] - self.freqs[:, None])
+        return self.expectations(np.stack([env, rate]))
+
+
+def _prefix_products(u: np.ndarray) -> np.ndarray:
+    """P_j = U_j ... U_0 for each row j of an (n, d, d) stack.
+
+    A blocked prefix (Blelloch, CMU-CS-90-190, 1990): the rows are cut into
+    blocks of width isqrt(n), padded with identities; the running products
+    within every block take one batched product per position, then each block
+    is multiplied, in order, by the total product of the blocks before it.
+    """
+    n, d = u.shape[:2]
+    width = math.isqrt(n)
+    p = np.empty((-(-n // width), width, d, d), dtype=complex)
+    flat = p.reshape(-1, d, d)
+    flat[:n], flat[n:] = u, np.eye(d)
+    for i in range(1, width):
+        p[:, i] = p[:, i] @ p[:, i - 1]
+    for j in range(1, len(p)):
+        p[j] = (p[j].reshape(-1, d) @ p[j - 1, -1]).reshape(width, d, d)
+    return flat[:n]
+
+
+class _Driven:
+    """A driven segment as its midpoint-propagated (steps+1, d, d) state stack."""
+
+    def __init__(self, sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
+                 dt: float, steps: int):
+        d = rho_start.shape[0]
+        stack = np.empty((steps + 1, d, d), dtype=complex)
+        stack[0] = rho_start
+        for k0, k1 in _batches(0, steps, d * d):
+            mids = seg.t_start + (np.arange(k0, k1) + 0.5) * dt
+            p = _prefix_products(_expi(sched._hamiltonians(seg, mids), dt))
+            stack[k0 + 1:k1 + 1] = (p.reshape(-1, d) @ stack[k0]).reshape(-1, d, d) @ _dag(p)
+        stack[-1] = _sym(stack[-1])
+        stack.setflags(write=False)
+        self.sched, self.seg, self.stack = sched, seg, stack
+        self.steps, self.end = steps, stack[-1]
+
+    def _states(self, start: int, stop: int) -> np.ndarray:
+        return self.stack[start:stop]
+
+    def observables(self, times: np.ndarray):
+        """Env energies and energy rates at the segment's grid points."""
+        sched, stack = self.sched, self.stack
+        d = stack.shape[1]
+        energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
+        rates = np.empty(len(times))
+        for k0, k1 in _batches(0, len(times), d * d):
+            # R = -i (X^dag - X) for X = h_int (I x H_E), so tr[rho R] = -2 Im tr[rho X].
+            h_int = _term_stack(self.seg.h_int, times[k0:k1], d, "h_int")
+            x = (h_int.reshape(-1, d) @ sched._env_term).reshape(-1, d, d)
+            rates[k0:k1] = -2.0 * np.einsum("kij,kji->k", stack[k0:k1], x).imag
+        return energies, rates
 
 
 @dataclass(frozen=True)
@@ -270,7 +331,7 @@ class Trajectory:
     segment_slices: tuple    # slice into the grid per segment, endpoints inclusive
     initial: BipartiteState
     final: BipartiteState
-    _segment_states: tuple   # per segment: an _Eigenframe, or the driven (n+1, d, d) stack
+    _segment_states: tuple   # per segment: an _Eigenframe or a _Driven
 
     def __len__(self) -> int:
         return len(self.times)
@@ -282,10 +343,9 @@ class Trajectory:
         rho = np.empty((len(self.times), d, d), dtype=complex)
         rho[0] = self.initial.mat
         for sl, src in zip(self.segment_slices, self._segment_states):
-            if isinstance(src, np.ndarray):
-                rho[sl] = src
-            else:
-                src.fill(rho[sl])
+            for k0, k1 in _batches(1, src.steps, d * d):
+                rho[sl.start + k0:sl.start + k1] = src._states(k0, k1)
+            rho[sl.stop - 1] = src.end
         rho.setflags(write=False)
         return rho
 
@@ -293,11 +353,8 @@ class Trajectory:
     def _observables(self) -> tuple:
         """(env_energy, heat_flux, segment_rates), read-only, in one pass over the segments."""
         energy, flux, seg_rates = np.empty(len(self.times)), np.empty(len(self.times)), []
-        for sl, seg, src in zip(self.segment_slices, self.schedule.segments, self._segment_states):
-            if isinstance(src, np.ndarray):
-                energies, rates = _driven_observables(self.schedule, seg, src, self.times[sl])
-            else:
-                energies, rates = _constant_observables(self.schedule, src)
+        for sl, src in zip(self.segment_slices, self._segment_states):
+            energies, rates = src.observables(self.times[sl])
             # Later segments overwrite shared boundaries.
             energy[sl], flux[sl] = energies, -rates
             seg_rates.append(rates)
@@ -328,10 +385,7 @@ class Trajectory:
         for sl, src in zip(self.segment_slices, self._segment_states):
             if sl.start < k < sl.stop:
                 i = k - sl.start
-                if isinstance(src, np.ndarray):
-                    mat = src[i]
-                else:
-                    mat = src.end if i == src.steps else src._states(i, i + 1)[0]
+                mat = src.end if i == src.steps else src._states(i, i + 1)[0]
                 break
         return BipartiteState._trusted(self.d_s, self.d_e, mat)
 
@@ -356,15 +410,9 @@ class Trajectory:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["t", "env_energy", "beta_star", "heat_flux",
                          "S_system", "mutual_information"])
-        for k in range(len(self.times)):
-            writer.writerow([
-                repr(float(self.times[k])),
-                repr(float(self.env_energy[k])),
-                repr(float(self.beta_star[k])),
-                repr(float(self.heat_flux[k])),
-                repr(float(s_sys[k])),
-                repr(float(mi[k])),
-            ])
+        cols = (self.times, self.env_energy, self.beta_star, self.heat_flux, s_sys, mi)
+        for row in zip(*cols):
+            writer.writerow([repr(float(x)) for x in row])
 
 
 def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
@@ -390,64 +438,6 @@ def _generator_rates(rho: BipartiteState, h_total, h_env) -> tuple[np.ndarray, f
     drho = (-1j * (h @ r - r @ h))[None]
     drho_sys, drho_env = (_ptrace_stack(drho, rho.d_s, rho.d_e, k)[0] for k in "SE")
     return drho_sys, float(_mean_energy(drho_env, h_env.mat))
-
-
-def _constant_observables(sched: HamiltonianSchedule, frame: _Eigenframe):
-    """Env energies and energy rates at a constant segment's grid points."""
-    env = frame.vecs.conj().T @ sched._env_term @ frame.vecs
-    # V^dag R V for R = -i [I x H_E, H]: H is diagonal in this frame, so the
-    # commutator scales each entry by a level difference.
-    rate = -1j * env * (frame.freqs[None, :] - frame.freqs[:, None])
-    return frame.expectations(np.stack([env, rate]))
-
-
-def _prefix_products(u: np.ndarray) -> np.ndarray:
-    """P_j = U_j ... U_0 for each row j of an (n, d, d) stack.
-
-    A blocked prefix (Blelloch, CMU-CS-90-190, 1990): the rows are cut into
-    blocks of width isqrt(n), padded with identities; the running products
-    within every block take one batched product per position, then each block
-    is multiplied, in order, by the total product of the blocks before it.
-    """
-    n, d = u.shape[:2]
-    width = math.isqrt(n)
-    p = np.empty((-(-n // width), width, d, d), dtype=complex)
-    flat = p.reshape(-1, d, d)
-    flat[:n], flat[n:] = u, np.eye(d)
-    for i in range(1, width):
-        p[:, i] = p[:, i] @ p[:, i - 1]
-    for j in range(1, len(p)):
-        p[j] = (p[j].reshape(-1, d) @ p[j - 1, -1]).reshape(width, d, d)
-    return flat[:n]
-
-
-def _driven_segment(sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
-                    dt: float, steps: int) -> np.ndarray:
-    """The midpoint-propagated segment's read-only (steps+1, d, d) state stack."""
-    d = rho_start.shape[0]
-    stack = np.empty((steps + 1, d, d), dtype=complex)
-    stack[0] = rho_start
-    for k0, k1 in _batches(0, steps, d * d):
-        mids = seg.t_start + (np.arange(k0, k1) + 0.5) * dt
-        p = _prefix_products(_expi(sched._hamiltonians(seg, mids), dt))
-        stack[k0 + 1:k1 + 1] = (p.reshape(-1, d) @ stack[k0]).reshape(-1, d, d) @ _dag(p)
-    stack[-1] = _sym(stack[-1])
-    stack.setflags(write=False)
-    return stack
-
-
-def _driven_observables(sched: HamiltonianSchedule, seg: Segment, stack: np.ndarray,
-                        times: np.ndarray):
-    """Env energies and energy rates at a driven segment's grid points."""
-    d = stack.shape[1]
-    energies = sched.gibbs.mean_energy(_ptrace_stack(stack, sched.d_s, sched.d_e, "E"))
-    rates = np.empty(len(times))
-    for k0, k1 in _batches(0, len(times), d * d):
-        # R = -i (X^dag - X) for X = h_int (I x H_E), so tr[rho R] = -2 Im tr[rho X].
-        h_int = _term_stack(seg.h_int, times[k0:k1], d, "h_int")
-        x = (h_int.reshape(-1, d) @ sched._env_term).reshape(-1, d, d)
-        rates[k0:k1] = -2.0 * np.einsum("kij,kji->k", stack[k0:k1], x).imag
-    return energies, rates
 
 
 def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
@@ -491,12 +481,8 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
         sl = slice(j * steps, (j + 1) * steps + 1)
         times[sl.start + 1:sl.stop] = seg.t_start + np.arange(1, steps + 1) * dt
         times[sl.stop - 1] = seg.t_end  # pin the endpoint against rounding drift
-        if seg.is_constant:
-            src = _Eigenframe(sched.total_hamiltonian(seg.t_start, seg), rho, dt, steps)
-            rho = src.end
-        else:
-            src = _driven_segment(sched, seg, rho, dt, steps)
-            rho = src[-1]
+        src = (_Eigenframe if seg.is_constant else _Driven)(sched, seg, rho, dt, steps)
+        rho = src.end
         slices.append(sl)
         seg_states.append(src)
 

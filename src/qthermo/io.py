@@ -17,16 +17,23 @@ import numpy as np
 from .errors import ScenarioError
 
 
+def _as_int(value, where: str) -> int:
+    """A JSON integer (a bool or a float is not one) as an int; else ScenarioError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     """Decode a matrix object; raises ScenarioError with context on misuse."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{what}: expected an object, got {type(obj).__name__}")
     if "dim" not in obj or "re" not in obj:
         raise ScenarioError(f'{what}: needs "dim" and "re" fields')
+    dim = _as_int(obj["dim"], f"{what}.dim")
     try:
-        dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{what}: malformed numeric data: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):

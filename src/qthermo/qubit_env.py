@@ -73,6 +73,11 @@ def beta_from_polarization(r: float, gap: float) -> float:
     return 2.0 * math.atanh(r) / gap
 
 
+def _beta_star(p: float, gap: float) -> float:
+    """beta* at longitudinal p; |p| past 1 within the Bloch slack is the edge state."""
+    return beta_from_polarization(min(max(p, -1.0), 1.0), gap)
+
+
 @dataclass(frozen=True)
 class EnvPoint:
     """Qubit state (1/2)[[1+p, b], [conj(b), 1-p]] by Bloch coordinates.
@@ -145,9 +150,7 @@ def example_distances(initial: EnvPoint, final: EnvPoint, beta_tau: float,
     solver = _solver(env_hamiltonian(gap))
     for pt in (initial, final):
         p = pt.longitudinal
-        # The Bloch slack lets |p| exceed 1 by rounding; that is the edge state.
-        beta_star = beta_from_polarization(min(max(p, -1.0), 1.0), gap)
-        p_back = 1.0 - 2.0 * solver.energy(beta_star) / gap
+        p_back = 1.0 - 2.0 * solver.energy(_beta_star(p, gap)) / gap
         if abs(p_back - p) > _CONSISTENCY_TOL:
             raise NumericalError(
                 f"polarization round trip drifted: 1 - 2E(beta*)/gap = {p_back!r} "
@@ -171,7 +174,7 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
         raise InvalidInput("region_rhs expects an EnvPoint")
     beta0 = _as_beta(beta0)
     delta = 0.5 * abs(initial.coherence)
-    beta_star0 = beta_from_polarization(initial.longitudinal, gap)
+    beta_star0 = _beta_star(initial.longitudinal, gap)
     solver = _solver(env_hamiltonian(gap))
     mismatch = solver.gibbs_relative_entropy(beta_star0, beta0)
     return 2.0 * binary_entropy(delta) + 2.0 * mismatch
@@ -327,7 +330,7 @@ def emit_region_map(grid: RegionGrid) -> RegionMap:
             cells.append(RegionCell(s=s, b_abs=b, rhs=rhs, holds=holds,
                                     feasible=feasible))
 
-    beta_star0 = beta_from_polarization(initial.longitudinal, grid.gap)
+    beta_star0 = _beta_star(initial.longitudinal, grid.gap)
     metadata = {
         "gap": grid.gap,
         "beta0": grid.beta0,

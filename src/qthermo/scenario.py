@@ -32,8 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .bounds import BoundReport, build_bound_report, make_perturbed_initial
 from .dynamics import HamiltonianSchedule, Segment, Trajectory, evolve
 from .entropy_production import (
@@ -45,7 +43,7 @@ from .entropy_production import (
     build_report,
 )
 from .errors import InvalidInput, ScenarioError
-from .io import matrix_from_json
+from .io import _as_int, matrix_from_json
 from .linalg import BipartiteState, DensityMatrix, HermitianMatrix
 from .qubit_env import RegionGrid
 
@@ -76,12 +74,6 @@ def _need(obj: dict, key: str, where: str):
     if key not in obj:
         raise ScenarioError(f'{where}: missing field "{key}"')
     return obj[key]
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
 
 
 def _as_real(value, where: str) -> float:
@@ -175,7 +167,7 @@ def _document(obj, source_name: str) -> dict:
     """A JSON document as an object of the supported ``spec_version``."""
     obj = _as_obj(obj, source_name)
     version = _need(obj, "spec_version", source_name)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioError(
             f"{source_name}: unsupported spec_version {version!r}, expected {SCHEMA_VERSION}"
         )

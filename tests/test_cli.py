@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,3 +549,97 @@ def test_cli_verify_subcommand(tmp_path):
     for bad in ("nan", "inf", "-1"):
         assert main(["verify", "--num", "8", "--seed", "2",
                      "--tol", f"mutual_info_decomposition={bad}"]) == 2
+
+
+_MATRIX_FIELDS = {
+    "h_env": ("h_env",),
+    "segments[0].h_sys": ("segments", 0, "h_sys"),
+    "segments[0].h_int": ("segments", 0, "h_int"),
+    "initial.rho_sys": ("initial", "rho_sys"),
+}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("field", _MATRIX_FIELDS)
+@pytest.mark.parametrize("dim", [1e999, -1e999, 2.5, True])
+def test_matrix_dim_must_be_a_json_integer(field, dim):
+    doc = json.loads(open(BUNDLED).read())
+    _at(doc, _MATRIX_FIELDS[field])["dim"] = dim
+    with pytest.raises(ScenarioError, match=re.escape(f"scenario.{field}.dim:")):
+        parse_scenario(doc)
+
+
+def test_cli_simulate_rejects_an_overflowing_dim_as_invalid_input(tmp_path, capsys):
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(open(BUNDLED).read().replace('"h_env": {"dim": 2',
+                                                     '"h_env": {"dim": 1e999', 1))
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ScenarioError"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_spec_version_must_be_the_integer_one(version):
+    doc = json.loads(open(BUNDLED).read())
+    doc["spec_version"] = version
+    with pytest.raises(ScenarioError, match="unsupported spec_version"):
+        parse_scenario(doc)
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value that is not an object or an array of objects."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node and all(isinstance(x, dict) for x in node):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+_REGION_GRID = {
+    "spec_version": 1,
+    "gap": 1.0,
+    "beta0": 0.8,
+    "policy": {"kind": "constant", "beta": 0.8},
+    "coherence_abs": 0.3,
+    "initial_longitudinal": 0.2,
+    "s": {"min": -1.0, "max": 1.0, "count": 5},
+    "b": {"min": 0.0, "max": 1.0, "count": 4},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "example"])
+def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsys):
+    # Every field of a valid document gets every malformed JSON value; the CLI
+    # must succeed or exit 2 with one JSON error line, never raise.  Huge
+    # integers are left out: they hit resource limits, not the JSON checks.
+    flag, doc = (("--scenario", json.loads(open(BUNDLED).read())) if command == "simulate"
+                 else ("--grid", _REGION_GRID))
+    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {})
+    paths, failures = _leaf_paths(doc), []
+    assert len(paths) == {"simulate": 20, "example": 13}[command]
+    for path in paths:
+        for value in values:
+            bad = copy.deepcopy(doc)
+            _at(bad, path[:-1])[path[-1]] = value
+            source = tmp_path / "doc.json"
+            source.write_text(json.dumps(bad))
+            capsys.readouterr()
+            try:
+                rc = main([command, flag, str(source), "--out", str(tmp_path)])
+            except Exception as exc:  # a traceback is the failure looked for
+                failures.append((path, value, repr(exc)))
+                continue
+            err = capsys.readouterr().err.splitlines()
+            one_line = len(err) == 1 and "error" in json.loads(err[0])
+            if rc not in (0, 2) or (rc == 2 and not one_line):
+                failures.append((path, value, rc, err))
+    assert not failures

@@ -542,3 +542,30 @@ def test_state_builds_one_grid_point_without_the_stack():
     assert "rho" not in traj.__dict__
     assert np.max(np.abs(np.array(states) - traj.rho)) <= 1e-14
     assert np.array_equal(np.array(negative), np.array(states))
+
+
+@pytest.mark.parametrize("d_s, d_e", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("driven", ["h_sys", "h_int"])
+def test_constant_and_driven_segments_agree_on_a_fixed_hamiltonian(driven, d_s, d_e):
+    # The same fixed term given as a callable runs the driven path; both kinds
+    # must then answer every state and grid observable alike.
+    rng = np.random.default_rng(100 * d_s + d_e)
+    h_env = rand_env_hamiltonian(rng, d_e)
+    terms = {"h_sys": rand_hermitian(rng, d_s, scale=0.5),
+             "h_int": rand_hermitian(rng, d_s * d_e, scale=0.3)}
+    fixed = terms[driven]
+    initial = rand_bipartite(rng, d_s, d_e)
+    trajs = [
+        evolve(initial, HamiltonianSchedule(h_env, (Segment(0.0, 2.0, **t),)), 300)
+        for t in (terms, dict(terms, **{driven: lambda t: fixed}))
+    ]
+    const, drive = trajs
+    assert const.schedule.segments[0].is_constant
+    assert not drive.schedule.segments[0].is_constant
+    assert np.max(np.abs(const.rho - drive.rho)) <= 1e-12
+    for k in range(len(const)):
+        assert np.max(np.abs(const.state(k).mat - drive.state(k).mat)) <= 1e-12
+    for name in ("env_energy", "heat_flux"):
+        assert np.max(np.abs(getattr(const, name) - getattr(drive, name))) <= 1e-12
+    for a, b in zip(const.segment_rates, drive.segment_rates, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-12

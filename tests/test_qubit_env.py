@@ -311,3 +311,18 @@ def test_region_grid_accepts_numpy_counts():
     grid = RegionGrid(**{**_GRID, "s_count": np.int64(3), "b_count": 2})
     assert (grid.s_count, grid.b_count) == (3, 2)
     assert type(grid.s_count) is int
+
+
+@pytest.mark.parametrize("sign, expected", [(1.0, 0.6765472606075951), (-1.0, 2.4965472606075947)])
+def test_points_in_the_bloch_slack_read_as_the_edge_state(sign, expected):
+    # EnvPoint accepts |p| a hair above 1; beta* must read that as the edge.
+    slack = EnvPoint(sign * (1.0 + 1e-13))
+    rhs = region_rhs(slack, 0.7, 1.3)
+    assert rhs == region_rhs(EnvPoint(sign), 0.7, 1.3) == expected
+    final = EnvPoint(0.0, 0.5)
+    assert (region_condition(slack, final, 0.7, 0.7, 1.3)
+            == region_condition(EnvPoint(sign), final, 0.7, 0.7, 1.3))
+    grid = RegionGrid(gap=1.3, beta0=0.7, beta_tau_policy=EnergyMatching(), coherence_abs=0.0,
+                      s_min=-1.0, s_max=1.0, s_count=3, b_min=0.0, b_max=1.0, b_count=2,
+                      initial_longitudinal=sign * (1.0 + 1e-13))
+    assert emit_region_map(grid).metadata["beta_star_initial"] == sign * math.inf
