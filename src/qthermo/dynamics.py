@@ -469,8 +469,10 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     steps = _as_int(steps_per_segment, "steps_per_segment")
     if steps < 1:
         raise InvalidInput("steps_per_segment must be at least 1")
-
     total = len(sched.segments) * steps
+    if total >= np.iinfo(np.intp).max:
+        raise InvalidInput(f"steps_per_segment {steps} gives more grid points than NumPy can index")
+
     times = np.empty(total + 1)
     times[0] = 0.0
 

@@ -31,7 +31,7 @@ from .thermo import (
     _gibbs_relative_entropy,
     _mutual_information,
     _solver,
-    von_neumann_entropy,
+    _States,
 )
 
 
@@ -120,7 +120,7 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
     Computed through the marginal decomposition: change in mutual
     information plus the change of the environment's divergence from the
     respective Gibbs state.  Infinite endpoint temperatures are rejected;
-    resolve them to the spectral-edge Gibbs projectors upstream if needed.
+    ``build_report`` takes an energy-matched beta* = +-inf at its limit.
     """
     if not (isinstance(initial, BipartiteState) and isinstance(final, BipartiteState)):
         raise InvalidInput("entropy_production expects BipartiteState endpoints")
@@ -141,73 +141,33 @@ def _entropy_production(initial: _Bipartite, final: _Bipartite, beta0: np.ndarra
     environment divergences go through the log-partition identity, so Gibbs
     levels that underflow on a wide spectrum cannot fake a support violation."""
     return (_mutual_information(final) - _mutual_information(initial)
-            + (_env_divergence(final.rho_env, beta_tau, g)
-               - _env_divergence(initial.rho_env, beta0, g)))
+            + (_matched_divergence(final.rho_env, beta_tau, g)
+               - _matched_divergence(initial.rho_env, beta0, g)))
+
+
+def _matched_divergence(rho: _States, beta: np.ndarray, g: _Gibbs) -> np.ndarray:
+    """``_env_divergence``, except at beta = +-inf, which only an energy-matched beta*
+    reaches: there D(rho_E || gamma(beta*)) = S_G(beta*) - S(rho_E), with S_G = ln g."""
+    inf = np.isinf(beta)
+    if not any(inf.tolist()):
+        return _env_divergence(rho, beta, g)
+    return np.where(inf, _GibbsRows(g, beta).s - rho.s,
+                    _env_divergence(rho, np.where(inf, 0.0, beta), g))
 
 
 def clausius_entropy_production(traj: Trajectory, policy: BetaPolicy) -> float:
-    """System entropy change plus the beta-weighted heat integral.
-
-    Two policies take the integral in closed form from endpoint data: for
-    ConstantBeta it telescopes to beta times the endpoint energy difference,
-    and for EnergyMatching, since dS_G = beta dE_G along the thermal family,
-    to the Gibbs-entropy change S_G(beta*_tau) - S_G(beta*_0).  Tabulated
-    policies use per-segment trapezoidal quadrature of beta_t times the
-    analytic environment-energy rate (segment-local rates keep boundary jumps
-    of the generator out of the quadrature error).
-    """
-    d_s_entropy = (von_neumann_entropy(traj.final.rho_sys)
-                   - von_neumann_entropy(traj.initial.rho_sys))
-    s_gibbs = _GibbsRows(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).s.tolist()
-    return d_s_entropy + _heat_term(traj, policy, _policy_grid(policy, traj)[1], s_gibbs)
-
-
-def _heat_term(traj: Trajectory, policy: BetaPolicy, betas, s_gibbs: list) -> float:
-    """The beta-weighted heat integral over the grid ``betas``: beta dE for
-    ConstantBeta and dS_G for EnergyMatching integrate exactly, from endpoints
-    (``s_gibbs``, S_G at the two beta*)."""
-    if isinstance(policy, ConstantBeta):
-        return policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
-    if isinstance(policy, EnergyMatching):
-        s0, s_tau = s_gibbs
-        return s_tau - s0
-    # Only tabulated policies reach here, and their knots are finite.
-    heat_term = 0.0
-    for sl, rates in zip(traj.segment_slices, traj.segment_rates):
-        heat_term += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
-    return heat_term
+    """System entropy change plus the beta-weighted heat integral: ``build_report``'s field."""
+    return build_report(traj, policy).clausius_entropy_production
 
 
 def temperature_drift_correction(traj: Trajectory, policy: BetaPolicy) -> float:
-    """Integral of beta_dot times the thermal-energy mismatch E_t - E(beta_t).
-
-    Exactly zero for ConstantBeta, and for EnergyMatching, whose betas are
-    defined by E(beta*_t) = E_t; neither reads the beta* grid.  Otherwise
-    E_t is the stored ``traj.env_energy``, so spectral-edge states need no
-    beta*.  The quadrature uses exact per-interval beta increments, so
-    piecewise-linear tabulated policies incur only the O(dt^2) error of the
-    smooth factor.
-    """
-    return _drift(traj, policy, _policy_grid(policy, traj)[1])
-
-
-def _drift(traj: Trajectory, policy: BetaPolicy, betas) -> float:
-    if isinstance(policy, (ConstantBeta, EnergyMatching)):
-        return 0.0
-    mismatch = traj.env_energy - traj.schedule.gibbs.energy(betas)
-    dbeta = np.diff(betas)
-    return float((dbeta * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())
+    """Integral of beta_dot (E_t - E(beta_t)): ``build_report``'s field."""
+    return build_report(traj, policy).temperature_drift_correction
 
 
 def matched_entropy_production(traj: Trajectory) -> float:
-    """Entropy production at the energy-matching temperatures (endpoint form).
-
-    Equals the Clausius form along beta_star, whose heat integral is the
-    Gibbs-entropy change; both read endpoint entropies alone.
-    """
-    s_gibbs = _GibbsRows(traj.schedule.gibbs._g, np.array(traj.beta_star_ends)).s
-    return float(_matched_entropy_form(_bipartite_one(traj.initial), _bipartite_one(traj.final),
-                                       s_gibbs[:1], s_gibbs[1:])[-1][0])
+    """Entropy production at the energy-matching temperatures: ``build_report``'s field."""
+    return build_report(traj, EnergyMatching()).matched_entropy_production
 
 
 def _matched_entropy_form(initial: _Bipartite, final: _Bipartite, s_gibbs_0: np.ndarray,
@@ -262,6 +222,8 @@ class EPReport:
     quadrature accuracy for tabulated policies, at rounding level otherwise.
     ``residual_matched_split`` checks the endpoint-only decomposition through
     the matched value and the two Gibbs-mismatch terms, at rounding level.
+    The beta fields are +-inf where energy matching finds rho_E in an edge
+    eigenspace of H_E; every other field keeps its finite limit there.
     """
 
     entropy_production: float
@@ -290,19 +252,36 @@ EPReport.FIELDS = tuple(f.name for f in fields(EPReport))
 
 def build_report(traj: Trajectory, policy: BetaPolicy) -> EPReport:
     """Evaluate every decomposition quantity for one trajectory and policy, in one pass over
-    the endpoints: each entropy once, one populations pass at both beta* for S_G (read by the
-    matched kernel ``verify`` checks and the EnergyMatching heat), and both mismatches."""
+    the endpoints: each entropy once, one populations pass at both beta* for S_G, and both
+    mismatches.  The heat integral is closed-form, with zero drift and no beta* grid read,
+    for ConstantBeta (beta dE) and EnergyMatching (dS_G = beta dE_G along the thermal family
+    gives S_G(beta*_tau) - S_G(beta*_0)).  TabulatedBeta takes per-segment trapezoids of beta_t
+    times the analytic rate (segment-local, so generator jumps stay out of the error) and the
+    drift from exact per-interval beta increments, O(dt^2) on piecewise-linear knots.  Where
+    rho_E lies in an edge eigenspace of H_E (degeneracy g), beta* = +-inf is exact, and every
+    field takes its finite limit through S_G(+-inf) = ln g."""
     g = traj.schedule.gibbs._g
     (beta0, beta_tau), betas = _policy_grid(policy, traj)
-    beta_ends = np.array([_as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")])
+    beta_ends = np.array([beta0, beta_tau])
     stars = _GibbsRows(g, np.array(traj.beta_star_ends))
     initial, final = _bipartite_one(traj.initial), _bipartite_one(traj.final)
 
     s_sys, s_env, s_gibbs, matched = (float(x[0]) for x in _matched_entropy_form(
         initial, final, stars.s[:1], stars.s[1:]))
     ep = float(_entropy_production(initial, final, beta_ends[:1], beta_ends[1:], g)[0])
-    cl = s_sys + _heat_term(traj, policy, betas, stars.s.tolist())
-    drift = _drift(traj, policy, betas)
+    drift = 0.0
+    if isinstance(policy, ConstantBeta):
+        heat = policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
+    elif isinstance(policy, EnergyMatching):
+        s_gibbs_0, s_gibbs_tau = stars.s.tolist()
+        heat = s_gibbs_tau - s_gibbs_0
+    else:
+        heat = 0.0
+        for sl, rates in zip(traj.segment_slices, traj.segment_rates):
+            heat += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
+        mismatch = traj.env_energy - traj.schedule.gibbs.energy(betas)
+        drift = float((np.diff(betas) * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())
+    cl = s_sys + heat
     mism0, mism_tau = _gibbs_relative_entropy(g, stars.p, beta_ends).tolist()
 
     return EPReport(

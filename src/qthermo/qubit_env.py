@@ -236,8 +236,9 @@ class RegionGrid:
         for name in ("s_count", "b_count"):
             value = getattr(self, name)
             n = _as_int(value, name)
-            if n < 1:
-                raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+            if not 1 <= n <= np.iinfo(np.intp).max:
+                raise InvalidInput(f"{name} must be a positive integer NumPy can index, "
+                                   f"got {value!r}")
             object.__setattr__(self, name, n)
         reals = ("s_min", "s_max", "b_min", "b_max", "coherence_abs", "initial_longitudinal")
         for name in reals if self.initial_longitudinal is not None else reals[:-1]:

@@ -616,14 +616,38 @@ _REGION_GRID = {
 }
 
 
+@pytest.mark.parametrize("huge", [2**63, 10**30])
+@pytest.mark.parametrize("entry", ["scenario", "simulate", "sweep", "s.count", "b.count"])
+def test_cli_rejects_a_grid_numpy_cannot_index(entry, huge, tmp_path, capsys):
+    # More points than np.intp indexes exit 2 naming the field, before any
+    # allocation; NumPy itself would refuse them with a ValueError traceback.
+    doc = json.loads(open(BUNDLED).read())
+    argv = ["simulate", "--scenario", BUNDLED, "--steps", str(huge)]
+    field = "steps_per_segment"
+    if entry == "scenario":
+        doc["steps_per_segment"] = huge
+        argv = ["simulate", "--scenario", str(tmp_path / "doc.json")]
+    elif entry == "sweep":
+        argv = ["sweep", "--num", "1", "--steps", str(huge)]
+    elif entry != "simulate":
+        doc = copy.deepcopy(_REGION_GRID)
+        axis = entry.split(".")[0]
+        doc[axis]["count"] = huge
+        argv, field = ["example", "--grid", str(tmp_path / "doc.json")], f"{axis}_count"
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and field in json.loads(err[0])["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "example"])
 def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsys):
     # Every field of a valid document gets every malformed JSON value; the CLI
-    # must succeed or exit 2 with one JSON error line, never raise.  Huge
-    # integers are left out: they hit resource limits, not the JSON checks.
+    # must succeed or exit 2 with one JSON error line, never raise.
     flag, doc = (("--scenario", json.loads(open(BUNDLED).read())) if command == "simulate"
                  else ("--grid", _REGION_GRID))
-    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {})
+    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {}, 10**30)
     paths, failures = _leaf_paths(doc), []
     assert len(paths) == {"simulate": 20, "example": 13}[command]
     for path in paths:

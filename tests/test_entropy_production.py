@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from qthermo import (
     trace_distance_bound,
     von_neumann_entropy,
 )
+from qthermo.cli import main
 from qthermo.dynamics import _Eigenframe
 from qthermo.rand import rand_bipartite, rand_density, rand_env_hamiltonian, rand_hermitian
 
@@ -175,6 +177,85 @@ def test_entropy_production_input_checks():
         entropy_production(a, a, 1.0, 1.0, rand_env_hamiltonian(rng, 2))
 
 
+def _json_matrix(rows):
+    return {"dim": len(rows), "re": rows}
+
+
+def _edge_doc(**fields):
+    """The bundled scenario under energy matching, with ``fields`` replaced."""
+    doc = json.loads(BUNDLED.read_text())
+    doc.update(policy={"kind": "energy_matching"}, **fields)
+    return doc
+
+
+_MIXED_SYS = _json_matrix([[0.7, 0.2], [0.2, 0.3]])
+_EXCHANGE_2X3 = np.zeros((6, 6))
+_EXCHANGE_2X3[[2, 2], [3, 4]] = _EXCHANGE_2X3[[3, 4], [2, 2]] = 0.3  # |0,2> <-> |1,0>, |1,1>
+_EDGE_DOCS = {
+    # rho_S = |1><1| with the excited environment would be stationary.
+    "ground": _edge_doc(initial={"kind": "product", "rho_sys": _MIXED_SYS,
+                                 "rho_env": _json_matrix([[1.0, 0.0], [0.0, 0.0]])}),
+    "excited": _edge_doc(initial={"kind": "product",
+                                  "rho_sys": _json_matrix([[1.0, 0.0], [0.0, 0.0]]),
+                                  "rho_env": _json_matrix([[0.0, 0.0], [0.0, 1.0]])}),
+    # gamma(1) stores e^-1000 as 0, so the environment is the ground projector.
+    "wide": _edge_doc(h_env=_json_matrix([[0.0, 0.0], [0.0, 1e3]])),
+    # rho_E mixed inside a doubly degenerate ground level: S_G(+inf) = ln 2.
+    "degenerate": _edge_doc(
+        dims={"system": 2, "environment": 3},
+        h_env=_json_matrix(np.diag([0.0, 0.0, 1.0]).tolist()),
+        segments=[{"t_start": 0.0, "t_end": 6.0, "h_sys": _json_matrix([[0.0, 0.0], [0.0, 1.0]]),
+                   "h_int": _json_matrix(_EXCHANGE_2X3.tolist())}],
+        initial={"kind": "product", "rho_sys": _MIXED_SYS,
+                 "rho_env": _json_matrix([[0.6, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.0]])}),
+    # An offset spectrum: E rounds to the ground level, so beta* = +inf is
+    # inexact.  The support rule gives D(rho_E || gamma(+inf)) = +inf at both
+    # ends, so inf - inf; the energy-matched identity gives the matched values.
+    "offset": _edge_doc(h_env=_json_matrix([[1e5, 0.0], [0.0, 1e5 + 1.0]]),
+                        initial={"kind": "product",
+                                 "rho_sys": _json_matrix([[1.0, 0.0], [0.0, 0.0]]),
+                                 "rho_env": _json_matrix([[1.0 - 5e-12, 0.0], [0.0, 5e-12]])}),
+}
+
+
+@pytest.mark.parametrize("name, beta_star_0", [
+    ("ground", math.inf), ("excited", -math.inf), ("wide", math.inf),
+    ("degenerate", math.inf), ("offset", math.inf)])
+def test_energy_matching_at_a_spectral_edge(name, beta_star_0, tmp_path):
+    # beta*_0 = +-inf, and every entropy-production field takes its finite limit.
+    doc = _EDGE_DOCS[name]
+    source = tmp_path / "edge.json"
+    source.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--scenario", str(source), "--out", str(tmp_path)]) == 0
+        result = run_scenario(parse_scenario(doc))
+    report = json.loads((tmp_path / f"{doc['name']}_report.json").read_text())["report"]
+    assert report["beta_star_0"] == report["beta_0"] == beta_star_0
+    assert all(math.isfinite(v) for k, v in report.items() if not k.startswith("beta"))
+    assert abs(report["entropy_production"] - report["matched_entropy_production"]) <= 1e-12
+    assert report["residual_split"] <= 1e-12
+    assert report["residual_matched_split"] <= 1e-12
+    traj, policy = result.trajectory, result.scenario.policy
+    assert result.report.to_dict() == report
+    assert clausius_entropy_production(traj, policy) == report["clausius_entropy_production"]
+    assert temperature_drift_correction(traj, policy) == report["temperature_drift_correction"]
+    assert matched_entropy_production(traj) == report["matched_entropy_production"]
+
+
+def test_degenerate_edge_divergence_is_ln_g_minus_the_entropy():
+    # D(rho_E || gamma(+inf)) = ln 2 - S(rho_E) at t = 0; the final term at a
+    # finite beta* is the log-partition form of the public solver.
+    result = run_scenario(parse_scenario(_EDGE_DOCS["degenerate"]))
+    traj, report = result.trajectory, result.report
+    solver = GibbsSolver(result.scenario.schedule.h_env)
+    d_tau = solver.relative_entropy_profile(traj.final.rho_env,
+                                            np.array([report.beta_star_tau]))[0]
+    d_0 = math.log(2.0) - von_neumann_entropy(traj.initial.rho_env)
+    oracle = mutual_information(traj.final) - mutual_information(traj.initial) + d_tau - d_0
+    assert abs(report.entropy_production - oracle) <= 1e-12
+
+
 def test_constant_policy_closed_form():
     # With a fixed beta the integral collapses to beta * (energy change).
     rng, sched, _, initial = _ramp_setup(5)
@@ -266,9 +347,10 @@ def test_run_scenario_solves_the_beta_star_grid_only_when_read(monkeypatch, kind
 @pytest.mark.parametrize("kind", ["constant", "tabulated", "energy_matching"])
 def test_report_and_bounds_equal_the_one_quantity_functions(kind, initial):
     # The report and the bounds read one endpoint pass (stacked thermal rows,
-    # beta*_0 cached by evolve); each field equals the public function of its
-    # quantity bit for bit.  The public calls get fresh copies of the endpoint
-    # states, so their beta* is solved again, not read from evolve's cache.
+    # beta*_0 cached by evolve); each field equals, bit for bit, a form that
+    # does not go through build_report.  The public calls get fresh copies of
+    # the endpoint states, so their beta* is solved again, not read from
+    # evolve's cache.
     policy = {"constant": {"kind": "constant", "beta": 1.0},
               "tabulated": {"kind": "tabulated", "times": [0.0, 6.0], "betas": [1.0, 0.5]},
               "energy_matching": {"kind": "energy_matching"}}[kind]
@@ -281,11 +363,21 @@ def test_report_and_bounds_equal_the_one_quantity_functions(kind, initial):
     ini, fin = (BipartiteState(x.d_s, x.d_e, x.state) for x in (traj.initial, traj.final))
     beta0, beta_tau = policy_endpoints(sc.policy, traj)
     bs0, bs_tau = (effective_beta(x.rho_env, h_env) for x in (ini, fin))
+    heat, drift = 0.0, 0.0
+    if kind == "constant":
+        heat = sc.policy.beta * (traj.env_energy_ends[1] - traj.env_energy_ends[0])
+    elif kind == "energy_matching":
+        heat = solver.entropy(bs_tau) - solver.entropy(bs0)
+    else:
+        betas = policy_grid_betas(sc.policy, traj)
+        for sl, rates in zip(traj.segment_slices, traj.segment_rates):
+            heat += float(np.trapezoid(betas[sl] * rates, traj.times[sl]))
+        mismatch = traj.env_energy - solver.energy(betas)
+        drift = float((np.diff(betas) * 0.5 * (mismatch[:-1] + mismatch[1:])).sum())
     want = {
         "entropy_production": entropy_production(ini, fin, beta0, beta_tau, h_env),
-        "clausius_entropy_production": clausius_entropy_production(traj, sc.policy),
-        "temperature_drift_correction": temperature_drift_correction(traj, sc.policy),
-        "matched_entropy_production": matched_entropy_production(traj),
+        "clausius_entropy_production": s(fin.rho_sys) - s(ini.rho_sys) + heat,
+        "temperature_drift_correction": drift,
         "gibbs_mismatch_initial": solver.gibbs_relative_entropy(bs0, beta0),
         "gibbs_mismatch_final": solver.gibbs_relative_entropy(bs_tau, beta_tau),
         "mutual_info_change": mutual_information(fin) - mutual_information(ini),
@@ -295,12 +387,20 @@ def test_report_and_bounds_equal_the_one_quantity_functions(kind, initial):
                                  - (solver.entropy(bs0) - s(ini.rho_env))),
         "beta_0": beta0, "beta_tau": beta_tau, "beta_star_0": bs0, "beta_star_tau": bs_tau,
     }
+    want["matched_entropy_production"] = (want["system_entropy_change"]
+                                          + want["env_entropy_change"]
+                                          + want["gibbs_entropy_change"])
     ep, cl, matched = (want[k] for k in ("entropy_production", "clausius_entropy_production",
                                          "matched_entropy_production"))
     want["residual_split"] = abs(ep - cl - want["temperature_drift_correction"])
     want["residual_matched_split"] = abs(ep - matched - want["gibbs_mismatch_final"]
                                          + want["gibbs_mismatch_initial"])
     assert result.report.to_dict() == want
+    assert (clausius_entropy_production(traj, sc.policy),
+            temperature_drift_correction(traj, sc.policy),
+            matched_entropy_production(traj)) == (want["clausius_entropy_production"],
+                                                  want["temperature_drift_correction"],
+                                                  want["matched_entropy_production"])
     product = is_product_state(ini)
     assert product == (initial == "product")
     assert result.bounds.to_dict() == {
