@@ -170,6 +170,7 @@ def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise InvalidInput("--steps must be >= 1")
     dims = _parse_dims([args.dims])[0]
+    VerifySuiteConfig(dims=(dims,), seed=args.seed)  # verify's seed and dims rules
     rng = np.random.default_rng(args.seed)
 
     rows = []

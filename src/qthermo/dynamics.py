@@ -223,19 +223,6 @@ class _Eigenframe:
         a = (high[:, None, :] * self._low).reshape(-1, len(self.freqs))
         return a[start - q0 * self._m:stop - q0 * self._m]
 
-    def expectations(self, ops: np.ndarray) -> np.ndarray:
-        """tr[rho_k A] at k = 0..steps for each A, given as V^dag A V in an (m, d, d) stack.
-
-        tr[rho_k A] = sum_ij a_i (rho0 o A~^T)_ij conj(a_j): an (n, d) @ (d, d)
-        product per operator, never a state.
-        """
-        weights = self.rho0 * ops.transpose(0, 2, 1)
-        out = np.empty((len(ops), self.steps + 1))
-        for k0, k1 in _batches(0, self.steps + 1, len(self.freqs)):
-            a = self._phases(k0, k1)
-            out[:, k0:k1] = np.einsum("mkj,kj->mk", a @ weights, a.conj()).real
-        return out
-
     def _states(self, start: int, stop: int) -> np.ndarray:
         a = self._phases(start, stop)
         n, d = a.shape
@@ -247,12 +234,20 @@ class _Eigenframe:
         return (half.conj().transpose(0, 2, 1).reshape(n * d, d) @ vh).reshape(n, d, d)
 
     def observables(self, times: np.ndarray):
-        """Env energies and energy rates at the segment's grid points."""
-        env = self.vecs.conj().T @ self._env_term @ self.vecs
-        # V^dag R V for R = -i [I x H_E, H]: H is diagonal in this frame, so the
-        # commutator scales each entry by a level difference.
-        rate = -1j * env * (self.freqs[None, :] - self.freqs[:, None])
-        return self.expectations(np.stack([env, rate]))
+        """Env energies and energy rates at the segment's grid points, never a state.
+
+        tr[rho_k A] = sum_ij a_i (rho0 o A~^T)_ij conj(a_j), A~ = V^dag A V.  For E~ of I x H_E,
+        W = rho0 o E~^T is Hermitian and -i [I x H_E, H] is E~ o (-i (f_j - f_i)); so one
+        product x = (a W) o conj(a) per batch, times the columns (1, f), gives
+        E_k = Re sum_j x_kj and R_k = -2 Im sum_j x_kj f_j."""
+        weights = self.rho0 * (self.vecs.conj().T @ self._env_term @ self.vecs).T
+        one_f = np.stack([np.ones_like(self.freqs), self.freqs], axis=1).astype(complex)
+        out = np.empty((2, self.steps + 1))
+        for k0, k1 in _batches(0, self.steps + 1, len(self.freqs)):
+            a = self._phases(k0, k1)
+            xf = ((a @ weights) * a.conj()) @ one_f
+            out[0, k0:k1], out[1, k0:k1] = xf[:, 0].real, -2.0 * xf[:, 1].imag
+        return out
 
 
 def _prefix_products(u: np.ndarray) -> np.ndarray:

@@ -194,9 +194,9 @@ class GibbsSolver:
     """Cached eigensystem of a fixed Hamiltonian answering thermal queries.
 
     The scalar maps (energy, variance, entropy, log-partition) take a float or
-    an array of finite inverse temperatures and run one row kernel on either,
-    so an array entry equals the float result bit for bit.  A solver is the
-    ``_gibbs`` stack ``_g`` of its one row, and its one-target beta* is
+    an array of finite inverse temperatures and run one level-major kernel on
+    either, so an array entry equals the float result bit for bit.  A solver is
+    the ``_gibbs`` stack ``_g`` of its one row, and its one-target beta* is
     ``_solve_beta`` on its ``_spectrum_table``, as a stack row's is.  The energy inversion
     measures a target E from the near spectral edge: below the beta = 0
     energy (the level mean), beta >= 0 with gaps eps = w - w_0 and
@@ -222,7 +222,7 @@ class GibbsSolver:
     # -- population vectors ------------------------------------------------
 
     def populations(self, beta: float) -> np.ndarray:
-        return _populations(self.energies, np.array([_as_beta(beta)]))[0]
+        return _populations(self._g.levels, np.array([_as_beta(beta)]))[0]
 
     # -- scalar thermal maps -------------------------------------------------
 
@@ -236,13 +236,13 @@ class GibbsSolver:
         return kernel(self._g.levels, b.ravel()).reshape(b.shape)
 
     def energy(self, beta):
-        return self._map(lambda w, b: _energy_variance(w, b)[0], beta)
+        return self._map(lambda w, b: _energy(w, b)[0], beta)
 
     def variance(self, beta):
         return self._map(lambda w, b: _energy_variance(w, b)[1], beta)
 
     def entropy(self, beta):
-        return self._map(lambda w, b: _entropy_from_eigs(_populations(w, b)), beta)
+        return self._map(lambda w, b: _gibbs_entropy(_populations(w, b).T), beta)
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
@@ -401,35 +401,59 @@ def _solve_beta(table: tuple, e: float) -> float:
     return sign * x
 
 
+def _level_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading (level) axis in level order, so a column rounds alike at any
+    trailing shape (NumPy sums a lone column pairwise); accumulate is faster on few columns."""
+    if x[0].size <= 64:
+        return np.add.accumulate(x, axis=0)[-1]
+    acc = x[0].copy()
+    for row in x[1:]:
+        acc += row
+    return acc
+
+
 def _populations(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Thermal populations at (n,) betas on one (d,) spectrum or per row of (n, d)
-    levels; at beta = +-inf, uniform on the degenerate edge level."""
-    inf = np.isinf(beta)
-    any_inf = any(inf.tolist())
-    a = -((np.where(inf, 0.0, beta) if any_inf else beta)[:, None] * levels)
-    a -= a.max(axis=1, keepdims=True)
-    p = np.exp(a)
+    """Thermal populations (n, d) at (n,) betas on (1, d) or (n, d) ascending levels, as the
+    view of a level-major (d, n) array; at beta = +-inf, uniform on the degenerate edge level.
+    -beta w is monotone in w, so the edge terms hold the row max that guards exp."""
+    w, inf = levels.T, np.isinf(beta)
+    any_inf = inf.any()
+    a = w * -(np.where(inf, 0.0, beta) if any_inf else beta)
+    a -= np.maximum(a[0], a[-1])
+    p = np.exp(a, out=a)
     if any_inf:
-        edge = np.where(beta > 0, levels[..., 0], levels[..., -1])[:, None]
-        atol = _DEGEN_TOL * np.maximum(np.abs(levels).max(axis=-1, keepdims=True), 1.0)
-        p = np.where(inf[:, None], np.abs(levels - edge) <= atol, p)
-    return p / p.sum(axis=1, keepdims=True)
+        atol = _DEGEN_TOL * np.maximum(np.abs(w).max(axis=0), 1.0)
+        p = np.where(inf, np.abs(w - np.where(beta > 0, w[0], w[-1])) <= atol, p)
+    p /= _level_sum(p)
+    return p.T
 
 
 def _log_partition(levels: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """ln Z at finite betas, on levels broadcast against ``beta[..., None]``."""
-    a = -(beta[..., None] * levels)
-    m = a.max(axis=-1)
-    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    """ln Z at finite betas, on levels broadcast against ``beta[..., None]``; level-major."""
+    a = levels.transpose(-1, *range(levels.ndim - 1)) * -beta
+    m = np.maximum(a[0], a[-1])
+    a -= m
+    return m + np.log(_level_sum(np.exp(a, out=a)))
+
+
+def _energy(levels: np.ndarray, beta: np.ndarray) -> tuple:
+    """Thermal energy per beta, clipped as p . w can round an ulp past an edge on degenerate
+    levels; with the level-major populations and the unclipped energy."""
+    p, w = _populations(levels, beta).T, levels.T
+    e = _level_sum(p * w)
+    return np.minimum(np.maximum(e, w[0]), w[-1]), p, e
 
 
 def _energy_variance(levels: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal energy and variance per row of (n, d) levels at (n,) betas.  The
-    energy is clipped: p @ w can round an ulp past an edge on degenerate levels."""
-    p = _populations(levels, beta)
-    e = _dot_rows(p, levels)
-    clipped = np.minimum(np.maximum(e, levels[:, 0]), levels[:, -1])
-    return clipped, _dot_rows(p, (levels - e[:, None]) ** 2)
+    """Thermal energy and variance per row of (n, d) levels at (n,) betas."""
+    clipped, p, e = _energy(levels, beta)
+    return clipped, _level_sum(p * (levels.T - e) ** 2)
+
+
+def _gibbs_entropy(p: np.ndarray) -> np.ndarray:
+    """``_entropy_from_eigs`` of level-major populations, which need no clip to [0, 1]."""
+    safe = np.where(p > EIG_ZERO_TOL, p, 1.0)
+    return -_level_sum(safe * np.log(safe))
 
 
 def _thermal(basis: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -495,15 +519,15 @@ def _gibbs_relative_entropy(g: _Gibbs, p: np.ndarray, beta_b: np.ndarray) -> np.
 
 
 class _GibbsRows:
-    """Gibbs rows of a thermal-family stack at (n,) betas: one populations pass ``p`` (n, d),
-    from which S_G (n,) and gamma (n, d, d) are built on first read, as GibbsSolver's."""
+    """Gibbs rows of a thermal-family stack at (n,) betas: one populations pass ``p`` (n, d), in
+    C order for the row dots, from which S_G (n,) and gamma (n, d, d) are built on first read."""
 
     def __init__(self, g: _Gibbs, beta: np.ndarray):
-        self.g, self.beta, self.p = g, beta, _populations(g.levels, beta)
+        self.g, self.beta, self.p = g, beta, _populations(g.levels, beta).copy()
 
     @cached_property
     def s(self) -> np.ndarray:
-        return _entropy_from_eigs(self.p)
+        return _gibbs_entropy(self.p.T)
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -433,6 +433,19 @@ def test_cli_sweep_deterministic(tmp_path):
     assert "beta_star" in header
 
 
+@pytest.mark.parametrize("flag, value, message", [("--seed", "-1", "seed must be >= 0"),
+                                                   ("--dims", "0x2", "invalid dims (0, 2)")])
+def test_cli_sweep_rejects_what_verify_rejects(flag, value, message, tmp_path, capsys):
+    # A negative seed ended in NumPy's ValueError traceback with exit 1, and a
+    # zero system dimension in a HermitianMatrix message.
+    argv = ["sweep", "--num", "1", "--steps", "5", flag, value, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {"type": "InvalidInput", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_perturbed_initial(tmp_path):
     # I/2 x gamma(1) + chi, chi = 0.05 sx x sx: chi has no system marginal and no
     # diagonal environment weight, so beta*_0 stays at 1; the distance is |chi|_1 / 2.

@@ -153,6 +153,25 @@ def test_heat_flux_matches_energy_rate_formula():
     assert abs(traj.heat_flux[k] + rate) < 1e-12
 
 
+@pytest.mark.parametrize("d_s, d_e, repeated", [(2, 2, False), (2, 3, False), (4, 8, False),
+                                                (2, 3, True)])
+def test_eigenframe_energy_and_rate_at_every_grid_point(d_s, d_e, repeated):
+    # A constant segment reads both from one product x = (a W) o conj(a) per
+    # batch, W = rho0 o E~^T: E_k = Re sum_j x_kj and R_k = -2 Im sum_j x_kj f_j.
+    # H_int = 0 with H_S ~ I repeats every frequency d_s times.
+    sched, rng = _exchange_schedule(d_s, d_e, tau=1.3, seed=12 + d_s * d_e)
+    if repeated:
+        seg = Segment(0.0, 1.3, 0.7 * np.eye(d_s), np.zeros((d_s * d_e,) * 2))
+        sched = HamiltonianSchedule(sched.h_env, (seg,))
+    traj = evolve(rand_bipartite(rng, d_s, d_e), sched, steps_per_segment=60)
+    h_total = HermitianMatrix(sched.total_hamiltonian(0.0))
+    for k in range(len(traj)):
+        state = traj.state(k)
+        assert abs(traj.env_energy[k] - sched.gibbs.mean_energy(state.rho_env.mat)) <= 1e-12
+        assert abs(traj.segment_rates[0][k]
+                   - env_energy_rate(state, h_total, sched.h_env)) <= 1e-12
+
+
 def test_env_energy_rate_closed_form():
     # i tr[rho [H, 1 (x) H_E]] via explicit commutator, random inputs.
     rng = np.random.default_rng(8)

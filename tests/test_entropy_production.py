@@ -426,11 +426,11 @@ def test_endpoint_policies_read_no_grid_observable(monkeypatch, kind):
             raise AssertionError("a report solved the beta* grid")
         return solve(self, energies)
 
-    def no_expectations(self, ops):
+    def no_observables(self, times):
         raise AssertionError("a report read a grid observable")
 
     monkeypatch.setattr(GibbsSolver, "solve_beta_many", endpoint_only)
-    monkeypatch.setattr(_Eigenframe, "expectations", no_expectations)
+    monkeypatch.setattr(_Eigenframe, "observables", no_observables)
     traj = run_scenario(sc).trajectory
     assert "_observables" not in vars(traj) and "beta_star" not in vars(traj)
 

@@ -266,15 +266,41 @@ def test_energy_stays_inside_the_spectrum_at_large_beta():
 
 def test_thermal_maps_round_alike_on_floats_and_arrays():
     # energy and variance once took a gemv on arrays and a row dot on floats,
-    # which differed in the last bit for about a quarter of the draws.
+    # which differed in the last bit for about a quarter of the draws; a sum over
+    # a (d, 1) column of levels rounds pairwise where a (d, n) block sums in
+    # order.  Every entry of an array of 8 or 3,001 betas equals the float
+    # result, and so does every row of a populations or Gibbs-row stack that
+    # mixes +-inf rows with finite ones, on edge levels single or degenerate.
     rng = np.random.default_rng(26)
-    for _ in range(500):
-        d = int(rng.integers(2, 9))
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        solver = GibbsSolver(HermitianMatrix(0.5 * (g + g.conj().T)))
+    for i in range(500):
+        d = int(rng.integers(2, 17))
+        if i % 5 or d < 4:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = 0.5 * (g + g.conj().T)
+        else:  # both edge levels doubly degenerate
+            levels = np.sort(rng.standard_normal(d))
+            levels[1], levels[-2] = levels[0], levels[-1]
+            u = rand_unitary(rng, d).mat
+            h = (u * levels) @ u.conj().T
+        solver = GibbsSolver(HermitianMatrix(h))
         betas = rng.normal(scale=3.0, size=8)
+        long = rng.normal(scale=3.0, size=3001)
+        at = rng.choice(3001, size=8, replace=False)
+        long[at] = betas
         for query in (solver.energy, solver.variance, solver.entropy, solver.log_partition):
-            assert query(betas).tolist() == [query(b) for b in betas.tolist()]
+            floats = [query(b) for b in betas.tolist()]
+            assert query(betas).tolist() == floats
+            assert query(long)[at].tolist() == floats
+        betas[rng.choice(8, size=3, replace=False)] = [math.inf, -math.inf, math.inf]
+        long[at] = betas
+        short_rows, long_rows = _GibbsRows(solver._g, betas), _GibbsRows(solver._g, long)
+        assert np.array_equal(long_rows.p[at], short_rows.p)
+        assert long_rows.s[at].tolist() == short_rows.s.tolist()
+        assert np.array_equal(_populations(solver._g.levels, long)[at], short_rows.p)
+        for k, b in enumerate(betas.tolist()):
+            assert np.array_equal(short_rows.p[k], solver.populations(b))
+            assert short_rows.s[k] == solver.entropy(b)
+            assert np.array_equal(short_rows.gamma[k], solver.state(b).mat)
 
 
 # Spectra offset + width * (0, sorted interior levels, 1) on the diagonal.
