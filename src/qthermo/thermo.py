@@ -403,9 +403,7 @@ def _solve_beta(table: tuple, e: float) -> float:
 
 def _level_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading (level) axis in level order, so a column rounds alike at any
-    trailing shape (NumPy sums a lone column pairwise); accumulate is faster on few columns."""
-    if x[0].size <= 64:
-        return np.add.accumulate(x, axis=0)[-1]
+    trailing shape (NumPy sums a lone column pairwise)."""
     acc = x[0].copy()
     for row in x[1:]:
         acc += row
