@@ -280,7 +280,7 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
         )
 
     gamma = solver.state(beta)
-    reference = BipartiteState._trusted(d_s, d_e, np.kron(rho_sys.mat, gamma.mat))
+    reference = BipartiteState._trusted(d_s, d_e, _kron(rho_sys.mat[None], gamma.mat[None])[0])
     try:
         state = BipartiteState(d_s, d_e, reference.state.mat + chi.mat)
     except InvalidInput as exc:

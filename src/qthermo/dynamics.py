@@ -30,8 +30,8 @@ from typing import Callable, IO, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidSchedule
-from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _ptrace_stack, _sym
+from .errors import InvalidInput, InvalidSchedule, NumericalError
+from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _kron, _ptrace_stack, _sym
 from .thermo import GibbsSolver, _as_int, _as_real, _entropy_from_eigs, _mean_energy, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
@@ -144,7 +144,7 @@ class HamiltonianSchedule:
     @cached_property
     def _env_term(self) -> np.ndarray:
         """I x h_env on the joint space."""
-        return np.kron(np.eye(self.d_s), self.h_env.mat)
+        return _kron(np.eye(self.d_s)[None], self.h_env.mat[None])[0]
 
     def total_hamiltonian(self, t: float, segment: Segment | None = None) -> np.ndarray:
         """Raw d_s*d_e Hamiltonian h_sys x I + I x h_env + h_int at time t."""
@@ -200,6 +200,9 @@ class _Eigenframe:
     def __init__(self, sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
                  dt: float, steps: int):
         w, self.vecs = np.linalg.eigh(sched.total_hamiltonian(seg.t_start, seg))
+        if not (np.isfinite(w).all() and float(w[-1]) - float(w[0]) < np.inf):
+            raise NumericalError(f"segment propagation: the spectrum of H on "
+                                 f"[{seg.t_start}, {seg.t_end}] or its width is not finite")
         self.freqs = w - w[0]
         self.rho0 = self.vecs.conj().T @ rho_start @ self.vecs
         self.dt = dt

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidState
+from .errors import InvalidInput, InvalidState, NumericalError
 
 # Construction-time tolerances.  Hermiticity is relative to the largest
 # entry magnitude (with a floor of 1), the others are absolute.
@@ -255,7 +255,7 @@ def tensor_product(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
         a = HermitianMatrix(a)
     if not isinstance(b, HermitianMatrix):
         b = HermitianMatrix(b)
-    return HermitianMatrix(np.kron(a.mat, b.mat))
+    return HermitianMatrix(_kron(a.mat[None], b.mat[None])[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -282,24 +282,39 @@ def _expi(h: np.ndarray, dt: float) -> np.ndarray:
     1-norm in the stack; the Taylor series of exp(A / 2^s) is summed in Horner
     form to the degree m whose first dropped term theta^(m+1) / (m+1)! is
     below unit roundoff, then squared s times.  A zero h gives the identity
-    exactly.
+    exactly; an ||A||_1 or a 2^s past the float range raises NumericalError.
+    Each step is one real product, which NumPy runs faster than a small complex
+    one: the block [[Re X, -Im X], [Im X, Re X]] of X = A / 2^s, or of P when
+    squaring, times P stored as [Re P; Im P].
     """
-    theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
+    with np.errstate(over="ignore"):
+        theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
+    if not theta <= 2.0 ** 1022:  # then 2^s <= 2^1023
+        raise NumericalError(f"segment propagation: ||H dt||_1 = {theta:.3e} is too large to scale")
     while theta > 0.5:
         theta, s = theta / 2.0, s + 1
-    a = (-1j * dt / 2.0 ** s) * h
     m, term = 0, theta
     while term > 2.0 ** -53:  # unit roundoff
         m += 1
         term *= theta / (m + 1)
-    eye = np.eye(a.shape[-1])
-    p = eye + a / m if m else np.broadcast_to(eye, a.shape) + 0j
-    tmp = np.empty_like(p)  # each step in place, rounding as p = a @ p / k + eye does
-    for k in range(m - 1, 0, -1):
-        np.matmul(a, p, out=tmp)
-        tmp /= k
-        tmp += eye
+    d = h.shape[-1]
+    if not m:
+        return np.broadcast_to(np.eye(d), h.shape) + 0j
+    hs, c = h.reshape(-1, d, d), dt / 2.0 ** s
+    blk = np.empty((len(hs), 2 * d, 2 * d))  # Re X = c Im h, Im X = -c Re h
+    re = np.multiply(hs.imag, c, out=blk[:, :d, :d])
+    im = np.multiply(hs.real, -c, out=blk[:, d:, :d])
+    blk[:, d:, d:], blk[:, :d, d:] = re, -im
+    p, tmp = blk[:, :, :d] * (1.0 / m), np.empty((len(hs), 2 * d, d))
+    for k in range(m - 1, 0, -1):  # p = X (I + p) / k in place, I on the diagonal view
+        p.reshape(len(p), -1)[:, :d * d:d + 1] += 1.0
+        np.matmul(blk, p, out=tmp)
+        tmp *= 1.0 / k
         p, tmp = tmp, p
+    p.reshape(len(p), -1)[:, :d * d:d + 1] += 1.0
     for _ in range(s):
-        p, tmp = np.matmul(p, p, out=tmp), p
-    return p
+        blk[:, :, :d], blk[:, :d, d:], blk[:, d:, d:] = p, -p[:, d:], p[:, :d]
+        p, tmp = np.matmul(blk, p, out=tmp), p
+    u = np.empty(hs.shape, dtype=complex)
+    u.real, u.imag = p[:, :d], p[:, d:]
+    return u.reshape(h.shape)

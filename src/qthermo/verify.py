@@ -444,7 +444,8 @@ def _check_rate_formula(rng, cfg):
             u = _expi(h_total, dt)
             shifted = BipartiteState._trusted(d_s, d_e, u @ state.state.mat @ u.conj().T)
             beta_t = float(policy.values(t_eval + dt))
-            ref = DensityMatrix._trusted(np.kron(shifted.rho_sys.mat, solver.state(beta_t).mat))
+            gamma = solver.state(beta_t).mat
+            ref = DensityMatrix._trusted(_kron(shifted.rho_sys.mat[None], gamma[None])[0])
             return relative_entropy(shifted.state, ref)
 
         fd = (div_at(h_fd) - div_at(-h_fd)) / (2 * h_fd)

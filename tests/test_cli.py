@@ -523,6 +523,20 @@ def test_ground_state_environment_with_tabulated_policy(tmp_path):
     assert 3.5 <= splits[0] / splits[1] <= 4.5
 
 
+def test_simulate_exits_3_when_segment_propagation_overflows(tmp_path, capsys):
+    # Its spectrum overflows to inf; the beta* stage once refused the energies, with exit 2.
+    obj = json.loads(open(BUNDLED).read())
+    obj["segments"][0]["h_sys"]["re"] = [[1e308, 1e308], [1e308, 1e308]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "NumericalError"
+    assert err["message"].startswith("segment propagation: ")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_beta_star_grid_failure_surfaces_where_the_grid_is_read(tmp_path, monkeypatch):
     solve = GibbsSolver.solve_beta_many
 

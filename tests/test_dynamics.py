@@ -1,6 +1,9 @@
 """Tests for schedules, unitary propagation, and trajectory bookkeeping."""
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from qthermo import (
     HermitianMatrix,
     InvalidInput,
     InvalidSchedule,
+    NumericalError,
     Segment,
     Trajectory,
     effective_beta,
@@ -536,6 +540,29 @@ def test_callable_term_changing_shape_is_an_invalid_schedule():
     initial = rand_bipartite(np.random.default_rng(18), 2, 2)
     with pytest.raises(InvalidSchedule, match="h_int at t=0.55"):
         evolve(initial, sched, steps_per_segment=10)
+
+
+def test_segment_propagation_overflow_raises_numerical_error():
+    # A constant segment whose spectrum overflows to inf.
+    huge = np.full((2, 2), 1e308)
+    sched = HamiltonianSchedule(np.diag([0.0, 1.0]), (Segment(0.0, 1.0, huge, np.zeros((4, 4))),))
+    initial = BipartiteState(2, 2, np.eye(4) / 4)
+    with pytest.raises(NumericalError, match="^segment propagation: "):
+        evolve(initial, sched, steps_per_segment=5)
+    # A driven one whose ||H dt||_1 overflows to inf once hung in _expi's scaling
+    # loop, so it runs in a child process with a timeout.
+    code = ("import numpy as np\n"
+            "from qthermo import BipartiteState, HamiltonianSchedule, HermitianMatrix, Segment, evolve\n"
+            "big = HermitianMatrix(np.full((4, 4), 1e308))\n"
+            "seg = Segment(0.0, 1.0, np.zeros((2, 2)), lambda t: big)\n"
+            "sched = HamiltonianSchedule(np.diag([0.0, 1.0]), (seg,))\n"
+            "evolve(BipartiteState(2, 2, np.eye(4) / 4), sched, 5)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "qthermo.errors.NumericalError: segment propagation: " in run.stderr
 
 
 def test_state_builds_one_grid_point_without_the_stack():

@@ -1,6 +1,10 @@
 """Tests for the Hermitian container types, marginals and the propagator."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from qthermo import (
     HermitianMatrix,
     InvalidInput,
     InvalidState,
+    NumericalError,
     UnitaryMatrix,
     tensor_product,
     trace_distance,
@@ -149,10 +154,11 @@ def test_unitary_step_matches_expm_propagator():
 
 @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.3, 1.0, 7.0, 1e3])
 def test_expi_matches_expm_on_a_matrix_and_a_stack(norm):
-    # ||H dt||_1 above 1/2 runs the squaring path.
+    # ||H dt||_1 above 1/2 runs the squaring path.  The last four shapes are
+    # the chunks a driven segment of 150 steps stacks at d = 4, 6 and 12.
     rng = np.random.default_rng(30)
-    for d in (2, 4, 6):
-        hs = np.stack([rand_hermitian(rng, d).mat for _ in range(3)])
+    for n, d in ((3, 2), (3, 4), (3, 6), (3, 12), (150, 4), (150, 6), (56, 12), (38, 12)):
+        hs = np.stack([rand_hermitian(rng, d).mat for _ in range(n)])
         dt = norm / np.abs(hs).sum(axis=-1).max()
         stack = _expi(hs, dt)
         for h, u in zip(hs, stack):
@@ -169,22 +175,28 @@ def test_expi_of_zero_is_the_identity():
 
 
 def _horner_reference(h, dt):
-    """_expi's series summed out of place: a fresh array per Horner and squaring step."""
+    """_expi's series summed out of place in real block form: a fresh array per
+    Horner and squaring step, the block [[Re X, -Im X], [Im X, Re X]] of
+    X = A / 2^s acting on P stored as [Re P; Im P], and 1 added on the diagonal
+    of the real half only."""
     theta, s = abs(dt) * float(np.abs(h).sum(axis=-1).max()), 0
     while theta > 0.5:
         theta, s = theta / 2.0, s + 1
-    a = (-1j * dt / 2.0 ** s) * h
     m, term = 0, theta
     while term > 2.0 ** -53:
         m += 1
         term *= theta / (m + 1)
-    eye = np.eye(a.shape[-1])
-    p = eye + a / m if m else np.broadcast_to(eye, a.shape) + 0j
+    d, c = h.shape[-1], dt / 2.0 ** s
+    hs = h.reshape(-1, d, d)
+    blk = np.block([[c * hs.imag, c * hs.real], [-c * hs.real, c * hs.imag]])
+    eye = np.eye(2 * d, d, dtype=bool)
+    p = blk[:, :, :d] * (1.0 / m)
     for k in range(m - 1, 0, -1):
-        p = a @ p / k + eye
+        p = blk @ np.where(eye, p + 1.0, p) * (1.0 / k)
+    p = np.where(eye, p + 1.0, p)
     for _ in range(s):
-        p = p @ p
-    return p
+        p = np.block([[p[:, :d], -p[:, d:]], [p[:, d:], p[:, :d]]]) @ p
+    return np.stack([p[:, :d], p[:, d:]], axis=-1).view(complex)[..., 0].reshape(h.shape)
 
 
 @pytest.mark.parametrize("norm", [1e-3, 0.3, 7.0, 1e3])
@@ -197,6 +209,24 @@ def test_expi_in_place_matches_the_out_of_place_sum_bit_for_bit(norm):
             u = _expi(h, dt)
             assert u.shape == h.shape
             assert u.tobytes() == _horner_reference(h, dt).tobytes(), d
+
+
+def test_expi_past_the_float_range_raises_numerical_error():
+    # 2^s at s >= 1024 raised a bare OverflowError.
+    with pytest.raises(NumericalError, match="^segment propagation: "):
+        _expi(np.diag([1e308, 1e308]) + 0j, 1.0)
+
+
+def test_expi_of_an_infinite_norm_raises_rather_than_halving_forever():
+    # ||H dt||_1 overflows to inf, which the scaling loop once halved forever:
+    # a child process with a timeout fails a hang instead of stalling the suite.
+    code = "import numpy as np\nfrom qthermo.linalg import _expi\n_expi(np.full((4, 4), 1e308 + 0j), 1.0)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert "qthermo.errors.NumericalError: segment propagation: " in run.stderr
 
 
 def _spoiled(mat, value, i, j):

@@ -138,6 +138,29 @@ def test_verify_decomposes_only_through_the_library_kernels():
     assert _numpy_linalg_uses(ROOT / "src/qthermo/linalg.py") != []
 
 
+def _kron_calls(path: Path) -> list[str]:
+    """``np.kron`` / ``numpy.kron`` references and imports, as 'file:line'."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "kron" and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numpy" and any(alias.name == "kron" for alias in node.names)
+        else:
+            hit = False
+        if hit:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_kronecker_products_go_through_one_routine():
+    # Every Kronecker product in the package is linalg._kron, on stacks or on stacks of one.
+    files = sorted((ROOT / "src/qthermo").glob("*.py"))
+    assert [c for p in files for c in _kron_calls(p)] == []
+    # The scan does see a call.
+    assert _kron_calls(ROOT / "tests/test_linalg.py") != []
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench/tracing.py")
     module = importlib.util.module_from_spec(spec)
