@@ -111,8 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    grid = load_region_grid(args.grid)
-    region = emit_region_map(grid)
+    region = emit_region_map(load_region_grid(args.grid))
 
     directory = _out_dir(args)
     stem = os.path.splitext(os.path.basename(args.grid))[0]
@@ -121,10 +120,8 @@ def _cmd_example(args) -> int:
     region.write_csv(csv_path)
     dump_json(meta_path, region.metadata)
 
-    held = sum(1 for c in region.cells if c.holds)
-    feasible = sum(1 for c in region.cells if c.feasible)
-    print(f"region map: {len(region.cells)} cells, {feasible} feasible, "
-          f"{held} satisfy the condition")
+    print(f"region map: {region.holds.size} cells, {region.feasible.sum()} feasible, "
+          f"{region.holds.sum()} satisfy the condition")
     print(f"threshold {region.metadata['rhs']:.9g} "
           f"(radius {region.metadata['ball_radius']:.9g})")
     print(f"wrote {csv_path}")

@@ -162,7 +162,12 @@ class HamiltonianSchedule:
         hs = _term_stack(segment.h_sys, times, self.d_s, "h_sys")
         hi = _term_stack(segment.h_int, times, d, "h_int")
         sys_term = (hs[:, :, None, :, None] * np.eye(self.d_e)[:, None, :]).reshape(-1, d, d)
-        return sys_term + self._env_term + hi
+        try:
+            with np.errstate(over="raise"):
+                return sys_term + self._env_term + hi
+        except FloatingPointError:
+            raise NumericalError(f"segment propagation: H on [{segment.t_start}, "
+                                 f"{segment.t_end}] overflows the float range") from None
 
     def _segment_for(self, t: float) -> Segment:
         for seg in self.segments:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -54,10 +55,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
     (1/2) diag(1 + r, 1 - r).
     """
     gap = _as_gap(gap)
-    beta = _as_beta(beta)
-    if math.isinf(beta):
-        return 1.0 if beta > 0 else -1.0
-    return math.tanh(0.5 * beta * gap)
+    return math.tanh(0.5 * _as_beta(beta) * gap)
 
 
 def beta_from_polarization(r: float, gap: float) -> float:
@@ -97,10 +95,9 @@ class EnvPoint:
             raise InvalidInput("EnvPoint needs real longitudinal, complex coherence") from None
         if not (math.isfinite(p) and math.isfinite(b.real) and math.isfinite(b.imag)):
             raise InvalidInput("EnvPoint coordinates must be finite")
-        if p * p + abs(b) ** 2 > 1.0 + _BALL_TOL:
-            raise InvalidInput(
-                f"Bloch constraint violated: p^2 + |b|^2 = {p * p + abs(b) ** 2:.6f} > 1"
-            )
+        r2 = p * p + abs(b) * abs(b)
+        if r2 > 1.0 + _BALL_TOL:
+            raise InvalidInput(f"Bloch constraint violated: p^2 + |b|^2 = {r2:.6f} > 1")
         object.__setattr__(self, "longitudinal", p)
         object.__setattr__(self, "coherence", b)
 
@@ -119,7 +116,7 @@ def env_point_of(rho: DensityMatrix) -> EnvPoint:
     p = float((rho.mat[0, 0] - rho.mat[1, 1]).real)
     b = complex(2.0 * rho.mat[0, 1])
     # Rounding can push a pure state a hair outside the ball; renormalize.
-    norm = math.sqrt(p * p + abs(b) ** 2)
+    norm = math.sqrt(p * p + abs(b) * abs(b))
     if 1.0 < norm <= 1.0 + 1e-9:
         p, b = p / norm, b / norm
     return EnvPoint(longitudinal=p, coherence=b)
@@ -184,8 +181,8 @@ def region_lhs(final: EnvPoint, beta_tau: float, gap: float) -> float:
     """(s - r(beta_tau))^2 + |b|^2, four times the squared final distance."""
     if not isinstance(final, EnvPoint):
         raise InvalidInput("region_lhs expects an EnvPoint")
-    r_tau = thermal_polarization(beta_tau, gap)
-    return (final.longitudinal - r_tau) ** 2 + abs(final.coherence) ** 2
+    d, b = final.longitudinal - thermal_polarization(beta_tau, gap), abs(final.coherence)
+    return d * d + b * b
 
 
 def region_condition(initial: EnvPoint, final: EnvPoint, beta0: float,
@@ -247,6 +244,8 @@ class RegionGrid:
             raise InvalidInput("grid ranges must satisfy min <= max")
         if self.b_min < 0:
             raise InvalidInput("coherence magnitudes are nonnegative")
+        if self.s_max - self.s_min == math.inf:  # b's width is at most b_max
+            raise InvalidInput("the s axis width s_max - s_min must be finite")
         if self.coherence_abs < 0:
             raise InvalidInput("coherence_abs must be nonnegative")
 
@@ -257,14 +256,15 @@ class RegionGrid:
         return EnvPoint(longitudinal=p, coherence=self.coherence_abs)
 
     def s_values(self) -> np.ndarray:
-        if self.s_count == 1:
-            return np.array([0.5 * (self.s_min + self.s_max)])
-        return np.linspace(self.s_min, self.s_max, self.s_count)
+        return self._axis(self.s_min, self.s_max, self.s_count)
 
     def b_values(self) -> np.ndarray:
-        if self.b_count == 1:
-            return np.array([0.5 * (self.b_min + self.b_max)])
-        return np.linspace(self.b_min, self.b_max, self.b_count)
+        return self._axis(self.b_min, self.b_max, self.b_count)
+
+    @staticmethod
+    def _axis(lo: float, hi: float, count: int) -> np.ndarray:
+        """``count`` points from lo to hi; one point is the midpoint, summed from halves."""
+        return np.linspace(lo, hi, count) if count > 1 else np.array([0.5 * lo + 0.5 * hi])
 
 
 class RegionCell(NamedTuple):
@@ -277,21 +277,32 @@ class RegionCell(NamedTuple):
     feasible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMap:
-    """Evaluated region map: cells in row-major (s outer, b inner) order."""
+    """Evaluated region map: ``holds`` and ``feasible`` as booleans on the s x b_abs grid."""
 
-    cells: tuple
+    s: np.ndarray
+    b_abs: np.ndarray
+    holds: np.ndarray
+    feasible: np.ndarray
     metadata: dict
 
+    @cached_property
+    def cells(self) -> tuple:
+        """RegionCells in row-major (s outer, b inner) order, built on first read."""
+        rhs, b_abs = self.metadata["rhs"], self.b_abs.tolist()
+        rows = zip(self.s.tolist(), self.holds.tolist(), self.feasible.tolist())
+        return tuple(RegionCell(s, b, rhs, h, f) for s, holds, feasible in rows
+                     for b, h, f in zip(b_abs, holds, feasible))
+
     def write_csv(self, path: str) -> None:
+        rhs, flag = repr(self.metadata["rhs"]), ("false", "true")
+        cols = [f"{b!r},{rhs}," for b in self.b_abs.tolist()]
         lines = ["s,b_abs,rhs,holds,feasible"]
-        for c in self.cells:
-            lines.append(
-                f"{c.s!r},{c.b_abs!r},{c.rhs!r},"
-                f"{'true' if c.holds else 'false'},"
-                f"{'true' if c.feasible else 'false'}"
-            )
+        for s, holds, feasible in zip(self.s.tolist(), self.holds.tolist(),
+                                      self.feasible.tolist()):
+            head = f"{s!r},"
+            lines += [f"{head}{c}{flag[h]},{flag[f]}" for c, h, f in zip(cols, holds, feasible)]
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -302,34 +313,24 @@ def emit_region_map(grid: RegionGrid) -> RegionMap:
     holds-region is the outside of a ball centered at (r(beta_tau), 0),
     under energy matching it is the horizontal band |b| >= sqrt(rhs).
     Cells violating the Bloch constraint are marked infeasible but still
-    evaluated when the condition is defined there.
+    evaluated when the condition is defined there; a square past the float range is +inf.
     """
     if not isinstance(grid, RegionGrid):
         raise InvalidInput("emit_region_map expects a RegionGrid")
     initial = grid.initial_point()
     rhs = region_rhs(initial, grid.beta0, grid.gap)
     constant = isinstance(grid.beta_tau_policy, ConstantBeta)
-    r_tau = None
-    if constant:
-        r_tau = thermal_polarization(grid.beta_tau_policy.beta, grid.gap)
+    r_tau = thermal_polarization(grid.beta_tau_policy.beta, grid.gap) if constant else None
 
-    cells = []
-    for s in grid.s_values():
-        s = float(s)
-        for b in grid.b_values():
-            b = float(b)
-            feasible = s * s + b * b <= 1.0 + _BALL_TOL
-            if constant:
-                lhs = (s - r_tau) ** 2 + b * b
-                holds = lhs >= rhs
-            elif abs(s) <= 1.0:
-                # Energy matching: the reference tracks the column itself,
-                # so the longitudinal term cancels exactly.
-                holds = b * b >= rhs
-            else:
-                holds = False  # no state exists here to match against
-            cells.append(RegionCell(s=s, b_abs=b, rhs=rhs, holds=holds,
-                                    feasible=feasible))
+    s, b = grid.s_values(), grid.b_values()
+    with np.errstate(over="ignore"):
+        col, bb = s[:, None], b * b
+        feasible = col * col + bb <= 1.0 + _BALL_TOL
+        if constant:
+            holds = (col - r_tau) * (col - r_tau) + bb >= rhs
+        else:
+            # Energy matching cancels the longitudinal term; past |s| = 1 no state matches.
+            holds = (np.abs(col) <= 1.0) & (bb >= rhs)
 
     beta_star0 = _beta_star(initial.longitudinal, grid.gap)
     metadata = {
@@ -346,4 +347,4 @@ def emit_region_map(grid: RegionGrid) -> RegionMap:
         "s_min": grid.s_min, "s_max": grid.s_max, "s_count": grid.s_count,
         "b_min": grid.b_min, "b_max": grid.b_max, "b_count": grid.b_count,
     }
-    return RegionMap(cells=tuple(cells), metadata=metadata)
+    return RegionMap(s=s, b_abs=b, holds=holds, feasible=feasible, metadata=metadata)

@@ -674,7 +674,7 @@ def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsy
     # must succeed or exit 2 with one JSON error line, never raise.
     flag, doc = (("--scenario", json.loads(open(BUNDLED).read())) if command == "simulate"
                  else ("--grid", _REGION_GRID))
-    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {}, 10**30)
+    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {}, 10**30, 1e200, -1e200)
     paths, failures = _leaf_paths(doc), []
     assert len(paths) == {"simulate": 20, "example": 13}[command]
     for path in paths:
@@ -694,3 +694,56 @@ def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsy
             if rc not in (0, 2) or (rc == 2 and not one_line):
                 failures.append((path, value, rc, err))
     assert not failures
+
+
+@pytest.mark.parametrize("policy", [{"kind": "constant", "beta": 0.8}, {"kind": "energy_matching"}])
+@pytest.mark.parametrize("axis", [{"min": -1e200}, {"max": 1e200},
+                                  {"min": 1e308, "max": 1e308, "count": 1}])
+def test_cli_example_takes_the_limit_at_huge_coordinates(policy, axis, tmp_path, capsys):
+    # (s - r)**2 overflowed with an OverflowError traceback; a square past the float
+    # range is +inf, so such a cell holds under a constant policy and, with |s| > 1,
+    # never under energy matching.  A one-point axis keeps its finite midpoint.
+    doc = copy.deepcopy(_REGION_GRID)
+    doc["policy"], doc["s"] = policy, dict(doc["s"], **axis)
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    assert main(["example", "--grid", str(tmp_path / "huge.json"), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "huge_region.csv").read_text().splitlines()[1:]
+    huge = [row.split(",") for row in rows if abs(float(row.split(",")[0])) > 1e100]
+    assert len(huge) == (4 if "count" in axis else 16)
+    holds = "true" if policy["kind"] == "constant" else "false"
+    assert all(math.isfinite(float(row[0])) and row[3:] == [holds, "false"] for row in huge)
+
+
+def test_cli_example_rejects_what_cannot_be_mapped(tmp_path, capsys):
+    # A coherence of 1e200 overflowed the Bloch check and its message; an s axis wider
+    # than the float range filled linspace with nan.  Both exit 2 with one JSON line.
+    cases = [("coherence_abs", 1e200, "InvalidInput", "Bloch constraint violated"),
+             ("s", {"min": -1e308, "max": 1e308, "count": 5}, "ScenarioError", "s axis")]
+    for key, value, kind, message in cases:
+        doc = dict(_REGION_GRID, **{key: value})
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["example", "--grid", str(tmp_path / "bad.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert error["type"] == kind and message in error["message"]
+        assert not out.exists()
+
+
+def test_simulate_exits_3_when_the_hamiltonian_sum_overflows(tmp_path, capsys):
+    # h_sys and h_int each hold a finite 1e308 on one diagonal entry.  Their sum used to
+    # overflow with NumPy's RuntimeWarning on stderr before the JSON error line.
+    obj = json.loads(open(BUNDLED).read())
+    obj["segments"][0]["h_sys"]["re"][0][0] = obj["segments"][0]["h_int"]["re"][0][0] = 1e308
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "type": "NumericalError",
+        "message": "segment propagation: H on [0.0, 6.0] overflows the float range"}
+    assert not out.exists()

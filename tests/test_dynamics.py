@@ -565,6 +565,19 @@ def test_segment_propagation_overflow_raises_numerical_error():
     assert "qthermo.errors.NumericalError: segment propagation: " in run.stderr
 
 
+@pytest.mark.parametrize("driven", [False, True])
+def test_hamiltonian_sum_overflow_raises_numerical_error(driven):
+    # Finite terms whose sum overflows: NumPy's overflow RuntimeWarning escaped from
+    # the sum before any propagation check could raise.
+    h_int = np.zeros((4, 4))
+    h_int[0, 0] = 1e308
+    term = (lambda t: HermitianMatrix(h_int)) if driven else h_int
+    seg = Segment(0.0, 1.0, np.diag([1e308, 0.0]), term)
+    sched = HamiltonianSchedule(np.diag([0.0, 1.0]), (seg,))
+    with pytest.raises(NumericalError, match=r"^segment propagation: H on \[0\.0, 1\.0\] "):
+        evolve(BipartiteState(2, 2, np.eye(4) / 4), sched, steps_per_segment=5)
+
+
 def test_state_builds_one_grid_point_without_the_stack():
     rng = np.random.default_rng(19)
     d_s, d_e, steps = 2, 3, 25

@@ -14,6 +14,7 @@ from qthermo import (
     EnvPoint,
     GibbsSolver,
     InvalidInput,
+    RegionCell,
     RegionGrid,
     beta_from_polarization,
     effective_beta,
@@ -326,3 +327,69 @@ def test_points_in_the_bloch_slack_read_as_the_edge_state(sign, expected):
                       s_min=-1.0, s_max=1.0, s_count=3, b_min=0.0, b_max=1.0, b_count=2,
                       initial_longitudinal=sign * (1.0 + 1e-13))
     assert emit_region_map(grid).metadata["beta_star_initial"] == sign * math.inf
+
+
+def _reference_cells(grid):
+    """The sufficient condition cell by cell on Python floats, squares as products."""
+    rhs = region_rhs(grid.initial_point(), grid.beta0, grid.gap)
+    constant = isinstance(grid.beta_tau_policy, ConstantBeta)
+    r = thermal_polarization(grid.beta_tau_policy.beta, grid.gap) if constant else None
+    cells = []
+    for s in grid.s_values().tolist():
+        for b in grid.b_values().tolist():
+            if constant:
+                holds = (s - r) * (s - r) + b * b >= rhs
+            else:
+                holds = abs(s) <= 1.0 and b * b >= rhs
+            cells.append(RegionCell(s, b, rhs, holds, s * s + b * b <= 1.0 + 1e-12))
+    return tuple(cells)
+
+
+# (s, |b|) on the ball boundary of gap 1, beta0 0.8, beta_tau 0.5, |a| 0.3, where
+# b ** 2 and b * b round apart and put the two lhs roundings on opposite sides of rhs.
+_BOUNDARY_CELLS = [(-0.022549642659548865, 0.8797038600566498),
+                   (-0.25122881199330166, 0.7741161794339718),
+                   (-0.11418590816033167, 0.8464408325523985),
+                   (-0.016112033651596497, 0.881635497997253),
+                   (-0.44183867313395203, 0.6113775737604332),
+                   (-0.10974889373142017, 0.8483095544888768)]
+
+
+def _random_grids():
+    rng = np.random.default_rng(26)
+    grids = []
+    for policy in (ConstantBeta(0.5), EnergyMatching()) * 3:
+        s_min, s_max = np.sort(rng.uniform(-1.1, 1.1, 2))
+        b_min, b_max = np.sort(rng.uniform(0.0, 1.1, 2))
+        grids.append(RegionGrid(gap=rng.uniform(0.5, 2.0), beta0=rng.uniform(-1.0, 1.0),
+                                beta_tau_policy=policy, coherence_abs=rng.uniform(0.0, 0.5),
+                                s_min=s_min, s_max=s_max, s_count=int(rng.integers(1, 30)),
+                                b_min=b_min, b_max=b_max, b_count=int(rng.integers(1, 30))))
+    return grids
+
+
+@pytest.mark.parametrize("grid", [
+    *(RegionGrid(gap=1.0, beta0=0.8, beta_tau_policy=ConstantBeta(0.5), coherence_abs=0.3,
+                 s_min=s, s_max=s, s_count=1, b_min=b, b_max=b, b_count=1)
+      for s, b in _BOUNDARY_CELLS),
+    RegionGrid(gap=1.0, beta0=0.8, beta_tau_policy=ConstantBeta(0.5), coherence_abs=0.3,
+               s_min=-1.1, s_max=1.1, s_count=23, b_min=0.0, b_max=1.1, b_count=1),
+    RegionGrid(gap=1.3, beta0=0.2, beta_tau_policy=EnergyMatching(), coherence_abs=0.4,
+               s_min=-1.5, s_max=1.5, s_count=31, b_min=0.0, b_max=1.0, b_count=17),
+    RegionGrid(gap=1.3, beta0=0.2, beta_tau_policy=EnergyMatching(), coherence_abs=0.4,
+               s_min=1.2, s_max=1.4, s_count=1, b_min=0.0, b_max=1.0, b_count=5),
+    *_random_grids(),
+])
+def test_region_map_is_the_scalar_condition(grid):
+    # The map is region_condition at every feasible cell, and the rule of the reference
+    # loop at every cell, bit for bit: both square by products.
+    rmap = emit_region_map(grid)
+    assert rmap.holds.shape == rmap.feasible.shape == (grid.s_count, grid.b_count)
+    assert rmap.cells == _reference_cells(grid)
+    if isinstance(grid.beta_tau_policy, ConstantBeta):
+        initial = grid.initial_point()
+        for cell in rmap.cells:
+            if cell.feasible:
+                assert cell.holds == region_condition(initial, EnvPoint(cell.s, cell.b_abs),
+                                                      grid.beta0, grid.beta_tau_policy.beta,
+                                                      grid.gap)
