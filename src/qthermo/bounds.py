@@ -29,12 +29,12 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     HermitianMatrix,
+    _expect,
     _kron,
     _ptrace_stack,
     _trace_distance,
 )
 from .thermo import (
-    GibbsSolver,
     _Bipartite,
     _bipartite_one,
     _GibbsRows,
@@ -114,15 +114,6 @@ def _row(value: float) -> np.ndarray:
     return np.array([float(value)])
 
 
-def _check_bipartite_env(initial: BipartiteState, solver: GibbsSolver) -> None:
-    if not isinstance(initial, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
-    if initial.d_e != solver.dim:
-        raise InvalidInput(
-            f"environment dimension {initial.d_e} does not match H ({solver.dim})"
-        )
-
-
 def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
     """Entropy of the state minus entropy of its reference product.
 
@@ -156,15 +147,9 @@ def product_trace_distance_bound(rho_sys: DensityMatrix, rho_env: DensityMatrix,
     the environment factor, so the continuity estimate pays the environment
     dimension alone.  The system factor is validated as a state and not used.
     """
-    if not isinstance(rho_sys, DensityMatrix):
-        rho_sys = DensityMatrix(rho_sys)
-    if not isinstance(rho_env, DensityMatrix):
-        rho_env = DensityMatrix(rho_env)
+    DensityMatrix._of(rho_sys)
     solver = _solver(h_env)
-    if rho_env.dim != solver.dim:
-        raise InvalidInput(
-            f"environment dimension {rho_env.dim} does not match H ({solver.dim})"
-        )
+    rho_env = DensityMatrix._of(rho_env, solver.dim)
     gamma = solver.state(solver.beta_star(rho_env))
     return float(_product_bound(rho_env.mat[None], gamma.mat[None])[0])
 
@@ -188,10 +173,8 @@ def sufficient_nonneg_general(final: BipartiteState, beta_tau: float,
     guarantees nonnegativity; failure decides nothing.
     """
     solver = _solver(h_env)
-    _check_bipartite_env(initial, solver)
-    _check_bipartite_env(final, solver)
-    if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
-        raise InvalidInput("endpoint states must share dimensions")
+    _expect(initial, BipartiteState, "initial", d_e=solver.dim)
+    _expect(final, BipartiteState, "final", d_s=initial.d_s, d_e=solver.dim)
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     g = solver._g
     lhs, rhs = _sufficient_general(_bipartite_one(final), _GibbsRows(g, _row(beta_tau)).gamma,
@@ -209,15 +192,10 @@ def sufficient_nonneg_product(final_env: DensityMatrix, beta_tau: float,
     gamma(beta_tau); rhs uses the product trace-distance bound, so the whole
     check runs in the environment dimension.
     """
-    if not isinstance(final_env, DensityMatrix):
-        final_env = DensityMatrix(final_env)
-    if not isinstance(rho_sys, DensityMatrix):
-        DensityMatrix(rho_sys)  # validated, though the check never reads it
-    if not isinstance(rho_env, DensityMatrix):
-        rho_env = DensityMatrix(rho_env)
+    DensityMatrix._of(rho_sys)  # validated, though the check never reads it
     solver = _solver(h_env)
-    if final_env.dim != solver.dim or rho_env.dim != solver.dim:
-        raise InvalidInput("environment marginals must match the Hamiltonian dimension")
+    final_env = DensityMatrix._of(final_env, solver.dim)
+    rho_env = DensityMatrix._of(rho_env, solver.dim)
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     g = solver._g
     lhs, rhs = _sufficient_product(final_env.mat[None], _GibbsRows(g, _row(beta_tau)).gamma,
@@ -254,11 +232,7 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
     the result equals ``beta`` and its trace distance to the reference is
     half the trace norm of ``chi``.
     """
-    if not isinstance(rho_sys, DensityMatrix):
-        rho_sys = DensityMatrix(rho_sys)
-    if not isinstance(chi, HermitianMatrix):
-        chi = HermitianMatrix(chi)
-    beta = _as_beta(beta)
+    rho_sys, chi, beta = DensityMatrix._of(rho_sys), HermitianMatrix._of(chi), _as_beta(beta)
     solver = _solver(h_env)
     d_s, d_e = rho_sys.dim, solver.dim
     if chi.dim != d_s * d_e:
@@ -312,8 +286,7 @@ BoundReport.FIELDS = tuple(f.name for f in fields(BoundReport))
 
 def is_product_state(state: BipartiteState) -> bool:
     """True when the joint state equals the product of its marginals."""
-    if not isinstance(state, BipartiteState):
-        raise InvalidInput("expected a BipartiteState")
+    _expect(state, BipartiteState, "state")
     prod = _kron(state.rho_sys.mat[None], state.rho_env.mat[None])[0]
     scale = max(float(np.abs(state.state.mat).max()), 1.0)
     return float(np.abs(state.state.mat - prod).max()) <= _PRODUCT_TOL * scale
@@ -329,7 +302,7 @@ def build_bound_report(initial: BipartiteState, h_env: HermitianMatrix) -> Bound
     one-bound functions above return these fields.
     """
     solver = _solver(h_env)
-    _check_bipartite_env(initial, solver)
+    _expect(initial, BipartiteState, "initial", d_e=solver.dim)
     star = _GibbsRows(solver._g, _row(solver.beta_star(initial.rho_env)))
     state = _bipartite_one(initial)
     delta = _reference_distance(state, star.gamma)

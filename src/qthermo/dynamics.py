@@ -31,8 +31,9 @@ from typing import Callable, IO, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule, NumericalError
-from .linalg import BipartiteState, HermitianMatrix, _dag, _expi, _kron, _ptrace_stack, _sym
-from .thermo import GibbsSolver, _as_int, _as_real, _entropy_from_eigs, _mean_energy, _solver
+from .linalg import (BipartiteState, HermitianMatrix, _as_int, _dag, _expect, _expi, _kron,
+                     _ptrace_stack, _sym)
+from .thermo import GibbsSolver, _as_real, _entropy_from_eigs, _mean_energy, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -40,17 +41,8 @@ _TILE_TOL = 1e-12
 HamiltonianTerm = Union[HermitianMatrix, Callable[[float], HermitianMatrix]]
 
 
-def _coerce_term(term) -> HamiltonianTerm:
-    if callable(term):
-        return term
-    if isinstance(term, HermitianMatrix):
-        return term
-    return HermitianMatrix(term)
-
-
 def _term_value(term: HamiltonianTerm, t: float) -> HermitianMatrix:
-    value = term(t) if callable(term) else term
-    return value if isinstance(value, HermitianMatrix) else HermitianMatrix(value)
+    return HermitianMatrix._of(term(t) if callable(term) else term)
 
 
 def _term_at(term: HamiltonianTerm, t: float, dim: int, name: str) -> np.ndarray:
@@ -96,8 +88,9 @@ class Segment:
             raise InvalidSchedule(
                 f"segment must advance time, got [{self.t_start}, {self.t_end}]"
             )
-        object.__setattr__(self, "h_sys", _coerce_term(self.h_sys))
-        object.__setattr__(self, "h_int", _coerce_term(self.h_int))
+        for name in ("h_sys", "h_int"):
+            term = getattr(self, name)
+            object.__setattr__(self, name, term if callable(term) else HermitianMatrix._of(term))
 
     @property
     def is_constant(self) -> bool:
@@ -108,11 +101,12 @@ class HamiltonianSchedule:
     """Contiguous segments sharing one time-independent environment term."""
 
     def __init__(self, h_env: HermitianMatrix, segments: Sequence[Segment]):
-        if not isinstance(h_env, HermitianMatrix):
-            h_env = HermitianMatrix(h_env)
+        h_env = HermitianMatrix._of(h_env)
         segments = tuple(segments)
         if not segments:
             raise InvalidSchedule("schedule needs at least one segment")
+        for seg in segments:
+            _expect(seg, Segment, "each schedule segment")
         if abs(segments[0].t_start) > _TILE_TOL:
             raise InvalidSchedule(
                 f"first segment must start at t=0, got {segments[0].t_start}"
@@ -429,15 +423,9 @@ def env_energy_rate(rho: BipartiteState, h_total: HermitianMatrix,
 
 def _generator_rates(rho: BipartiteState, h_total, h_env) -> tuple[np.ndarray, float]:
     """(tr_E rho', ``env_energy_rate``) from one rho' = -i [H_total, rho]."""
-    if not isinstance(rho, BipartiteState):
-        raise InvalidInput("env_energy_rate expects a BipartiteState")
-    if not isinstance(h_total, HermitianMatrix):
-        h_total = HermitianMatrix(h_total)
-    if not isinstance(h_env, HermitianMatrix):
-        h_env = HermitianMatrix(h_env)
-    if h_total.dim != rho.dim or h_env.dim != rho.d_e:
-        raise InvalidInput("Hamiltonian dimensions do not match the state")
-    h, r = h_total.mat, rho.state.mat
+    _expect(rho, BipartiteState, "rho")
+    h, r = HermitianMatrix._of(h_total, rho.dim).mat, rho.state.mat
+    h_env = HermitianMatrix._of(h_env, rho.d_e)
     drho = (-1j * (h @ r - r @ h))[None]
     drho_sys, drho_env = (_ptrace_stack(drho, rho.d_s, rho.d_e, k)[0] for k in "SE")
     return drho_sys, float(_mean_energy(drho_env, h_env.mat))
@@ -462,13 +450,8 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     only the coupling fails to commute with I x H_E; then the interior beta*
     grid and ``Trajectory.rho``.
     """
-    if not isinstance(initial, BipartiteState):
-        raise InvalidInput("evolve expects a BipartiteState initial condition")
-    if initial.d_s != sched.d_s or initial.d_e != sched.d_e:
-        raise InvalidInput(
-            f"initial state dims ({initial.d_s},{initial.d_e}) do not match "
-            f"schedule dims ({sched.d_s},{sched.d_e})"
-        )
+    _expect(sched, HamiltonianSchedule, "sched")
+    _expect(initial, BipartiteState, "initial", d_s=sched.d_s, d_e=sched.d_e)
     steps = _as_int(steps_per_segment, "steps_per_segment")
     if steps < 1:
         raise InvalidInput("steps_per_segment must be at least 1")

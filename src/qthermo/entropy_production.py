@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _generator_rates
 from .errors import InvalidInput
-from .linalg import BipartiteState, HermitianMatrix
+from .linalg import BipartiteState, HermitianMatrix, _expect
 from .thermo import (
     EIG_ZERO_TOL,
     _as_real,
@@ -122,13 +122,9 @@ def entropy_production(initial: BipartiteState, final: BipartiteState,
     respective Gibbs state.  Infinite endpoint temperatures are rejected;
     ``build_report`` takes an energy-matched beta* = +-inf at its limit.
     """
-    if not (isinstance(initial, BipartiteState) and isinstance(final, BipartiteState)):
-        raise InvalidInput("entropy_production expects BipartiteState endpoints")
-    if (initial.d_s, initial.d_e) != (final.d_s, final.d_e):
-        raise InvalidInput("endpoint states must share dimensions")
     solver = _solver(h_env)
-    if solver.dim != initial.d_e:
-        raise InvalidInput("environment Hamiltonian does not match the states")
+    _expect(initial, BipartiteState, "initial", d_e=solver.dim)
+    _expect(final, BipartiteState, "final", d_s=initial.d_s, d_e=solver.dim)
     beta0, beta_tau = _as_real(beta0, "beta0"), _as_real(beta_tau, "beta_tau")
     return float(_entropy_production(_bipartite_one(initial), _bipartite_one(final),
                                      np.array([beta0]), np.array([beta_tau]),
@@ -195,8 +191,6 @@ def entropy_production_rate(rho: BipartiteState, h_total: HermitianMatrix,
     inverse temperature or when ``beta_dot`` is zero; it stays finite where
     that temperature is +-inf.
     """
-    if not isinstance(rho, BipartiteState):
-        raise InvalidInput("entropy_production_rate expects a BipartiteState")
     beta, beta_dot = _as_real(beta, "beta"), _as_real(beta_dot, "beta_dot")
     solver = _solver(h_env)
     drho_sys, rate_env = _generator_rates(rho, h_total, solver.h_env)

@@ -3,7 +3,7 @@
 Matrices arrive as {"dim": n, "re": [[...]], "im": [[...]]} with the
 imaginary block optional.  Writers go through a same-directory
 temporary file and ``os.replace`` so partially written outputs never land
-under the final name.
+under the final name, even when a streamed text fails partway.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -46,13 +47,14 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to ``path`` through a temporary file in the same directory."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of strings consumed one at a time, to
+    ``path`` through a temporary file in the same directory."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:

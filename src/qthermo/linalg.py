@@ -20,10 +20,30 @@ TOL_UNITARY = 1e-10
 
 
 def _as_square_complex(mat, what: str) -> np.ndarray:
-    a = np.asarray(mat, dtype=complex)
+    try:
+        a = np.asarray(mat, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{what} needs a numeric array, got {type(mat).__name__}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidInput(f"{what} must be a nonempty square 2-d array, got shape {a.shape}")
     return a
+
+
+def _as_int(value, name: str) -> int:
+    """An integer (a bool is not one) as an int; anything else raises InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _expect(x, cls, what: str, **attrs) -> None:
+    """Raises InvalidInput unless ``x`` is a ``cls`` whose named attributes (dimensions)
+    equal ``attrs``; for the types an array cannot stand for."""
+    if not isinstance(x, cls):
+        raise InvalidInput(f"{what} must be of type {cls.__name__}, got {type(x).__name__}")
+    for name, want in attrs.items():
+        if getattr(x, name) != want:
+            raise InvalidInput(f"{what} has {name} = {getattr(x, name)}, expected {want}")
 
 
 def _dag(a: np.ndarray) -> np.ndarray:
@@ -110,6 +130,15 @@ class HermitianMatrix:
         pass
 
     @classmethod
+    def _of(cls, x, dim: int | None = None):
+        """``x`` as a ``cls``: a validated one passes through, anything else is constructed
+        (and validated); raises InvalidInput unless it is ``dim`` wide, when ``dim`` is given."""
+        obj = x if isinstance(x, cls) else cls(x)
+        if dim is not None and obj.dim != dim:
+            raise InvalidInput(f"expected a {dim}x{dim} {cls.__name__}, got {obj.dim}x{obj.dim}")
+        return obj
+
+    @classmethod
     def _trusted(cls, mat: np.ndarray):
         # Internal fast path for matrices valid by construction (unitary conjugates,
         # Gibbs states, products of valid states, rows of validated stacks).
@@ -184,21 +213,12 @@ class BipartiteState:
     __slots__ = ("d_s", "d_e", "state", "rho_sys", "rho_env")
 
     def __init__(self, d_s: int, d_e: int, state):
-        if not (isinstance(d_s, (int, np.integer)) and isinstance(d_e, (int, np.integer))):
-            raise InvalidInput("subsystem dimensions must be integers")
+        d_s, d_e = _as_int(d_s, "d_s"), _as_int(d_e, "d_e")
         if d_s < 1 or d_e < 2:
             raise InvalidInput(f"need d_s >= 1 and d_e >= 2, got d_s={d_s}, d_e={d_e}")
-        if not isinstance(state, DensityMatrix):
-            state = DensityMatrix(state)
-        if state.dim != d_s * d_e:
-            raise InvalidInput(
-                f"state dimension {state.dim} does not match d_s*d_e = {d_s * d_e}"
-            )
-        self.d_s = int(d_s)
-        self.d_e = int(d_e)
-        self.state = state
-        self.rho_sys, self.rho_env = (DensityMatrix(_ptrace_stack(state.mat[None], d_s, d_e, k)[0])
-                                      for k in "SE")
+        self.d_s, self.d_e, self.state = d_s, d_e, DensityMatrix._of(state, d_s * d_e)
+        self.rho_sys, self.rho_env = (
+            DensityMatrix(_ptrace_stack(self.state.mat[None], d_s, d_e, k)[0]) for k in "SE")
 
     @classmethod
     def _trusted(cls, d_s: int, d_e: int, mat: np.ndarray) -> "BipartiteState":
@@ -251,21 +271,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def tensor_product(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     """Kronecker product with the first factor on the major index."""
-    if not isinstance(a, HermitianMatrix):
-        a = HermitianMatrix(a)
-    if not isinstance(b, HermitianMatrix):
-        b = HermitianMatrix(b)
+    a, b = HermitianMatrix._of(a), HermitianMatrix._of(b)
     return HermitianMatrix(_kron(a.mat[None], b.mat[None])[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of the difference of two density matrices."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if not isinstance(sigma, DensityMatrix):
-        sigma = DensityMatrix(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho = DensityMatrix._of(rho)
+    sigma = DensityMatrix._of(sigma, rho.dim)
     return float(_trace_distance(rho.mat, sigma.mat))
 
 

@@ -22,8 +22,8 @@ from .bounds import binary_entropy
 from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .io import atomic_write_text
-from .linalg import DensityMatrix, HermitianMatrix
-from .thermo import _as_beta, _as_int, _as_real, _solver
+from .linalg import DensityMatrix, HermitianMatrix, _as_int, _expect
+from .thermo import _as_beta, _as_real, _solver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -95,7 +95,7 @@ class EnvPoint:
             raise InvalidInput("EnvPoint needs real longitudinal, complex coherence") from None
         if not (math.isfinite(p) and math.isfinite(b.real) and math.isfinite(b.imag)):
             raise InvalidInput("EnvPoint coordinates must be finite")
-        r2 = p * p + abs(b) * abs(b)
+        r2 = p * p + b.real * b.real + b.imag * b.imag  # abs(b) raises OverflowError near inf
         if r2 > 1.0 + _BALL_TOL:
             raise InvalidInput(f"Bloch constraint violated: p^2 + |b|^2 = {r2:.6f} > 1")
         object.__setattr__(self, "longitudinal", p)
@@ -109,10 +109,7 @@ class EnvPoint:
 
 def env_point_of(rho: DensityMatrix) -> EnvPoint:
     """Bloch coordinates of a qubit density matrix."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if rho.dim != 2:
-        raise InvalidInput("env_point_of needs a 2x2 density matrix")
+    rho = DensityMatrix._of(rho, 2)
     p = float((rho.mat[0, 0] - rho.mat[1, 1]).real)
     b = complex(2.0 * rho.mat[0, 1])
     # Rounding can push a pure state a hair outside the ball; renormalize.
@@ -142,8 +139,8 @@ def example_distances(initial: EnvPoint, final: EnvPoint, beta_tau: float,
     its longitudinal coordinate as 1 - 2E/gap, which pins the
     ground-state-first basis convention.
     """
-    if not isinstance(initial, EnvPoint) or not isinstance(final, EnvPoint):
-        raise InvalidInput("example_distances expects EnvPoint arguments")
+    _expect(initial, EnvPoint, "initial")
+    _expect(final, EnvPoint, "final")
     solver = _solver(env_hamiltonian(gap))
     for pt in (initial, final):
         p = pt.longitudinal
@@ -167,8 +164,7 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
     The square root of this value is the radius of the ball outside which
     the sufficient condition holds.
     """
-    if not isinstance(initial, EnvPoint):
-        raise InvalidInput("region_rhs expects an EnvPoint")
+    _expect(initial, EnvPoint, "initial")
     beta0 = _as_beta(beta0)
     delta = 0.5 * abs(initial.coherence)
     beta_star0 = _beta_star(initial.longitudinal, gap)
@@ -179,8 +175,7 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
 
 def region_lhs(final: EnvPoint, beta_tau: float, gap: float) -> float:
     """(s - r(beta_tau))^2 + |b|^2, four times the squared final distance."""
-    if not isinstance(final, EnvPoint):
-        raise InvalidInput("region_lhs expects an EnvPoint")
+    _expect(final, EnvPoint, "final")
     d, b = final.longitudinal - thermal_polarization(beta_tau, gap), abs(final.coherence)
     return d * d + b * b
 
@@ -296,14 +291,17 @@ class RegionMap:
                      for b, h, f in zip(b_abs, holds, feasible))
 
     def write_csv(self, path: str) -> None:
+        atomic_write_text(path, self._csv_rows())
+
+    def _csv_rows(self):
+        """The CSV text, one s-row of cells at a time, so no more than a row is held."""
         rhs, flag = repr(self.metadata["rhs"]), ("false", "true")
         cols = [f"{b!r},{rhs}," for b in self.b_abs.tolist()]
-        lines = ["s,b_abs,rhs,holds,feasible"]
-        for s, holds, feasible in zip(self.s.tolist(), self.holds.tolist(),
-                                      self.feasible.tolist()):
+        yield "s,b_abs,rhs,holds,feasible\n"
+        for s, holds, feasible in zip(self.s.tolist(), self.holds, self.feasible):
             head = f"{s!r},"
-            lines += [f"{head}{c}{flag[h]},{flag[f]}" for c, h, f in zip(cols, holds, feasible)]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+            yield "".join([f"{head}{c}{flag[h]},{flag[f]}\n"
+                           for c, h, f in zip(cols, holds.tolist(), feasible.tolist())])
 
 
 def emit_region_map(grid: RegionGrid) -> RegionMap:
@@ -315,8 +313,7 @@ def emit_region_map(grid: RegionGrid) -> RegionMap:
     Cells violating the Bloch constraint are marked infeasible but still
     evaluated when the condition is defined there; a square past the float range is +inf.
     """
-    if not isinstance(grid, RegionGrid):
-        raise InvalidInput("emit_region_map expects a RegionGrid")
+    _expect(grid, RegionGrid, "grid")
     initial = grid.initial_point()
     rhs = region_rhs(initial, grid.beta0, grid.gap)
     constant = isinstance(grid.beta_tau_policy, ConstantBeta)

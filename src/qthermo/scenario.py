@@ -105,16 +105,12 @@ def _field(where: str):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _density(obj, where: str) -> DensityMatrix:
+def _matrix(cls, obj, where: str, dim: int | None = None):
+    """A JSON matrix object as a validated ``cls`` (HermitianMatrix or DensityMatrix),
+    ``dim`` wide when given."""
     mat = matrix_from_json(_as_obj(obj, where), where)
     with _field(where):
-        return DensityMatrix(mat)
-
-
-def _hermitian(obj, where: str) -> HermitianMatrix:
-    mat = matrix_from_json(_as_obj(obj, where), where)
-    with _field(where):
-        return HermitianMatrix(mat)
+        return cls._of(mat, dim)
 
 
 def _parse_policy(obj, where: str) -> BetaPolicy:
@@ -143,12 +139,12 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
     kind = _need(obj, "kind", where)
     with _field(where):
         if kind == "explicit":
-            state = _density(_need(obj, "state", where), f"{where}.state")
-            return BipartiteState(d_s, d_e, state)
+            return BipartiteState(d_s, d_e, _matrix(DensityMatrix, _need(obj, "state", where),
+                                                    f"{where}.state", d_s * d_e))
         if kind in ("product", "product_gibbs"):
-            rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
+            rho_s = _matrix(DensityMatrix, _need(obj, "rho_sys", where), f"{where}.rho_sys")
             if kind == "product":
-                rho_e = _density(_need(obj, "rho_env", where), f"{where}.rho_env")
+                rho_e = _matrix(DensityMatrix, _need(obj, "rho_env", where), f"{where}.rho_env")
             else:
                 rho_e = schedule.gibbs.state(_as_real(_need(obj, "beta", where), f"{where}.beta"))
             if (rho_s.dim, rho_e.dim) != (d_s, d_e):
@@ -156,9 +152,9 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
                                     f"do not match dims {d_s}, {d_e}")
             return BipartiteState._product(rho_s, rho_e)
         if kind == "perturbed":
-            rho_s = _density(_need(obj, "rho_sys", where), f"{where}.rho_sys")
+            rho_s = _matrix(DensityMatrix, _need(obj, "rho_sys", where), f"{where}.rho_sys")
             beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
-            chi = _hermitian(_need(obj, "chi", where), f"{where}.chi")
+            chi = _matrix(HermitianMatrix, _need(obj, "chi", where), f"{where}.chi")
             return make_perturbed_initial(rho_s, beta, chi, schedule.h_env).state
     raise ScenarioError(f"{where}: unknown initial kind {kind!r}")
 
@@ -196,11 +192,8 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
     if d_s < 1 or d_e < 2:
         raise ScenarioError(f"{source_name}.dims: need system >= 1 and environment >= 2")
 
-    h_env = _hermitian(_need(obj, "h_env", source_name), f"{source_name}.h_env")
-    if h_env.dim != d_e:
-        raise ScenarioError(
-            f"{source_name}.h_env: dimension {h_env.dim} does not match environment {d_e}"
-        )
+    h_env = _matrix(HermitianMatrix, _need(obj, "h_env", source_name), f"{source_name}.h_env",
+                    d_e)
 
     raw_segments = _need(obj, "segments", source_name)
     if not isinstance(raw_segments, list) or not raw_segments:
@@ -209,14 +202,9 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
     for i, seg in enumerate(raw_segments):
         where = f"{source_name}.segments[{i}]"
         seg = _as_obj(seg, where)
-        h_sys = _hermitian(_need(seg, "h_sys", where), f"{where}.h_sys")
-        h_int = _hermitian(_need(seg, "h_int", where), f"{where}.h_int")
-        if h_sys.dim != d_s:
-            raise ScenarioError(f"{where}.h_sys: dimension {h_sys.dim} != system {d_s}")
-        if h_int.dim != d_s * d_e:
-            raise ScenarioError(
-                f"{where}.h_int: dimension {h_int.dim} != system*environment {d_s * d_e}"
-            )
+        h_sys = _matrix(HermitianMatrix, _need(seg, "h_sys", where), f"{where}.h_sys", d_s)
+        h_int = _matrix(HermitianMatrix, _need(seg, "h_int", where), f"{where}.h_int",
+                        d_s * d_e)
         with _field(where):
             segments.append(Segment(
                 t_start=_as_real(_need(seg, "t_start", where), f"{where}.t_start"),

@@ -20,6 +20,7 @@ from .linalg import (
     HermitianMatrix,
     _dag,
     _density_spectra,
+    _expect,
     _hermitian_part,
     _ptrace_stack,
     _sym,
@@ -62,9 +63,7 @@ def _entropy_from_eigs(w: np.ndarray) -> np.ndarray | float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr[rho ln rho] in nats, nonnegative by construction."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    return _entropy(rho)
+    return _entropy(DensityMatrix._of(rho))
 
 
 def _entropy(rho: DensityMatrix) -> float:
@@ -119,12 +118,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     outside the support of sigma.  Finite results can undershoot zero by at
     most ~1e-10 from rounding; they are not clamped.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    if not isinstance(sigma, DensityMatrix):
-        sigma = DensityMatrix(sigma)
-    if rho.dim != sigma.dim:
-        raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    rho = DensityMatrix._of(rho)
+    sigma = DensityMatrix._of(sigma, rho.dim)
     return float(_relative_entropy(_one(rho), sigma.mat[None])[0])
 
 
@@ -141,8 +136,7 @@ def _relative_entropy(rho: _States, sigma: np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: BipartiteState) -> float:
     """S(rho_S) + S(rho_E) - S(rho_SE); can undershoot 0 by ~1e-10 only."""
-    if not isinstance(rho, BipartiteState):
-        raise InvalidInput("mutual_information expects a BipartiteState")
+    _expect(rho, BipartiteState, "rho")
     return float(_mutual_information(_bipartite_one(rho))[0])
 
 
@@ -170,13 +164,6 @@ def _as_real(value, name: str) -> float:
     if not math.isfinite(v):
         raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
     return v
-
-
-def _as_int(value, name: str) -> int:
-    """An integer (a bool is not one) as an int; anything else raises InvalidInput."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _finite_betas(beta) -> np.ndarray:
@@ -209,9 +196,8 @@ class GibbsSolver:
     """
 
     def __init__(self, h_env: HermitianMatrix):
-        if not isinstance(h_env, HermitianMatrix):
-            h_env = HermitianMatrix(h_env)
-        self.h_env, self._g = h_env, _gibbs(h_env.mat[None])
+        self.h_env = h_env = HermitianMatrix._of(h_env)
+        self._g = _gibbs(h_env.mat[None])
         self.energies, self.basis = self._g.levels[0], self._g.basis[0]
         self._table = _spectrum_table(self.energies.tolist())
 
@@ -268,14 +254,17 @@ class GibbsSolver:
         Uses D = -S(rho) + beta*tr[rho H] + ln Z(beta), which matches the
         eigendecomposition route to rounding and is cheap to scan.
         """
-        if not isinstance(rho_env, DensityMatrix):
-            rho_env = DensityMatrix(rho_env)
+        rho_env = DensityMatrix._of(rho_env, self.dim)
         return _env_divergence(_one(rho_env), _finite_betas(betas)[None], self._g)[0]
 
     # -- energy inversion ----------------------------------------------------
 
     def mean_energy(self, rho):
         """tr[rho H] for one matrix, or per matrix of an (n, d, d) stack."""
+        rho = np.asarray(rho)
+        if rho.dtype.kind not in "biufc" or rho.shape[-2:] != (self.dim, self.dim):
+            raise InvalidInput(f"mean_energy needs numeric {self.dim}x{self.dim} matrices, "
+                               f"got shape {rho.shape}")
         e = _mean_energy(rho, self.h_env.mat)
         return float(e) if e.ndim == 0 else e
 
@@ -288,10 +277,7 @@ class GibbsSolver:
         range by more than ``_BETA_ABS_TOL`` raise InfeasibleEnergy.  Cached
         on rho_env for this solver, as ``evolve`` leaves it at the endpoints.
         """
-        if not isinstance(rho_env, DensityMatrix):
-            rho_env = DensityMatrix(rho_env)
-        if rho_env.dim != self.dim:
-            raise InvalidInput(f"dimension mismatch: state {rho_env.dim} vs H {self.dim}")
+        rho_env = DensityMatrix._of(rho_env, self.dim)
         solver, beta = getattr(rho_env, "_beta", (None, 0.0))
         return beta if solver is self else self._endpoint(rho_env)[1]
 

@@ -40,6 +40,7 @@ from .errors import InvalidInput
 from .linalg import (
     BipartiteState,
     DensityMatrix,
+    _as_int,
     _check_unitary,
     _dag,
     _expi,
@@ -57,7 +58,6 @@ from .rand import (
     rand_hermitian,
 )
 from .thermo import (
-    _as_int,
     _beta_star,
     _Bipartite,
     _bipartite,

@@ -161,6 +161,43 @@ def test_kronecker_products_go_through_one_routine():
     assert _kron_calls(ROOT / "tests/test_linalg.py") != []
 
 
+_MATRIX_TYPES = {"HermitianMatrix", "DensityMatrix"}
+
+
+def _matrix_coercions(path: str, text: str) -> list[str]:
+    """``if not isinstance(x, T): x = T(x)`` and ``x if isinstance(x, T) else T(x)`` for a
+    matrix type T, and their variants, as 'file:line'."""
+    found = []
+    for node in ast.walk(ast.parse(text, filename=path)):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        tested = {name.id for call in ast.walk(node.test) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "isinstance" and len(call.args) == 2
+                  for name in ast.walk(call.args[1]) if isinstance(name, ast.Name)}
+        branches = [node.body, node.orelse] if isinstance(node, ast.IfExp) \
+            else node.body + node.orelse
+        built = {getattr(call.func, "id", None) for branch in branches
+                 for call in ast.walk(branch) if isinstance(call, ast.Call)}
+        if tested & built & _MATRIX_TYPES:
+            found.append(node.lineno)
+    return [f"{path}:{line}" for line in sorted(found)]
+
+
+def test_matrix_arguments_are_coerced_in_one_place():
+    # Array-like or validated matrix arguments become validated objects through
+    # HermitianMatrix._of / DensityMatrix._of; no other module copies the rule.
+    files = [p for p in sorted((ROOT / "src/qthermo").glob("*.py")) if p.name != "linalg.py"]
+    assert [c for p in files for c in _matrix_coercions(str(p.relative_to(ROOT)),
+                                                          p.read_text())] == []
+    # The scan does see each form.
+    synthetic = ("if not isinstance(a, HermitianMatrix):\n    a = HermitianMatrix(a)\n"
+                 "b = b if isinstance(b, DensityMatrix) else DensityMatrix(b)\n"
+                 "if isinstance(c, (HermitianMatrix, int)):\n    pass\n"
+                 "else:\n    c = HermitianMatrix(c)\n"
+                 "if not isinstance(d, HermitianMatrix):\n    d = GibbsSolver(d)\n")
+    assert _matrix_coercions("m.py", synthetic) == ["m.py:1", "m.py:3", "m.py:4"]
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench/tracing.py")
     module = importlib.util.module_from_spec(spec)

@@ -1,6 +1,7 @@
 """Tests for the two-level environment closed forms and region maps."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qthermo import (
     InvalidInput,
     RegionCell,
     RegionGrid,
+    RegionMap,
     beta_from_polarization,
     effective_beta,
     emit_region_map,
@@ -393,3 +395,41 @@ def test_region_map_is_the_scalar_condition(grid):
                 assert cell.holds == region_condition(initial, EnvPoint(cell.s, cell.b_abs),
                                                       grid.beta0, grid.beta_tau_policy.beta,
                                                       grid.gap)
+
+
+def test_env_point_past_the_float_range_breaks_the_bloch_constraint():
+    # abs() of this coherence raised OverflowError before the ball test could.
+    with pytest.raises(InvalidInput, match="Bloch constraint violated"):
+        EnvPoint(0.0, complex(1.7e308, 1.7e308))
+
+
+@pytest.mark.parametrize("grid", [
+    RegionGrid(gap=1.2, beta0=-0.4, beta_tau_policy=ConstantBeta(0.1), coherence_abs=0.2,
+               s_min=-0.9, s_max=0.9, s_count=7, b_min=0.0, b_max=0.8, b_count=5),
+    RegionGrid(gap=1.3, beta0=0.2, beta_tau_policy=EnergyMatching(), coherence_abs=0.4,
+               s_min=-1.5, s_max=1.5, s_count=31, b_min=0.0, b_max=1.0, b_count=1),
+    RegionGrid(gap=1.0, beta0=0.8, beta_tau_policy=ConstantBeta(0.5), coherence_abs=0.3,
+               s_min=0.3, s_max=0.3, s_count=1, b_min=0.0, b_max=1.1, b_count=13),
+])
+def test_region_csv_is_the_text_of_its_cells(grid, tmp_path):
+    # The rows are streamed one s-row at a time; the bytes are those of one joined text.
+    rmap = emit_region_map(grid)
+    rmap.write_csv(str(tmp_path / "region.csv"))
+    flag = ("false", "true")
+    text = "".join(f"{c.s!r},{c.b_abs!r},{c.rhs!r},{flag[c.holds]},{flag[c.feasible]}\n"
+                   for c in rmap.cells)
+    assert (tmp_path / "region.csv").read_text() == "s,b_abs,rhs,holds,feasible\n" + text
+
+
+def test_region_csv_failing_partway_leaves_no_file(tmp_path, monkeypatch):
+    rmap = emit_region_map(RegionGrid(**_GRID))
+    rows = RegionMap._csv_rows
+
+    def failing_rows(self):
+        yield from itertools.islice(rows(self), 3)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(RegionMap, "_csv_rows", failing_rows)
+    with pytest.raises(OSError, match="disk full"):
+        rmap.write_csv(str(tmp_path / "region.csv"))
+    assert list(tmp_path.iterdir()) == []
