@@ -29,6 +29,7 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     HermitianMatrix,
+    _as_real,
     _expect,
     _kron,
     _ptrace_stack,
@@ -39,8 +40,6 @@ from .thermo import (
     _bipartite_one,
     _GibbsRows,
     _gibbs_relative_entropy,
-    _as_beta,
-    _as_real,
     _solver,
 )
 
@@ -56,7 +55,7 @@ _PRODUCT_TOL = 1e-12
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy -p ln p - (1-p) ln(1-p) of a bit, in nats."""
-    p = float(p)
+    p = _as_real(p, "p")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"binary_entropy needs p in [0, 1], got {p!r}")
     if p == 0.0 or p == 1.0:
@@ -111,7 +110,7 @@ def _sufficient_product(final_env: np.ndarray, gamma_tau: np.ndarray, rho_env: n
 
 
 def _row(value: float) -> np.ndarray:
-    return np.array([float(value)])
+    return np.array([value])
 
 
 def entropy_gap_bound(initial: BipartiteState, h_env: HermitianMatrix) -> float:
@@ -232,7 +231,8 @@ def make_perturbed_initial(rho_sys: DensityMatrix, beta: float,
     the result equals ``beta`` and its trace distance to the reference is
     half the trace norm of ``chi``.
     """
-    rho_sys, chi, beta = DensityMatrix._of(rho_sys), HermitianMatrix._of(chi), _as_beta(beta)
+    rho_sys, chi = DensityMatrix._of(rho_sys), HermitianMatrix._of(chi)
+    beta = _as_real(beta, "beta", inf=True)
     solver = _solver(h_env)
     d_s, d_e = rho_sys.dim, solver.dim
     if chi.dim != d_s * d_e:

@@ -31,9 +31,9 @@ from typing import Callable, IO, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput, InvalidSchedule, NumericalError
-from .linalg import (BipartiteState, HermitianMatrix, _as_int, _dag, _expect, _expi, _kron,
-                     _ptrace_stack, _sym)
-from .thermo import GibbsSolver, _as_real, _entropy_from_eigs, _mean_energy, _solver
+from .linalg import (BipartiteState, HermitianMatrix, _as_int, _as_real, _dag, _expect, _expi,
+                     _kron, _ptrace_stack, _sym)
+from .thermo import GibbsSolver, _entropy, _entropy_from_eigs, _mean_energy, _solver
 
 # Segment endpoints may disagree with their neighbours by at most this much.
 _TILE_TOL = 1e-12
@@ -80,8 +80,8 @@ class Segment:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "t_start", _as_real(self.t_start, "segment t_start"))
-            object.__setattr__(self, "t_end", _as_real(self.t_end, "segment t_end"))
+            object.__setattr__(self, "t_start", _as_real(self.t_start, "t_start"))
+            object.__setattr__(self, "t_end", _as_real(self.t_end, "t_end"))
         except InvalidInput as exc:
             raise InvalidSchedule(str(exc)) from None
         if self.t_end <= self.t_start:
@@ -102,7 +102,11 @@ class HamiltonianSchedule:
 
     def __init__(self, h_env: HermitianMatrix, segments: Sequence[Segment]):
         h_env = HermitianMatrix._of(h_env)
-        segments = tuple(segments)
+        try:
+            segments = tuple(segments)
+        except TypeError:
+            raise InvalidSchedule(f"segments must be a sequence of Segment, "
+                                  f"got {type(segments).__name__}") from None
         if not segments:
             raise InvalidSchedule("schedule needs at least one segment")
         for seg in segments:
@@ -142,6 +146,7 @@ class HamiltonianSchedule:
 
     def total_hamiltonian(self, t: float, segment: Segment | None = None) -> np.ndarray:
         """Raw d_s*d_e Hamiltonian h_sys x I + I x h_env + h_int at time t."""
+        t = _as_real(t, "t")
         if segment is None:
             segment = self._segment_for(t)
         return self._hamiltonians(segment, (t,))[0]
@@ -377,7 +382,7 @@ class Trajectory:
 
     def state(self, k: int) -> BipartiteState:
         """The joint state at grid point k, built alone without the stack."""
-        k = range(len(self.times))[k]
+        k = range(len(self.times))[_as_int(k, "k")]
         mat = self.initial.mat
         for sl, src in zip(self.segment_slices, self._segment_states):
             if sl.start < k < sl.stop:
@@ -398,12 +403,13 @@ class Trajectory:
         return np.asarray(_entropy_from_eigs(np.linalg.eigvalsh(self.rho)))
 
     def mutual_informations(self) -> np.ndarray:
-        return self.system_entropies() + self.env_entropies() - self.joint_entropies()
+        """S_S(t) + S_E(t) - S_SE(0): unitary evolution keeps S_SE(t) = S_SE(0)."""
+        return self.system_entropies() + self.env_entropies() - _entropy(self.initial.state)
 
     def write_csv(self, f: IO[str]) -> None:
         """Columns: t, env_energy, beta_star, heat_flux, S_system, mutual_information."""
         s_sys = self.system_entropies()
-        mi = s_sys + self.env_entropies() - self.joint_entropies()
+        mi = s_sys + self.env_entropies() - _entropy(self.initial.state)
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["t", "env_energy", "beta_star", "heat_flux",
                          "S_system", "mutual_information"])
@@ -452,9 +458,7 @@ def evolve(initial: BipartiteState, sched: HamiltonianSchedule,
     """
     _expect(sched, HamiltonianSchedule, "sched")
     _expect(initial, BipartiteState, "initial", d_s=sched.d_s, d_e=sched.d_e)
-    steps = _as_int(steps_per_segment, "steps_per_segment")
-    if steps < 1:
-        raise InvalidInput("steps_per_segment must be at least 1")
+    steps = _as_int(steps_per_segment, "steps_per_segment", lo=1)
     total = len(sched.segments) * steps
     if total >= np.iinfo(np.intp).max:
         raise InvalidInput(f"steps_per_segment {steps} gives more grid points than NumPy can index")

@@ -19,10 +19,9 @@ import numpy as np
 
 from .dynamics import Trajectory, _generator_rates
 from .errors import InvalidInput
-from .linalg import BipartiteState, HermitianMatrix, _expect
+from .linalg import BipartiteState, HermitianMatrix, _as_real, _as_reals, _expect
 from .thermo import (
     EIG_ZERO_TOL,
-    _as_real,
     _Bipartite,
     _bipartite_one,
     _env_divergence,
@@ -42,7 +41,7 @@ class ConstantBeta:
     beta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _as_real(self.beta, "ConstantBeta beta"))
+        object.__setattr__(self, "beta", _as_real(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,16 @@ class TabulatedBeta:
     betas: tuple
 
     def __post_init__(self):
-        try:
-            t = np.asarray(self.times, dtype=float)
-            b = np.asarray(self.betas, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInput("tabulated knots must be real numbers") from None
+        t, b = _as_reals(self.times, "times"), _as_reals(self.betas, "betas")
         if t.ndim != 1 or t.shape != b.shape or len(t) < 2:
             raise InvalidInput("tabulated policy needs matching 1-d knots, at least two")
-        if not (np.isfinite(t).all() and np.isfinite(b).all()):
-            raise InvalidInput("tabulated knots must be finite")
         if not (np.diff(t) > 0).all():
             raise InvalidInput("tabulated times must be strictly increasing")
-        object.__setattr__(self, "times", tuple(float(x) for x in t))
-        object.__setattr__(self, "betas", tuple(float(x) for x in b))
+        object.__setattr__(self, "times", tuple(t.tolist()))
+        object.__setattr__(self, "betas", tuple(b.tolist()))
 
     def values(self, t) -> np.ndarray:
-        return np.interp(np.asarray(t, dtype=float), self.times, self.betas)
+        return np.interp(_as_reals(t, "t"), self.times, self.betas)
 
 
 BetaPolicy = Union[ConstantBeta, EnergyMatching, TabulatedBeta]

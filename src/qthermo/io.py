@@ -35,7 +35,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what}: malformed numeric data: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ScenarioError(

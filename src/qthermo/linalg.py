@@ -7,6 +7,9 @@ a dense Taylor series, and no sparse or iterative machinery is used.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import InvalidInput, InvalidState, NumericalError
@@ -29,11 +32,59 @@ def _as_square_complex(mat, what: str) -> np.ndarray:
     return a
 
 
-def _as_int(value, name: str) -> int:
-    """An integer (a bool is not one) as an int; anything else raises InvalidInput."""
+# The scalar half of the argument rule: each real, inverse temperature and count from
+# outside is read once, by one of the readers below.  A bool is not a number here.
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
+def _as_int(value, name: str, lo: int | None = None) -> int:
+    """An integer as an int, and with ``lo`` a count in [lo, the largest NumPy index];
+    anything else raises InvalidInput."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if lo is not None and not lo <= n <= _INDEX_MAX:
+        shown = n if abs(n) <= _INDEX_MAX else "an integer past the index range"
+        raise InvalidInput(f"{name} must be an integer from {lo} to {_INDEX_MAX}, got {shown}")
+    return n
+
+
+def _as_real(value, name: str, inf: bool = False) -> float:
+    """A real number as a float; NaN, a number past the float range and, unless ``inf``
+    (an inverse temperature, which is +-inf at a spectral edge), +-inf raise InvalidInput."""
+    v, shown = value, None
+    if type(v) is not float:  # a float or an int skips the slower ABC test
+        real = isinstance(v, (float, int)) or isinstance(v, numbers.Real)
+        try:
+            v = float(v) if real and not isinstance(v, bool) else math.nan
+        except OverflowError:
+            v, shown = math.nan, "a number past the float range"
+    if v != v or not (inf or -math.inf < v < math.inf):
+        what = "a real number or +-inf" if inf else "a finite real number"
+        raise InvalidInput(f"{name} must be {what}, got {shown or repr(value)}")
+    return v
+
+
+def _as_complex(value, name: str) -> complex:
+    """A complex number as a complex, each part read by ``_as_real``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise InvalidInput(f"{name} must be a complex number, got {value!r}")
+    return complex(_as_real(value.real, f"{name}.real"), _as_real(value.imag, f"{name}.imag"))
+
+
+def _as_reals(values, name: str) -> np.ndarray:
+    """An array of finite reals as floats: a finite real NumPy array is read whole, anything
+    else entry by entry through ``_as_real``, which names a bad entry ``name[i]`` (flat i)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        a = values.astype(float, copy=False)
+        if np.isfinite(a).all():
+            return a
+    try:
+        obj = np.asarray(values, dtype=object)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be an array of finite real numbers") from None
+    return np.array([_as_real(v, f"{name}[{i}]" if obj.ndim else name)
+                     for i, v in enumerate(obj.ravel().tolist())], dtype=float).reshape(obj.shape)
 
 
 def _expect(x, cls, what: str, **attrs) -> None:
@@ -213,9 +264,7 @@ class BipartiteState:
     __slots__ = ("d_s", "d_e", "state", "rho_sys", "rho_env")
 
     def __init__(self, d_s: int, d_e: int, state):
-        d_s, d_e = _as_int(d_s, "d_s"), _as_int(d_e, "d_e")
-        if d_s < 1 or d_e < 2:
-            raise InvalidInput(f"need d_s >= 1 and d_e >= 2, got d_s={d_s}, d_e={d_e}")
+        d_s, d_e = _as_int(d_s, "d_s", lo=1), _as_int(d_e, "d_e", lo=2)
         self.d_s, self.d_e, self.state = d_s, d_e, DensityMatrix._of(state, d_s * d_e)
         self.rho_sys, self.rho_env = (
             DensityMatrix(_ptrace_stack(self.state.mat[None], d_s, d_e, k)[0]) for k in "SE")
@@ -224,8 +273,7 @@ class BipartiteState:
     def _trusted(cls, d_s: int, d_e: int, mat: np.ndarray) -> "BipartiteState":
         # Internal fast path for evolution output; marginals skip eigen tests.
         obj = object.__new__(cls)
-        obj.d_s = int(d_s)
-        obj.d_e = int(d_e)
+        obj.d_s, obj.d_e = d_s, d_e
         obj.state = DensityMatrix._trusted(mat)
         obj.rho_sys, obj.rho_env = (
             DensityMatrix._trusted(_ptrace_stack(obj.state.mat[None], d_s, d_e, k)[0]) for k in "SE")

@@ -22,8 +22,8 @@ from .bounds import binary_entropy
 from .errors import DomainError, InvalidInput, NumericalError
 from .entropy_production import ConstantBeta, EnergyMatching
 from .io import atomic_write_text
-from .linalg import DensityMatrix, HermitianMatrix, _as_int, _expect
-from .thermo import _as_beta, _as_real, _solver
+from .linalg import DensityMatrix, HermitianMatrix, _as_complex, _as_int, _as_real, _expect
+from .thermo import _solver
 
 # Slack on the Bloch-ball constraint longitudinal^2 + |coherence|^2 <= 1.
 _BALL_TOL = 1e-12
@@ -55,7 +55,7 @@ def thermal_polarization(beta: float, gap: float) -> float:
     (1/2) diag(1 + r, 1 - r).
     """
     gap = _as_gap(gap)
-    return math.tanh(0.5 * _as_beta(beta) * gap)
+    return math.tanh(0.5 * _as_real(beta, "beta", inf=True) * gap)
 
 
 def beta_from_polarization(r: float, gap: float) -> float:
@@ -88,13 +88,7 @@ class EnvPoint:
     coherence: complex = 0.0
 
     def __post_init__(self):
-        try:
-            p = float(self.longitudinal)
-            b = complex(self.coherence)
-        except (TypeError, ValueError):
-            raise InvalidInput("EnvPoint needs real longitudinal, complex coherence") from None
-        if not (math.isfinite(p) and math.isfinite(b.real) and math.isfinite(b.imag)):
-            raise InvalidInput("EnvPoint coordinates must be finite")
+        p, b = _as_real(self.longitudinal, "longitudinal"), _as_complex(self.coherence, "coherence")
         r2 = p * p + b.real * b.real + b.imag * b.imag  # abs(b) raises OverflowError near inf
         if r2 > 1.0 + _BALL_TOL:
             raise InvalidInput(f"Bloch constraint violated: p^2 + |b|^2 = {r2:.6f} > 1")
@@ -165,7 +159,7 @@ def region_rhs(initial: EnvPoint, beta0: float, gap: float) -> float:
     the sufficient condition holds.
     """
     _expect(initial, EnvPoint, "initial")
-    beta0 = _as_beta(beta0)
+    beta0 = _as_real(beta0, "beta0", inf=True)
     delta = 0.5 * abs(initial.coherence)
     beta_star0 = _beta_star(initial.longitudinal, gap)
     solver = _solver(env_hamiltonian(gap))
@@ -222,16 +216,11 @@ class RegionGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "gap", _as_gap(self.gap))
-        object.__setattr__(self, "beta0", _as_beta(self.beta0))
+        object.__setattr__(self, "beta0", _as_real(self.beta0, "beta0", inf=True))
         if not isinstance(self.beta_tau_policy, (ConstantBeta, EnergyMatching)):
             raise InvalidInput("beta_tau_policy must be ConstantBeta or EnergyMatching")
         for name in ("s_count", "b_count"):
-            value = getattr(self, name)
-            n = _as_int(value, name)
-            if not 1 <= n <= np.iinfo(np.intp).max:
-                raise InvalidInput(f"{name} must be a positive integer NumPy can index, "
-                                   f"got {value!r}")
-            object.__setattr__(self, name, n)
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, lo=1))
         reals = ("s_min", "s_max", "b_min", "b_max", "coherence_abs", "initial_longitudinal")
         for name in reals if self.initial_longitudinal is not None else reals[:-1]:
             object.__setattr__(self, name, _as_real(getattr(self, name), name))

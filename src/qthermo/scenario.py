@@ -21,13 +21,16 @@ Initial-state kinds: "explicit" (field state), "product" (rho_sys, rho_env),
 "product_gibbs" (rho_sys, beta), "perturbed" (rho_sys, beta, chi).  Policy
 kinds: "constant" (beta), "energy_matching", "tabulated" (times, betas).
 Matrices use the shared {"dim", "re", "im"} encoding; "im" may be omitted.
-All validation failures raise ScenarioError naming the offending field.
+All validation failures raise ScenarioError naming the offending field.  Numbers
+go to the library constructors as they are, and their message follows the object
+that holds them, as in ``scenario.policy: betas[1] must be a finite real number,
+got 'x'`` or ``scenario.segments[0]: t_end must be a finite real number, got
+a number past the float range``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -76,15 +79,6 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _as_real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
-    if math.isnan(v):
-        raise ScenarioError(f"{where}: NaN is not allowed")
-    return v
-
-
 def _as_obj(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
@@ -118,18 +112,11 @@ def _parse_policy(obj, where: str) -> BetaPolicy:
     kind = _need(obj, "kind", where)
     with _field(where):
         if kind == "constant":
-            return ConstantBeta(_as_real(_need(obj, "beta", where), f"{where}.beta"))
+            return ConstantBeta(_need(obj, "beta", where))
         if kind == "energy_matching":
             return EnergyMatching()
         if kind == "tabulated":
-            knots = {}
-            for key in ("times", "betas"):
-                values = _need(obj, key, where)
-                if not isinstance(values, list):
-                    raise ScenarioError(f"{where}: times and betas must be arrays")
-                knots[key] = tuple(_as_real(v, f"{where}.{key}[{i}]")
-                                   for i, v in enumerate(values))
-            return TabulatedBeta(**knots)
+            return TabulatedBeta(_need(obj, "times", where), _need(obj, "betas", where))
     raise ScenarioError(f"{where}: unknown policy kind {kind!r}")
 
 
@@ -146,16 +133,16 @@ def _parse_initial(obj, schedule: HamiltonianSchedule, where: str) -> BipartiteS
             if kind == "product":
                 rho_e = _matrix(DensityMatrix, _need(obj, "rho_env", where), f"{where}.rho_env")
             else:
-                rho_e = schedule.gibbs.state(_as_real(_need(obj, "beta", where), f"{where}.beta"))
+                rho_e = schedule.gibbs.state(_need(obj, "beta", where))
             if (rho_s.dim, rho_e.dim) != (d_s, d_e):
                 raise ScenarioError(f"{where}: factor dimensions {rho_s.dim}, {rho_e.dim} "
                                     f"do not match dims {d_s}, {d_e}")
             return BipartiteState._product(rho_s, rho_e)
         if kind == "perturbed":
             rho_s = _matrix(DensityMatrix, _need(obj, "rho_sys", where), f"{where}.rho_sys")
-            beta = _as_real(_need(obj, "beta", where), f"{where}.beta")
             chi = _matrix(HermitianMatrix, _need(obj, "chi", where), f"{where}.chi")
-            return make_perturbed_initial(rho_s, beta, chi, schedule.h_env).state
+            return make_perturbed_initial(rho_s, _need(obj, "beta", where), chi,
+                                          schedule.h_env).state
     raise ScenarioError(f"{where}: unknown initial kind {kind!r}")
 
 
@@ -174,7 +161,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -206,12 +193,8 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
         h_int = _matrix(HermitianMatrix, _need(seg, "h_int", where), f"{where}.h_int",
                         d_s * d_e)
         with _field(where):
-            segments.append(Segment(
-                t_start=_as_real(_need(seg, "t_start", where), f"{where}.t_start"),
-                t_end=_as_real(_need(seg, "t_end", where), f"{where}.t_end"),
-                h_sys=h_sys,
-                h_int=h_int,
-            ))
+            segments.append(Segment(_need(seg, "t_start", where), _need(seg, "t_end", where),
+                                    h_sys, h_int))
     with _field(f"{source_name}.segments"):
         schedule = HamiltonianSchedule(h_env, segments)
 
@@ -251,30 +234,16 @@ def parse_region_grid(obj: dict, source_name: str = "grid") -> RegionGrid:
             f"{source_name}.policy: region grids take constant or energy_matching"
         )
 
-    def axis(key: str) -> tuple[float, float, int]:
+    axes = {}
+    for key in "sb":
         where = f"{source_name}.{key}"
         ax = _as_obj(_need(obj, key, source_name), where)
-        return (
-            _as_real(_need(ax, "min", where), f"{where}.min"),
-            _as_real(_need(ax, "max", where), f"{where}.max"),
-            _as_int(_need(ax, "count", where), f"{where}.count"),
-        )
-
-    s_min, s_max, s_count = axis("s")
-    b_min, b_max, b_count = axis("b")
-    p = obj.get("initial_longitudinal")
+        axes.update({f"{key}_{k}": _need(ax, k, where) for k in ("min", "max", "count")})
     with _field(source_name):
-        return RegionGrid(
-            gap=_as_real(_need(obj, "gap", source_name), f"{source_name}.gap"),
-            beta0=_as_real(_need(obj, "beta0", source_name), f"{source_name}.beta0"),
-            beta_tau_policy=policy,
-            coherence_abs=_as_real(_need(obj, "coherence_abs", source_name),
-                                   f"{source_name}.coherence_abs"),
-            s_min=s_min, s_max=s_max, s_count=s_count,
-            b_min=b_min, b_max=b_max, b_count=b_count,
-            initial_longitudinal=None if p is None
-            else _as_real(p, f"{source_name}.initial_longitudinal"),
-        )
+        return RegionGrid(gap=_need(obj, "gap", source_name),
+                          beta0=_need(obj, "beta0", source_name), beta_tau_policy=policy,
+                          coherence_abs=_need(obj, "coherence_abs", source_name),
+                          initial_longitudinal=obj.get("initial_longitudinal"), **axes)
 
 
 def load_region_grid(path: str) -> RegionGrid:

@@ -18,6 +18,8 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     HermitianMatrix,
+    _as_real,
+    _as_reals,
     _dag,
     _density_spectra,
     _expect,
@@ -144,39 +146,6 @@ def _mutual_information(rho: _Bipartite) -> np.ndarray:
     return rho.rho_sys.s + rho.rho_env.s - rho.state.s
 
 
-def _as_beta(beta) -> float:
-    """An inverse temperature as a float; +-inf allowed, NaN and non-reals not."""
-    try:
-        b = float(beta)
-    except (TypeError, ValueError):
-        raise InvalidInput("beta must be a real number or +-inf") from None
-    if math.isnan(b):
-        raise InvalidInput("beta must be a real number or +-inf")
-    return b
-
-
-def _as_real(value, name: str) -> float:
-    """A finite real as a float; anything else raises InvalidInput."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
-    return v
-
-
-def _finite_betas(beta) -> np.ndarray:
-    """An array of inverse temperatures as floats; NaN, +-inf and non-reals raise."""
-    b = np.asarray(beta)
-    if b.dtype.kind not in "biuf":
-        raise InvalidInput("beta arrays must hold finite real numbers")
-    b = b.astype(float, copy=False)
-    if not np.isfinite(b).all():
-        raise InvalidInput("beta arrays must hold finite real numbers")
-    return b
-
-
 class GibbsSolver:
     """Cached eigensystem of a fixed Hamiltonian answering thermal queries.
 
@@ -208,17 +177,17 @@ class GibbsSolver:
     # -- population vectors ------------------------------------------------
 
     def populations(self, beta: float) -> np.ndarray:
-        return _populations(self._g.levels, np.array([_as_beta(beta)]))[0]
+        return _populations(self._g.levels, np.array([_as_real(beta, "beta", inf=True)]))[0]
 
     # -- scalar thermal maps -------------------------------------------------
 
-    def _map(self, kernel, beta):
+    def _map(self, kernel, beta, inf: bool = True):
         """``kernel(levels, betas)``, a row kernel over (n, d) levels at (n,) betas
-        (here one row of levels, broadcast), at one beta (a float; +-inf allowed)
-        or at each finite beta of an array."""
-        if np.ndim(beta) == 0:
-            return float(kernel(self._g.levels, np.array([_as_beta(beta)]))[0])
-        b = _finite_betas(beta)
+        (here one row of levels, broadcast), at one beta (a real; +-inf allowed with
+        ``inf``) or at each finite beta of a list, tuple or array."""
+        if not isinstance(beta, (list, tuple, np.ndarray)):
+            return float(kernel(self._g.levels, np.array([_as_real(beta, "beta", inf)]))[0])
+        b = _as_reals(beta, "beta")
         return kernel(self._g.levels, b.ravel()).reshape(b.shape)
 
     def energy(self, beta):
@@ -232,21 +201,20 @@ class GibbsSolver:
 
     def log_partition(self, beta):
         """ln Z(beta) for finite beta; array-valued for array input."""
-        if np.ndim(beta) == 0 and math.isinf(_as_beta(beta)):
-            raise InvalidInput("log_partition requires finite beta")
-        return self._map(_log_partition, beta)
+        return self._map(_log_partition, beta, inf=False)
 
     def state(self, beta: float) -> DensityMatrix:
         """Thermal state exp(-beta H)/Z; at beta = +-inf, the maximally mixed
         state on the extremal eigenspace."""
-        return DensityMatrix._trusted(_GibbsRows(self._g, np.array([_as_beta(beta)])).gamma[0])
+        beta = np.array([_as_real(beta, "beta", inf=True)])
+        return DensityMatrix._trusted(_GibbsRows(self._g, beta).gamma[0])
 
     # -- relative entropies in the thermal family -----------------------------
 
     def gibbs_relative_entropy(self, beta_a: float, beta_b: float) -> float:
         """D(gamma(beta_a) || gamma(beta_b)); may be inf at infinite beta_b."""
         return float(_gibbs_relative_entropy(self._g, self.populations(beta_a)[None],
-                                             np.array([_as_beta(beta_b)]))[0])
+                                             np.array([_as_real(beta_b, "beta_b", inf=True)]))[0])
 
     def relative_entropy_profile(self, rho_env: DensityMatrix, betas) -> np.ndarray:
         """D(rho_env || gamma(beta)) over an array of finite betas.
@@ -255,13 +223,14 @@ class GibbsSolver:
         eigendecomposition route to rounding and is cheap to scan.
         """
         rho_env = DensityMatrix._of(rho_env, self.dim)
-        return _env_divergence(_one(rho_env), _finite_betas(betas)[None], self._g)[0]
+        return _env_divergence(_one(rho_env), _as_reals(betas, "betas")[None], self._g)[0]
 
     # -- energy inversion ----------------------------------------------------
 
     def mean_energy(self, rho):
-        """tr[rho H] for one matrix, or per matrix of an (n, d, d) stack."""
-        rho = np.asarray(rho)
+        """tr[rho H] for one matrix (a HermitianMatrix or DensityMatrix too), or per matrix
+        of an (n, d, d) stack."""
+        rho = np.asarray(rho.mat if isinstance(rho, HermitianMatrix) else rho)
         if rho.dtype.kind not in "biufc" or rho.shape[-2:] != (self.dim, self.dim):
             raise InvalidInput(f"mean_energy needs numeric {self.dim}x{self.dim} matrices, "
                                f"got shape {rho.shape}")
@@ -289,16 +258,11 @@ class GibbsSolver:
         return energy, beta
 
     def solve_beta(self, energy: float) -> float:
-        return float(self.solve_beta_many(np.array([energy]))[0])
+        return float(self.solve_beta_many(np.array([_as_real(energy, "energy")]))[0])
 
     def solve_beta_many(self, energies) -> np.ndarray:
         """beta* for each target energy; one target takes a float path."""
-        try:
-            e_target = np.asarray(energies, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInput("target energies must be real numbers") from None
-        if not np.isfinite(e_target).all():
-            raise InvalidInput("target energies must be finite")
+        e_target = _as_reals(energies, "energies")
         if e_target.size == 1:
             return np.full(e_target.shape, _solve_beta(self._table, e_target.item()))
         out = np.empty_like(e_target)

@@ -40,7 +40,9 @@ from .errors import InvalidInput
 from .linalg import (
     BipartiteState,
     DensityMatrix,
+    _INDEX_MAX,
     _as_int,
+    _as_real,
     _check_unitary,
     _dag,
     _expi,
@@ -92,8 +94,7 @@ class VerifySuiteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if _as_int(self.num_random_scenarios, "num_random_scenarios") < 1:
-            raise InvalidInput("num_random_scenarios must be >= 1")
+        _as_int(self.num_random_scenarios, "num_random_scenarios", lo=1)
         if _as_int(self.seed, "seed") < 0:
             raise InvalidInput("seed must be >= 0")
         try:
@@ -104,16 +105,14 @@ class VerifySuiteConfig:
         if not dims:
             raise InvalidInput("dims must not be empty")
         for d_s, d_e in dims:
-            if d_s < 1 or d_e < 2:
+            if not (1 <= d_s <= _INDEX_MAX and 2 <= d_e <= _INDEX_MAX):
                 raise InvalidInput(f"invalid dims ({d_s}, {d_e})")
         object.__setattr__(self, "dims", dims)
-        for name, tol in self.tolerances.items():
-            try:
-                ok = 0.0 <= float(tol) < math.inf
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise InvalidInput(f"tolerance {name}={tol!r} must be finite and >= 0")
+        tols = {name: _as_real(tol, f"tolerance {name}") for name, tol in self.tolerances.items()}
+        for name, tol in tols.items():
+            if tol < 0:
+                raise InvalidInput(f"tolerance {name} must be >= 0, got {tol!r}")
+        object.__setattr__(self, "tolerances", tols)
 
 
 @dataclass(frozen=True)
@@ -511,7 +510,7 @@ def run_verify(cfg: VerifySuiteConfig = VerifySuiteConfig()) -> list[CheckResult
     results = []
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_REGISTRY))
     for (name, default_tol, check), seed in zip(_REGISTRY, seeds):
-        tol = float(cfg.tolerances.get(name, default_tol))
+        tol = cfg.tolerances.get(name, default_tol)
         cases = failures = 0
         worst = 0.0
         for residual in check(np.random.default_rng(seed), cfg):

@@ -1,9 +1,15 @@
-"""The argument contract of the public entry points that take matrices or states.
+"""The argument contract of the public entry points.
 
 Array-likes and validated objects are both accepted; a non-numeric matrix, a
 matrix of the wrong dimension and an argument of the wrong type each raise
-InvalidInput (or a subclass), never a bare NumPy or Python error.
+InvalidInput (or a subclass), never a bare NumPy or Python error.  So does a
+scalar that is not a number of the argument's kind: a bool, a string, a
+complex, None, a sequence, NaN or an integer past the float range where a real
+is wanted, and +-inf where the real must be finite (an inverse temperature
+may be +-inf).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,14 +18,20 @@ from qthermo import (
     BipartiteState,
     ConstantBeta,
     DensityMatrix,
+    EnergyMatching,
     EnvPoint,
     GibbsSolver,
     HamiltonianSchedule,
     HermitianMatrix,
     InvalidInput,
+    InvalidSchedule,
     RegionGrid,
     Segment,
+    TabulatedBeta,
     UnitaryMatrix,
+    VerifySuiteConfig,
+    beta_from_polarization,
+    binary_entropy,
     build_bound_report,
     distance_to_reference,
     effective_beta,
@@ -28,6 +40,7 @@ from qthermo import (
     entropy_production,
     entropy_production_rate,
     env_energy_rate,
+    env_hamiltonian,
     env_point_of,
     evolve,
     example_distances,
@@ -42,6 +55,7 @@ from qthermo import (
     sufficient_nonneg_general,
     sufficient_nonneg_product,
     tensor_product,
+    thermal_polarization,
     trace_distance,
     trace_distance_bound,
     von_neumann_entropy,
@@ -139,10 +153,148 @@ def test_bad_matrix_and_state_arguments_raise_invalid_input(call, valid, arg, va
     lambda: BipartiteState(True, 2, np.eye(2) / 2),
     lambda: GibbsSolver(_H3).mean_energy(np.stack([_RHO2.mat] * 4)),
     lambda: HamiltonianSchedule(_H2, [Segment(0.0, 1.0, lambda t: "a", _H4)]),
-], ids=["bool-dimension", "mean-energy-stack", "callable-term"])
+    lambda: HamiltonianSchedule(_H2, 5),
+], ids=["bool-dimension", "mean-energy-stack", "callable-term", "segments-not-iterable"])
 def test_bad_scalars_and_values_raise_invalid_input(call):
     # A bool subsystem dimension ended in "TypeError: an integer is required", a stack
-    # of the wrong width in NumPy's broadcast ValueError, and a callable term's bad
-    # value in a bare ValueError.
+    # of the wrong width in NumPy's broadcast ValueError, a callable term's bad value
+    # in a bare ValueError, and segments that are no sequence in "TypeError: 'int'
+    # object is not iterable".
     with pytest.raises(InvalidInput):
         call()
+
+
+def test_segments_that_are_no_sequence_are_an_invalid_schedule():
+    with pytest.raises(InvalidSchedule, match="segments must be a sequence of Segment"):
+        HamiltonianSchedule(_H2, 5)
+
+
+# The scalar half of the contract.  Each entry: (name, a call of one value, a valid
+# value, the labels of the values below that the argument takes).  A real, a count and
+# an index take none of them: an inverse temperature (BETA) takes +-inf, one that may
+# also be an array of finite reals (BETAS) a list too; an index past the grid is an
+# IndexError, as for a sequence; a coherence is complex; a None initial longitudinal
+# is the default.
+FINITE, BETA, BETAS = (), ("inf", "-inf"), ("inf", "-inf", "list")
+COUNT = FINITE
+_BAD = {"bool": True, "string": "0.5", "complex": 0.5 + 1j, "None": None, "list": [0.5],
+        "huge": 10**400, "nan": math.nan}
+_INF = {"inf": math.inf, "-inf": -math.inf}
+_SOLVER2 = GibbsSolver(_H2)
+_TABULATED = TabulatedBeta((0.0, 1.0), (0.5, 1.5))
+_TRAJECTORY = evolve(_JOINT, _SCHED, 3)
+_GRID_ARGS = dict(gap=1.0, beta0=0.5, beta_tau_policy=EnergyMatching(), coherence_abs=0.1,
+                  s_min=-1.0, s_max=1.0, s_count=3, b_min=0.0, b_max=1.0, b_count=3)
+
+
+def _grid(**kw):
+    return RegionGrid(**{**_GRID_ARGS, **kw})
+
+
+_SCALARS = [
+    *((f"GibbsSolver.{m}", getattr(_SOLVER2, m), 0.5, BETAS)
+      for m in ("energy", "variance", "entropy")),
+    ("GibbsSolver.log_partition", _SOLVER2.log_partition, 0.5, ("list",)),
+    ("GibbsSolver.populations", _SOLVER2.populations, 0.5, BETA),
+    ("GibbsSolver.state", _SOLVER2.state, 0.5, BETA),
+    ("GibbsSolver.gibbs_relative_entropy.beta_a",
+     lambda v: _SOLVER2.gibbs_relative_entropy(v, 0.5), 0.5, BETA),
+    ("GibbsSolver.gibbs_relative_entropy.beta_b",
+     lambda v: _SOLVER2.gibbs_relative_entropy(0.5, v), 0.5, BETA),
+    ("GibbsSolver.solve_beta", _SOLVER2.solve_beta, 0.5, FINITE),
+    ("ConstantBeta.beta", ConstantBeta, 0.5, FINITE),
+    ("Segment.t_start", lambda v: Segment(v, 2.0, _H2, _H4), 0.5, FINITE),
+    ("Segment.t_end", lambda v: Segment(0.0, v, _H2, _H4), 0.5, FINITE),
+    ("HamiltonianSchedule.total_hamiltonian", _SCHED.total_hamiltonian, 0.5, FINITE),
+    ("entropy_production.beta0", lambda v: entropy_production(_JOINT, _JOINT, v, 0.5, _H2),
+     0.5, FINITE),
+    ("entropy_production.beta_tau", lambda v: entropy_production(_JOINT, _JOINT, 0.5, v, _H2),
+     0.5, FINITE),
+    ("entropy_production_rate.beta",
+     lambda v: entropy_production_rate(_JOINT, _H4, _H2, v, 0.1), 0.5, FINITE),
+    ("entropy_production_rate.beta_dot",
+     lambda v: entropy_production_rate(_JOINT, _H4, _H2, 0.5, v), 0.1, FINITE),
+    ("sufficient_nonneg_general.beta_tau",
+     lambda v: sufficient_nonneg_general(_JOINT, v, _JOINT, 0.5, _H2), 0.5, FINITE),
+    ("sufficient_nonneg_general.beta0",
+     lambda v: sufficient_nonneg_general(_JOINT, 0.5, _JOINT, v, _H2), 0.5, FINITE),
+    ("sufficient_nonneg_product.beta_tau",
+     lambda v: sufficient_nonneg_product(_RHO2, v, _RHO2, _RHO2, 0.5, _H2), 0.5, FINITE),
+    ("sufficient_nonneg_product.beta0",
+     lambda v: sufficient_nonneg_product(_RHO2, 0.5, _RHO2, _RHO2, v, _H2), 0.5, FINITE),
+    ("make_perturbed_initial.beta",
+     lambda v: make_perturbed_initial(_RHO2, v, np.zeros((4, 4)), _H2), 0.5, BETA),
+    ("binary_entropy.p", binary_entropy, 0.5, FINITE),
+    ("env_hamiltonian.gap", env_hamiltonian, 1.0, FINITE),
+    ("thermal_polarization.beta", lambda v: thermal_polarization(v, 1.0), 0.5, BETA),
+    ("thermal_polarization.gap", lambda v: thermal_polarization(0.5, v), 1.0, FINITE),
+    ("beta_from_polarization.r", lambda v: beta_from_polarization(v, 1.0), 0.5, FINITE),
+    ("beta_from_polarization.gap", lambda v: beta_from_polarization(0.5, v), 1.0, FINITE),
+    ("EnvPoint.longitudinal", lambda v: EnvPoint(v, 0.1), 0.2, FINITE),
+    ("EnvPoint.coherence", lambda v: EnvPoint(0.2, v), 0.1 + 0.1j, ("complex",)),
+    ("example_distances.beta_tau", lambda v: example_distances(_POINT, _POINT, v, 1.0),
+     0.5, BETA),
+    ("example_distances.gap", lambda v: example_distances(_POINT, _POINT, 0.5, v), 1.0, FINITE),
+    ("region_rhs.beta0", lambda v: region_rhs(_POINT, v, 1.0), 0.5, BETA),
+    ("region_rhs.gap", lambda v: region_rhs(_POINT, 0.5, v), 1.0, FINITE),
+    ("region_lhs.beta_tau", lambda v: region_lhs(_POINT, v, 1.0), 0.5, BETA),
+    ("region_lhs.gap", lambda v: region_lhs(_POINT, 0.5, v), 1.0, FINITE),
+    ("region_condition.beta0", lambda v: region_condition(_POINT, _POINT, v, 0.5, 1.0),
+     0.5, BETA),
+    ("region_condition.beta_tau", lambda v: region_condition(_POINT, _POINT, 0.5, v, 1.0),
+     0.5, BETA),
+    ("region_condition.gap", lambda v: region_condition(_POINT, _POINT, 0.5, 0.5, v),
+     1.0, FINITE),
+    ("RegionGrid.beta0", lambda v: _grid(beta0=v), 0.5, BETA),
+    *((f"RegionGrid.{k}", lambda v, k=k: _grid(**{k: v}), _GRID_ARGS[k], FINITE)
+      for k in ("gap", "coherence_abs", "s_min", "s_max", "b_min", "b_max")),
+    ("RegionGrid.initial_longitudinal", lambda v: _grid(initial_longitudinal=v), 0.2, ("None",)),
+    *((f"RegionGrid.{k}", lambda v, k=k: _grid(**{k: v}), 3, COUNT)
+      for k in ("s_count", "b_count")),
+    ("BipartiteState.d_s", lambda v: BipartiteState(v, 2, _JOINT.mat), 2, COUNT),
+    ("BipartiteState.d_e", lambda v: BipartiteState(2, v, _JOINT.mat), 2, COUNT),
+    ("evolve.steps_per_segment", lambda v: evolve(_JOINT, _SCHED, v), 3, COUNT),
+    ("Trajectory.state", _TRAJECTORY.state, 1, ("huge",)),
+    ("VerifySuiteConfig.num_random_scenarios",
+     lambda v: VerifySuiteConfig(num_random_scenarios=v), 5, COUNT),
+    ("VerifySuiteConfig.dims", lambda v: VerifySuiteConfig(dims=((v, 2),)), 2, COUNT),
+    ("VerifySuiteConfig.tolerances",
+     lambda v: VerifySuiteConfig(tolerances={"pythagorean": v}), 1e-9, FINITE),
+]
+
+# Arguments that take an array: each is called with a list holding a valid entry and
+# the value, which must then be a finite real.
+_ARRAYS = [
+    *((f"GibbsSolver.{m}[]", lambda v, m=m: getattr(_SOLVER2, m)([0.5, v]))
+      for m in ("energy", "variance", "entropy", "log_partition")),
+    ("GibbsSolver.relative_entropy_profile.betas[]",
+     lambda v: _SOLVER2.relative_entropy_profile(_RHO2, [0.5, v])),
+    ("GibbsSolver.solve_beta_many.energies[]", lambda v: _SOLVER2.solve_beta_many([0.5, v])),
+    ("TabulatedBeta.times[]", lambda v: TabulatedBeta((-1.0, v), (0.5, 1.5))),
+    ("TabulatedBeta.betas[]", lambda v: TabulatedBeta((0.0, 1.0), (0.5, v))),
+    ("TabulatedBeta.values.t[]", lambda v: _TABULATED.values([0.5, v])),
+]
+
+
+def _scalar_cases():
+    cases = [*_SCALARS, *((name, call, 0.5, ()) for name, call in _ARRAYS)]
+    for name, call, valid, accepted in cases:
+        for label, value in {**_BAD, **_INF}.items():
+            if label not in accepted:
+                yield pytest.param(call, valid, value, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("call, valid, value", _scalar_cases())
+def test_bad_scalar_arguments_raise_invalid_input(call, valid, value):
+    call(valid)
+    with pytest.raises(InvalidInput):
+        call(value)
+
+
+_EDGES = [(name, call) for name, call, _, accepted in _SCALARS if "inf" in accepted]
+
+
+@pytest.mark.parametrize("call", [call for _, call in _EDGES], ids=[name for name, _ in _EDGES])
+@pytest.mark.parametrize("edge", [math.inf, -math.inf])
+def test_inverse_temperatures_take_the_spectral_edges(call, edge):
+    call(edge)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_run_scenario_bundled():
 
 
 def test_run_scenario_bundled_at_cold_temperatures(tmp_path):
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     # A Gibbs environment at beta = 60 sits 8.7e-27 above the ground energy;
     # energy matching used to report beta* = inf there and exit 2.
     cold = dict(obj, initial=dict(obj["initial"], beta=60.0),
@@ -384,7 +385,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # no partial outputs appear on failure
     assert list(tmp_path.glob("*_report.json")) == []
     truncated = tmp_path / "trunc.json"
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     del obj["policy"]
     truncated.write_text(json.dumps(obj))
     assert main(["simulate", "--scenario", str(truncated)]) == 2
@@ -450,7 +451,7 @@ def test_cli_simulate_perturbed_initial(tmp_path):
     # I/2 x gamma(1) + chi, chi = 0.05 sx x sx: chi has no system marginal and no
     # diagonal environment weight, so beta*_0 stays at 1; the distance is |chi|_1 / 2.
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    obj = dict(json.loads(open(BUNDLED).read()), initial={
+    obj = dict(json.loads(Path(BUNDLED).read_text()), initial={
         "kind": "perturbed", "rho_sys": _matrix([[0.5, 0.0], [0.0, 0.5]]), "beta": 1.0,
         "chi": _matrix((0.05 * np.kron(sx, sx)).tolist())})
     path = tmp_path / "perturbed.json"
@@ -484,7 +485,7 @@ def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
     # marginals, so the reference is solved again on fresh copies of them.
     rng = np.random.default_rng(5)
     scenarios = [_random_sweep_scenario(rng, 2, 3, 100, "energy_matching", i) for i in range(6)]
-    one_step = dict(json.loads(open(BUNDLED).read()), steps_per_segment=1,
+    one_step = dict(json.loads(Path(BUNDLED).read_text()), steps_per_segment=1,
                     policy={"kind": "energy_matching"})
     scenarios.append(parse_scenario(one_step))
     for sc in scenarios:
@@ -504,7 +505,7 @@ def test_endpoint_beta_star_is_solved_once_from_the_stored_states():
 def test_ground_state_environment_with_tabulated_policy(tmp_path):
     # rho_E = |0><0| has beta*_0 = +inf.  The drift integrand used to go
     # through beta* and exit 2: "trajectory has spectral-edge beta_star".
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     obj["initial"] = {"kind": "product", "rho_sys": obj["initial"]["rho_sys"],
                       "rho_env": _matrix([[1.0, 0.0], [0.0, 0.0]])}
     obj["policy"] = {"kind": "tabulated", "times": [0.0, 6.0], "betas": [1.0, 0.5]}
@@ -525,7 +526,7 @@ def test_ground_state_environment_with_tabulated_policy(tmp_path):
 
 def test_simulate_exits_3_when_segment_propagation_overflows(tmp_path, capsys):
     # Its spectrum overflows to inf; the beta* stage once refused the energies, with exit 2.
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     obj["segments"][0]["h_sys"]["re"] = [[1e308, 1e308], [1e308, 1e308]]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(obj))
@@ -555,7 +556,7 @@ def test_beta_star_grid_failure_surfaces_where_the_grid_is_read(tmp_path, monkey
     with pytest.raises(ConvergenceError):
         traj.write_csv(io.StringIO())
     # Under either policy, simulate exits 3 and writes nothing.
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     matched = tmp_path / "matched.json"
     matched.write_text(json.dumps(dict(obj, policy={"kind": "energy_matching"})))
     for scenario in (BUNDLED, str(matched)):
@@ -595,7 +596,7 @@ def _at(doc, path):
 @pytest.mark.parametrize("field", _MATRIX_FIELDS)
 @pytest.mark.parametrize("dim", [1e999, -1e999, 2.5, True])
 def test_matrix_dim_must_be_a_json_integer(field, dim):
-    doc = json.loads(open(BUNDLED).read())
+    doc = json.loads(Path(BUNDLED).read_text())
     _at(doc, _MATRIX_FIELDS[field])["dim"] = dim
     with pytest.raises(ScenarioError, match=re.escape(f"scenario.{field}.dim:")):
         parse_scenario(doc)
@@ -603,7 +604,7 @@ def test_matrix_dim_must_be_a_json_integer(field, dim):
 
 def test_cli_simulate_rejects_an_overflowing_dim_as_invalid_input(tmp_path, capsys):
     scenario = tmp_path / "huge.json"
-    scenario.write_text(open(BUNDLED).read().replace('"h_env": {"dim": 2',
+    scenario.write_text(Path(BUNDLED).read_text().replace('"h_env": {"dim": 2',
                                                      '"h_env": {"dim": 1e999', 1))
     capsys.readouterr()
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
@@ -614,7 +615,7 @@ def test_cli_simulate_rejects_an_overflowing_dim_as_invalid_input(tmp_path, caps
 
 @pytest.mark.parametrize("version", [True, 1.0])
 def test_spec_version_must_be_the_integer_one(version):
-    doc = json.loads(open(BUNDLED).read())
+    doc = json.loads(Path(BUNDLED).read_text())
     doc["spec_version"] = version
     with pytest.raises(ScenarioError, match="unsupported spec_version"):
         parse_scenario(doc)
@@ -648,7 +649,7 @@ _REGION_GRID = {
 def test_cli_rejects_a_grid_numpy_cannot_index(entry, huge, tmp_path, capsys):
     # More points than np.intp indexes exit 2 naming the field, before any
     # allocation; NumPy itself would refuse them with a ValueError traceback.
-    doc = json.loads(open(BUNDLED).read())
+    doc = json.loads(Path(BUNDLED).read_text())
     argv = ["simulate", "--scenario", BUNDLED, "--steps", str(huge)]
     field = "steps_per_segment"
     if entry == "scenario":
@@ -672,9 +673,10 @@ def test_cli_rejects_a_grid_numpy_cannot_index(entry, huge, tmp_path, capsys):
 def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsys):
     # Every field of a valid document gets every malformed JSON value; the CLI
     # must succeed or exit 2 with one JSON error line, never raise.
-    flag, doc = (("--scenario", json.loads(open(BUNDLED).read())) if command == "simulate"
+    flag, doc = (("--scenario", json.loads(Path(BUNDLED).read_text())) if command == "simulate"
                  else ("--grid", _REGION_GRID))
-    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {}, 10**30, 1e200, -1e200)
+    values = (math.inf, -math.inf, math.nan, 2.5, True, "x", None, [], {}, 10**30, 10**400, 1e200,
+              -1e200)
     paths, failures = _leaf_paths(doc), []
     assert len(paths) == {"simulate": 20, "example": 13}[command]
     for path in paths:
@@ -694,6 +696,20 @@ def test_cli_answers_malformed_json_without_a_traceback(command, tmp_path, capsy
             if rc not in (0, 2) or (rc == 2 and not one_line):
                 failures.append((path, value, rc, err))
     assert not failures
+
+
+def test_cli_answers_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # Python refuses to parse a JSON integer of over 4,300 digits with a plain ValueError,
+    # which escaped as a traceback.  json.dumps cannot write one, so the text is edited.
+    text = Path(BUNDLED).read_text().replace('"seed": 0', '"seed": 1' + "0" * 5000)
+    (tmp_path / "seed.json").write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(tmp_path / "seed.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "ScenarioError" and "invalid JSON" in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("policy", [{"kind": "constant", "beta": 0.8}, {"kind": "energy_matching"}])
@@ -735,7 +751,7 @@ def test_cli_example_rejects_what_cannot_be_mapped(tmp_path, capsys):
 def test_simulate_exits_3_when_the_hamiltonian_sum_overflows(tmp_path, capsys):
     # h_sys and h_int each hold a finite 1e308 on one diagonal entry.  Their sum used to
     # overflow with NumPy's RuntimeWarning on stderr before the JSON error line.
-    obj = json.loads(open(BUNDLED).read())
+    obj = json.loads(Path(BUNDLED).read_text())
     obj["segments"][0]["h_sys"]["re"][0][0] = obj["segments"][0]["h_int"]["re"][0][0] = 1e308
     path = tmp_path / "sum.json"
     path.write_text(json.dumps(obj))

@@ -262,6 +262,21 @@ def test_write_csv_diagonalizes_the_system_marginals_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_write_csv_takes_the_joint_entropy_from_the_initial_state(monkeypatch):
+    # Unitary evolution keeps S_SE(t) = S_SE(0), so neither the CSV nor
+    # mutual_informations diagonalizes the joint states.
+    sched, rng = _exchange_schedule(seed=11)
+    traj = evolve(rand_bipartite(rng, 2, 2), sched, steps_per_segment=50)
+    joint = traj.joint_entropies()
+    expected = traj.system_entropies() + traj.env_entropies() - joint
+    monkeypatch.setattr(Trajectory, "joint_entropies", lambda self: pytest.fail("joint eigvalsh"))
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    column = [float(line.split(",")[5]) for line in buf.getvalue().splitlines()[1:]]
+    assert np.array_equal(column, traj.mutual_informations())
+    assert np.max(np.abs(traj.mutual_informations() - expected)) < 1e-13
+
+
 def test_evolve_rejects_mismatched_state():
     sched, rng = _exchange_schedule(seed=12)
     wrong = rand_bipartite(rng, 2, 3)

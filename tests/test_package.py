@@ -198,6 +198,57 @@ def test_matrix_arguments_are_coerced_in_one_place():
     assert _matrix_coercions("m.py", synthetic) == ["m.py:1", "m.py:3", "m.py:4"]
 
 
+def _scalar_coercions(path: str, text: str) -> list[str]:
+    """Numeric coercions of an outside value, as 'file:line in function': ``float``, ``int``
+    or ``complex`` of a parameter or of a ``self`` attribute (a dataclass field), an
+    ``np.asarray`` or ``np.array`` of one with a dtype, and a bool test ``isinstance(x, bool)``."""
+    found = []
+
+    def outside(node, params):
+        return (isinstance(node, ast.Name) and node.id in params
+                or isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self")
+
+    def visit(node, where, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            where, params = node.name, {a.arg for a in args.posonlyargs + args.args
+                                        + args.kwonlyargs} - {"self", "cls"}
+        if isinstance(node, ast.Call):
+            f, first = node.func, node.args[0] if node.args else None
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name == "isinstance" and len(node.args) == 2:
+                hit = any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+            elif name in ("float", "int", "complex"):
+                hit = isinstance(f, ast.Name) and len(node.args) == 1 and outside(first, params)
+            else:
+                hit = name in ("asarray", "array") and outside(first, params) \
+                    and any(k.arg == "dtype" for k in node.keywords)
+            if hit:
+                found.append(f"{path}:{node.lineno} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, params)
+
+    visit(ast.parse(text, filename=path), "<module>", set())
+    return found
+
+
+def test_scalar_arguments_are_coerced_in_one_place():
+    # Every real, inverse temperature and count from outside is read once, by the readers
+    # in linalg (_as_real, _as_reals, _as_complex, _as_int).  The one exception is the JSON
+    # layer's integer rule, io._as_int, which raises a ScenarioError.
+    files = [p for p in sorted((ROOT / "src/qthermo").glob("*.py")) if p.name != "linalg.py"]
+    found = [c for p in files for c in _scalar_coercions(str(p.relative_to(ROOT)), p.read_text())]
+    assert [c for c in found if not (c.startswith("src/qthermo/io.py:")
+                                     and c.endswith(" in _as_int"))] == []
+    assert len(found) == 2
+    # The scan does see each form, and not a coercion of a local value.
+    synthetic = ("def f(x, y, *, z):\n    a = float(x)\n    b = np.asarray(y, dtype=float)\n"
+                 "    c = float(a) + complex(z)\n    return isinstance(a, (int, bool))\n\n\n"
+                 "class C:\n    def __post_init__(self):\n        int(self.n)\n")
+    assert _scalar_coercions("m.py", synthetic) == ["m.py:2 in f", "m.py:3 in f", "m.py:4 in f",
+                                                    "m.py:5 in f", "m.py:10 in __post_init__"]
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "bench/tracing.py")
     module = importlib.util.module_from_spec(spec)

@@ -54,6 +54,16 @@ from qthermo.thermo import (
 )
 
 
+def test_mean_energy_takes_validated_matrices():
+    # A DensityMatrix raised "needs numeric 2x2 matrices, got shape ()".
+    solver = GibbsSolver(np.diag([0.0, 1.0]))
+    rho = DensityMatrix(np.diag([0.25, 0.75]))
+    assert solver.mean_energy(rho) == solver.mean_energy(rho.mat) == 0.75
+    assert solver.mean_energy(HermitianMatrix(np.diag([2.0, 3.0]))) == 3.0
+    with pytest.raises(InvalidInput):
+        solver.mean_energy(DensityMatrix(np.eye(3) / 3))
+
+
 def test_entropy_special_values():
     pure = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
     assert von_neumann_entropy(pure) == 0.0
