@@ -44,8 +44,6 @@ def _out_dir(args) -> str:
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     if args.steps is not None:
-        if args.steps < 1:
-            raise InvalidInput("--steps must be >= 1")
         sc = dataclasses.replace(sc, steps_per_segment=args.steps)
     result = run_scenario(sc)
     doc = result_to_json(result)
@@ -162,12 +160,8 @@ _SWEEP_BOUND_FIELDS = ("beta_star", "distance_to_reference", "entropy_gap_bound"
 
 
 def _cmd_sweep(args) -> int:
-    if args.num < 1:
-        raise InvalidInput("--num must be >= 1")
-    if args.steps < 1:
-        raise InvalidInput("--steps must be >= 1")
     dims = _parse_dims([args.dims])[0]
-    VerifySuiteConfig(dims=(dims,), seed=args.seed)  # verify's seed and dims rules
+    VerifySuiteConfig(args.num, (dims,), seed=args.seed)  # verify's count, seed and dims rules
     rng = np.random.default_rng(args.seed)
 
     rows = []

@@ -204,9 +204,12 @@ class _Eigenframe:
     def __init__(self, sched: HamiltonianSchedule, seg: Segment, rho_start: np.ndarray,
                  dt: float, steps: int):
         w, self.vecs = np.linalg.eigh(sched.total_hamiltonian(seg.t_start, seg))
-        if not (np.isfinite(w).all() and float(w[-1]) - float(w[0]) < np.inf):
-            raise NumericalError(f"segment propagation: the spectrum of H on "
-                                 f"[{seg.t_start}, {seg.t_end}] or its width is not finite")
+        self._m = max(1, math.isqrt(steps))
+        # The largest phase argument _exp forms (the last k of _phases), rounded alike.
+        phase = steps // self._m * self._m * dt * (float(w[-1]) - float(w[0]))
+        if not (np.isfinite(w).all() and phase < np.inf):
+            raise NumericalError(f"segment propagation: the spectrum, its width or the phases "
+                                 f"of H on [{seg.t_start}, {seg.t_end}] are not finite")
         self.freqs = w - w[0]
         self.rho0 = self.vecs.conj().T @ rho_start @ self.vecs
         self.dt = dt
@@ -215,7 +218,6 @@ class _Eigenframe:
         # a_k = a_{qm} a_r for k = qm + r: a table of m ~ sqrt(steps) rows a_r
         # and one of a_{qm} per batch replace a complex exponential per grid
         # point and level, at one rounding per entry, never accumulated.
-        self._m = max(1, math.isqrt(steps))
         self._low = self._exp(np.arange(self._m))
         # The end state seeds the next segment and is stored, not recomputed.
         self.end = _sym(self._states(steps, steps + 1)[0])

@@ -1,10 +1,6 @@
-"""Matrix JSON decoding and atomic file output.
-
-Matrices arrive as {"dim": n, "re": [[...]], "im": [[...]]} with the
-imaginary block optional.  Writers go through a same-directory
-temporary file and ``os.replace`` so partially written outputs never land
-under the final name, even when a streamed text fails partway.
-"""
+"""Atomic file output: writers go through a same-directory temporary file and
+``os.replace``, so a partial output never lands under the final name, even when a
+streamed text fails partway."""
 
 from __future__ import annotations
 
@@ -12,39 +8,6 @@ import json
 import os
 import tempfile
 from typing import Iterable
-
-import numpy as np
-
-from .errors import ScenarioError
-
-
-def _as_int(value, where: str) -> int:
-    """A JSON integer (a bool or a float is not one) as an int; else ScenarioError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
-    """Decode a matrix object; raises ScenarioError with context on misuse."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{what}: expected an object, got {type(obj).__name__}")
-    if "dim" not in obj or "re" not in obj:
-        raise ScenarioError(f'{what}: needs "dim" and "re" fields')
-    dim = _as_int(obj["dim"], f"{what}.dim")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{what}: malformed numeric data: {exc}") from None
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ScenarioError(
-            f"{what}: blocks must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
-        )
-    a = re + 1j * im
-    if not np.isfinite(re).all() or not np.isfinite(im).all():
-        raise ScenarioError(f"{what}: entries must be finite")
-    return a
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -22,14 +23,29 @@ TOL_PSD = 1e-10
 TOL_UNITARY = 1e-10
 
 
-def _as_square_complex(mat, what: str) -> np.ndarray:
+def _as_square_complex(mat, what: str, real: bool = False) -> np.ndarray:
+    """``mat`` as a nonempty square complex array.  A NumPy array of numeric dtype is read
+    whole, anything else entry by entry: a bool, a string, an integer past the float range
+    and any other object that is not a number (a real one, with ``real``) raise InvalidInput."""
+    if not (isinstance(mat, np.ndarray) and mat.dtype.kind in ("iuf" if real else "iufc")):
+        kind = numbers.Real if real else numbers.Complex
+        try:  # the entries of a 2-d nested sequence; anything else fails the shape test
+            seen = set(map(type, chain.from_iterable(mat)))
+        except TypeError:
+            seen = set()
+        bad = {t for t in seen - {int, float} if t is bool or not issubclass(t, kind)}
+        if bad:
+            entry = next(v for v in chain.from_iterable(mat) if type(v) in bad)
+            raise InvalidInput(f"{what} entries must be {'real ' * real}numbers, got {entry!r}")
     try:
-        a = np.asarray(mat, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
+        a = np.asarray(mat, dtype=float if real else complex)
+    except OverflowError:
+        raise InvalidInput(f"{what} entries must be numbers, got one past the float range") from None
+    except (TypeError, ValueError):
         raise InvalidInput(f"{what} needs a numeric array, got {type(mat).__name__}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidInput(f"{what} must be a nonempty square 2-d array, got shape {a.shape}")
-    return a
+    return a.astype(complex) if real else a
 
 
 # The scalar half of the argument rule: each real, inverse temperature and count from
@@ -120,19 +136,20 @@ def _hermitian_part(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     ah = _dag(a)
     if not np.count_nonzero(a != ah):
         return a.copy()
-    skew = a - ah
+    # Halving is exact (bar subnormals), and the halves' difference and sum never overflow.
+    half, half_h = a / 2.0, ah / 2.0
+    skew = half - half_h
     # ||A - A^dag||_F <= TOL_HERM bounds every entry, below which the floor of 1
     # on the scale passes every matrix; all else takes the exact per-row test.
-    if not np.vdot(skew, skew).real <= TOL_HERM ** 2:
+    if not np.vdot(skew, skew).real <= (TOL_HERM / 2.0) ** 2:
         devs = np.abs(skew).max(axis=(-2, -1)).reshape(-1).tolist()
         for dev, scale in zip(devs, np.abs(a).max(axis=(-2, -1)).reshape(-1).tolist()):
-            if dev > TOL_HERM * max(scale, 1.0):
+            if 2.0 * dev > TOL_HERM * max(scale, 1.0):  # a Python float: inf, not a warning
                 raise InvalidInput(
-                    f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} exceeds "
+                    f"matrix is not Hermitian: max|A - A^dag| = {2.0 * dev:.3e} exceeds "
                     f"{TOL_HERM:g} relative to the largest entry"
                 )
-    # Halved before the sum: (A + A^dag)/2 rounds the same but overflows near the float maximum.
-    return a / 2.0 + ah / 2.0
+    return half + half_h
 
 
 def _density_spectra(h: np.ndarray) -> np.ndarray:

@@ -46,8 +46,7 @@ from .entropy_production import (
     build_report,
 )
 from .errors import InvalidInput, ScenarioError
-from .io import _as_int, matrix_from_json
-from .linalg import BipartiteState, DensityMatrix, HermitianMatrix
+from .linalg import BipartiteState, DensityMatrix, HermitianMatrix, _as_int, _as_square_complex
 from .qubit_env import RegionGrid
 
 SCHEMA_VERSION = 1
@@ -100,11 +99,21 @@ def _field(where: str):
 
 
 def _matrix(cls, obj, where: str, dim: int | None = None):
-    """A JSON matrix object as a validated ``cls`` (HermitianMatrix or DensityMatrix),
-    ``dim`` wide when given."""
-    mat = matrix_from_json(_as_obj(obj, where), where)
+    """A JSON matrix object {"dim", "re", "im"}, "im" optional, as a validated ``cls``
+    (HermitianMatrix or DensityMatrix), ``dim`` wide when given."""
+    obj = _as_obj(obj, where)
+    with _field(f"{where}.dim"):
+        n = _as_int(_need(obj, "dim", where), "dim", lo=1)
     with _field(where):
-        return cls._of(mat, dim)
+        a, *im = [_as_square_complex(_need(obj, key, where), key, real=True)
+                  for key in ("re", "im") if key == "re" or key in obj]
+        for key, block in zip(("re", "im"), (a, *im)):
+            if block.shape != (n, n):
+                raise InvalidInput(f"{key} must be {n}x{n} as dim says, got "
+                                   f"{block.shape[0]}x{block.shape[1]}")
+        if im:  # in place: re + 1j * im would form inf * 0 at an infinite im entry
+            a.imag = im[0].real
+        return cls._of(a, dim)
 
 
 def _parse_policy(obj, where: str) -> BetaPolicy:
@@ -173,11 +182,9 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source_name}: name must be a nonempty string")
 
     dims = _as_obj(_need(obj, "dims", source_name), f"{source_name}.dims")
-    d_s = _as_int(_need(dims, "system", f"{source_name}.dims"), f"{source_name}.dims.system")
-    d_e = _as_int(_need(dims, "environment", f"{source_name}.dims"),
-                  f"{source_name}.dims.environment")
-    if d_s < 1 or d_e < 2:
-        raise ScenarioError(f"{source_name}.dims: need system >= 1 and environment >= 2")
+    with _field(f"{source_name}.dims"):
+        d_s = _as_int(_need(dims, "system", f"{source_name}.dims"), "system", lo=1)
+        d_e = _as_int(_need(dims, "environment", f"{source_name}.dims"), "environment", lo=2)
 
     h_env = _matrix(HermitianMatrix, _need(obj, "h_env", source_name), f"{source_name}.h_env",
                     d_e)
@@ -202,14 +209,9 @@ def parse_scenario(obj: dict, source_name: str = "scenario") -> Scenario:
                              f"{source_name}.initial")
     policy = _parse_policy(_need(obj, "policy", source_name), f"{source_name}.policy")
 
-    steps = _as_int(_need(obj, "steps_per_segment", source_name),
-                    f"{source_name}.steps_per_segment")
-    if steps < 1:
-        raise ScenarioError(f"{source_name}.steps_per_segment: must be >= 1")
-
-    seed = None
-    if "seed" in obj and obj["seed"] is not None:
-        seed = _as_int(obj["seed"], f"{source_name}.seed")
+    with _field(source_name):
+        steps = _as_int(_need(obj, "steps_per_segment", source_name), "steps_per_segment", lo=1)
+        seed = None if obj.get("seed") is None else _as_int(obj["seed"], "seed", lo=0)
 
     return Scenario(name=name, schedule=schedule, initial=initial, policy=policy,
                     steps_per_segment=steps, seed=seed)

@@ -47,7 +47,8 @@ _BETA_CLAMP = 1e6
 
 # The beta* solve's bound on the residual |energy(beta*) - E|, which is also
 # the slack by which a target may pass a spectral edge before it raises
-# InfeasibleEnergy (it sets no band where beta* is +-inf), and its budget of
+# InfeasibleEnergy (it sets no band where beta* is +-inf), in units of
+# max(1, |w_0|, |w_top|) so it scales with the spectrum; and its budget of
 # Newton iterations.
 _BETA_ABS_TOL = 1e-12
 _BETA_MAX_ITER = 200
@@ -243,7 +244,7 @@ class GibbsSolver:
         Unique because the thermal energy is strictly decreasing in beta.
         Returns +inf (-inf) only when the energy sits at or below the bottom
         (at or above the top) of the spectrum; energies outside the spectral
-        range by more than ``_BETA_ABS_TOL`` raise InfeasibleEnergy.  Cached
+        range by more than ``_BETA_ABS_TOL`` (scaled) raise InfeasibleEnergy.  Cached
         on rho_env for this solver, as ``evolve`` leaves it at the endpoints.
         """
         rho_env = DensityMatrix._of(rho_env, self.dim)
@@ -303,24 +304,25 @@ class GibbsSolver:
             x[idx] = b
         solved = x * eps[0] < _BETA_CLAMP
         residual = np.abs(_edge_moments_many(x[solved], gaps)[0] - u[solved])
-        _check_residual(float(residual.max(initial=0.0)))
+        _check_residual(float(residual.max(initial=0.0)), self._table[-1])
         return sign * np.where(solved, x, math.inf)
 
 
 def _spectrum_table(wl: list) -> tuple:
-    """The float beta* solve's view of ascending levels ``wl``: mean, edges, and per side
-    (0: from the ground, 1: from the top level) zero-gap count and ascending positive gaps."""
+    """The float beta* solve's view of ascending levels ``wl``: mean, edges, per side (0: from
+    the ground, 1: the top) zero-gap count and ascending positive gaps, and energy tolerance."""
     return (sum(wl) / len(wl), (wl[0], wl[-1]),
             tuple((float(g.count(0.0)), [x for x in g if x > 0.0])
-                  for g in ([x - wl[0] for x in wl], [wl[-1] - x for x in wl[::-1]])))
+                  for g in ([x - wl[0] for x in wl], [wl[-1] - x for x in wl[::-1]])),
+            _BETA_ABS_TOL * max(1.0, abs(wl[0]), abs(wl[-1])))
 
 
 def _near_edge(table: tuple, e, top: bool):
     """Sign of beta, gaps and u for targets e (float or array) on one side."""
-    _, (bottom, ceiling), gaps = table
+    _, (bottom, ceiling), gaps, tol = table
     u = ceiling - e if top else e - bottom
     worst = -(u.min() if isinstance(u, np.ndarray) else u)
-    if worst > _BETA_ABS_TOL:
+    if worst > tol:
         raise InfeasibleEnergy(f"target energy escapes [{bottom:.12g}, "
                                f"{ceiling:.12g}] by {worst:.3e}")
     return (-1.0 if top else 1.0), gaps[top], u
@@ -347,7 +349,7 @@ def _solve_beta(table: tuple, e: float) -> float:
             x = 2.0 * x + 1.0 if hi == math.inf else 0.5 * (lo + hi)
     if x * eps[0] >= _BETA_CLAMP:
         return sign * math.inf
-    _check_residual(abs(_edge_moments(x, g0, eps)[0] - u))
+    _check_residual(abs(_edge_moments(x, g0, eps)[0] - u), table[-1])
     return sign * x
 
 
@@ -518,10 +520,10 @@ def _edge_moments_many(x: np.ndarray, gaps) -> tuple[np.ndarray, np.ndarray, np.
             np.divide(s_sum * z, var_z2, out=np.full_like(z, math.inf), where=var_z2 > 0.0))
 
 
-def _check_residual(residual: float) -> None:
-    if residual > _BETA_ABS_TOL:
+def _check_residual(residual: float, tol: float) -> None:
+    if residual > tol:
         raise ConvergenceError(f"energy inversion residual {residual:.3e} exceeds "
-                               f"{_BETA_ABS_TOL:g} after {_BETA_MAX_ITER} iterations")
+                               f"{tol:g} after {_BETA_MAX_ITER} iterations")
 
 
 def _solver(h_env) -> GibbsSolver:

@@ -40,7 +40,6 @@ from .errors import InvalidInput
 from .linalg import (
     BipartiteState,
     DensityMatrix,
-    _INDEX_MAX,
     _as_int,
     _as_real,
     _check_unitary,
@@ -95,18 +94,16 @@ class VerifySuiteConfig:
 
     def __post_init__(self):
         _as_int(self.num_random_scenarios, "num_random_scenarios", lo=1)
-        if _as_int(self.seed, "seed") < 0:
-            raise InvalidInput("seed must be >= 0")
+        _as_int(self.seed, "seed", lo=0)
         try:
-            dims = tuple((_as_int(a, "dims"), _as_int(b, "dims")) for a, b in self.dims)
+            pairs = [(a, b) for a, b in self.dims]
         except (TypeError, ValueError):
             raise InvalidInput(f"dims must be (system, environment) integer pairs, "
                                f"got {self.dims!r}") from None
+        dims = tuple((_as_int(a, "system dimension", lo=1),
+                      _as_int(b, "environment dimension", lo=2)) for a, b in pairs)
         if not dims:
             raise InvalidInput("dims must not be empty")
-        for d_s, d_e in dims:
-            if not (1 <= d_s <= _INDEX_MAX and 2 <= d_e <= _INDEX_MAX):
-                raise InvalidInput(f"invalid dims ({d_s}, {d_e})")
         object.__setattr__(self, "dims", dims)
         tols = {name: _as_real(tol, f"tolerance {name}") for name, tol in self.tolerances.items()}
         for name, tol in tols.items():

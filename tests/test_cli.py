@@ -434,8 +434,9 @@ def test_cli_sweep_deterministic(tmp_path):
     assert "beta_star" in header
 
 
-@pytest.mark.parametrize("flag, value, message", [("--seed", "-1", "seed must be >= 0"),
-                                                   ("--dims", "0x2", "invalid dims (0, 2)")])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be an integer from 0 to 9223372036854775807, got -1"),
+    ("--dims", "0x2", "system dimension must be an integer from 1 to 9223372036854775807, got 0")])
 def test_cli_sweep_rejects_what_verify_rejects(flag, value, message, tmp_path, capsys):
     # A negative seed ended in NumPy's ValueError traceback with exit 1, and a
     # zero system dimension in a HermitianMatrix message.
@@ -602,6 +603,58 @@ def test_matrix_dim_must_be_a_json_integer(field, dim):
         parse_scenario(doc)
 
 
+# One bad entry (or a ragged row) per case, each swapped into a block of floats; "bools" is
+# a block of bools only, which NumPy reads as a bool array rather than as floats.
+_BAD_ENTRIES = {"true": True, "string number": "1", "string": "x", "null": None,
+                "huge integer": 10**400, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                "bools": "bools", "ragged row": "ragged"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", ["re", "im"])
+@pytest.mark.parametrize("field", _MATRIX_FIELDS)
+@pytest.mark.parametrize("kind", _BAD_ENTRIES)
+def test_cli_rejects_a_bad_matrix_entry_naming_the_field(kind, field, block, tmp_path, capsys):
+    # A bool or a numeric string parsed as a number, and an infinite "im" entry warned
+    # "invalid value encountered in multiply" above the error line.
+    doc = json.loads(Path(BUNDLED).read_text())
+    matrix = _at(doc, _MATRIX_FIELDS[field])
+    rows = matrix.setdefault(block, [[0.0] * matrix["dim"] for _ in range(matrix["dim"])])
+    value = _BAD_ENTRIES[kind]
+    if value == "bools":
+        rows[:] = [[False] * len(row) for row in rows]
+        rows[0][0] = True
+    elif value == "ragged":
+        rows[0].append(0.0)
+    else:
+        rows[0][0] = value
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(tmp_path / "doc.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "ScenarioError"
+    assert error["message"].startswith(f"{tmp_path / 'doc.json'}.{field}: "), error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("dims", "system"), 0, "scenario.dims: system must be an integer from 1 to "),
+    (("dims", "environment"), 1, "scenario.dims: environment must be an integer from 2 to "),
+    (("steps_per_segment",), 2**63, "scenario: steps_per_segment must be an integer from 1 to "),
+    (("seed",), -1, "scenario: seed must be an integer from 0 to "),
+    (("seed",), 2**63, "scenario: seed must be an integer from 0 to "),
+    (("h_env", "dim"), 0, "scenario.h_env.dim: dim must be an integer from 1 to ")],
+    ids=["system-0", "environment-1", "steps-2**63", "seed--1", "seed-2**63", "dim-0"])
+def test_scenario_counts_are_read_by_the_linalg_rule(path, value, message):
+    # A negative or huge seed and a steps count past the index range used to parse.
+    doc = json.loads(Path(BUNDLED).read_text())
+    _at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ScenarioError, match="^" + re.escape(message)):
+        parse_scenario(doc)
+
+
 def test_cli_simulate_rejects_an_overflowing_dim_as_invalid_input(tmp_path, capsys):
     scenario = tmp_path / "huge.json"
     scenario.write_text(Path(BUNDLED).read_text().replace('"h_env": {"dim": 2',
@@ -763,3 +816,51 @@ def test_simulate_exits_3_when_the_hamiltonian_sum_overflows(tmp_path, capsys):
         "type": "NumericalError",
         "message": "segment propagation: H on [0.0, 6.0] overflows the float range"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["h_env", "segments[0].h_sys", "segments[0].h_int"])
+def test_simulate_exits_3_when_a_phase_overflows(field, tmp_path, capsys):
+    # A finite 1e308 level makes k dt (w_top - w_0) overflow in the eigenframe phases; the
+    # NaN energies it gave failed the beta* reader as input (exit 2), with RuntimeWarnings.
+    obj = json.loads(Path(BUNDLED).read_text())
+    _at(obj, _MATRIX_FIELDS[field])["re"][0][0] = 1e308
+    (tmp_path / "phase.json").write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(tmp_path / "phase.json"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    assert error["type"] == "NumericalError"
+    assert error["message"] == ("segment propagation: the spectrum, its width or the phases "
+                                "of H on [0.0, 6.0] are not finite")
+    assert not out.exists()
+
+
+def test_simulate_keeps_a_finite_phase_next_to_the_bound(tmp_path, capsys):
+    # At 3e307 the largest phase the eigenframe forms, 196 * 0.03 * 3e307 (k = 14 * 14, the
+    # last multiple of isqrt(200) steps), is finite: the run succeeds.  A bound with a
+    # margin of 2 would refuse it.
+    obj = json.loads(Path(BUNDLED).read_text())
+    obj["segments"][0]["h_sys"]["re"][0][0] = 3e307
+    (tmp_path / "near.json").write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(tmp_path / "near.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_energy_matching_on_a_wide_environment_spectrum(tmp_path, capsys):
+    # h_env = 1e4 diag(0, 0.37, 1): beta* residuals of 1e-12 relative to the spectrum
+    # exceeded the absolute 1e-12 bound, and the run exited 3.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    obj = dict(json.loads(Path(BUNDLED).read_text()), dims={"system": 2, "environment": 3},
+               h_env=_matrix((1e4 * np.diag([0.0, 0.37, 1.0])).tolist()),
+               policy={"kind": "energy_matching"})
+    obj["segments"][0]["h_int"] = _matrix((0.35 * np.kron(sx, x3)).tolist())
+    obj["initial"]["beta"] = 1e-4
+    (tmp_path / "wide.json").write_text(json.dumps(obj))
+    assert main(["simulate", "--scenario", str(tmp_path / "wide.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "two_qubit_exchange_report.json").read_text())
+    assert abs(doc["report"]["beta_star_0"] - 1e-4) <= 1e-12

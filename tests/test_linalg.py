@@ -23,6 +23,7 @@ from qthermo import (
 )
 from qthermo.linalg import (
     TOL_HERM,
+    _as_square_complex,
     _check_unitary,
     _density_spectra,
     _expi,
@@ -304,6 +305,51 @@ def test_symmetrizing_next_to_the_float_maximum_stays_finite_without_a_warning()
         h = HermitianMatrix(a)
     assert np.isfinite(h.mat).all() and h.mat[0, 0] == 1e308
     assert (h.mat == h.mat.conj().T).all()
+
+
+def test_a_skew_past_the_float_range_is_rejected_without_a_warning():
+    # A - A^dag overflowed in the subtraction with a RuntimeWarning before the error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ([[1e308j, 0.0], [0.0, 0.0]], [[0.0, 1.7e308], [-1.7e308, 0.0]]):
+            with pytest.raises(InvalidInput, match="^matrix is not Hermitian: max.* = inf "):
+                HermitianMatrix(a)
+
+
+@pytest.mark.parametrize("entry", [True, np.True_, "1", "x", None, [1.0], 10**400],
+                         ids=["bool", "numpy-bool", "numeric-string", "string", "none",
+                              "list", "huge-integer"])
+def test_matrix_entries_must_be_numbers(entry):
+    for cls in (HermitianMatrix, DensityMatrix, UnitaryMatrix):
+        with pytest.raises(InvalidInput, match=f"^{cls.__name__} entries must be numbers"):
+            cls([[entry, 0.0], [0.0, 1.0]])
+
+
+def test_string_and_bool_matrices_are_not_numbers():
+    # Both were read as numbers: HermitianMatrix([["1", "0"], ["0", "1"]]) was the identity.
+    for a in ([["1", "0"], ["0", "1"]], [[True, False], [False, True]], np.eye(2, dtype=bool)):
+        with pytest.raises(InvalidInput, match="^HermitianMatrix entries must be numbers"):
+            HermitianMatrix(a)
+
+
+def test_matrix_entries_are_read_by_type_and_numeric_arrays_whole():
+    # Any number but a bool is an entry: Python and NumPy ints, floats and complexes, and
+    # rows that are arrays; a numeric array is converted whole, not copied when complex.
+    eye = [[1, 0.0], [np.float32(0.0), np.int64(1)]]
+    assert np.array_equal(HermitianMatrix(eye).mat, np.eye(2))
+    assert np.array_equal(HermitianMatrix(list(np.eye(2))).mat, np.eye(2))
+    assert np.array_equal(HermitianMatrix([[0, -1j], [1j, 0]]).mat, [[0, -1j], [1j, 0]])
+    a = np.eye(2, dtype=complex)
+    assert _as_square_complex(a, "a") is a
+    # With real, a complex entry is refused, and the result is a new complex array.
+    with pytest.raises(InvalidInput, match="^re entries must be real numbers, got 1j$"):
+        _as_square_complex([[1j, 0.0], [0.0, 1.0]], "re", real=True)
+    with pytest.raises(InvalidInput, match="^re entries must be real numbers"):
+        _as_square_complex(a, "re", real=True)
+    b = np.eye(2)
+    assert _as_square_complex(b, "re", real=True).dtype == complex
+    with pytest.raises(InvalidInput, match="^re must be a nonempty square 2-d array"):
+        _as_square_complex([1.0, 2.0], "re", real=True)
 
 
 def test_hermiticity_tolerance_is_relative_to_each_matrix():

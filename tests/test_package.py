@@ -234,13 +234,10 @@ def _scalar_coercions(path: str, text: str) -> list[str]:
 
 def test_scalar_arguments_are_coerced_in_one_place():
     # Every real, inverse temperature and count from outside is read once, by the readers
-    # in linalg (_as_real, _as_reals, _as_complex, _as_int).  The one exception is the JSON
-    # layer's integer rule, io._as_int, which raises a ScenarioError.
+    # in linalg (_as_real, _as_reals, _as_complex, _as_int), the JSON layer's included.
     files = [p for p in sorted((ROOT / "src/qthermo").glob("*.py")) if p.name != "linalg.py"]
     found = [c for p in files for c in _scalar_coercions(str(p.relative_to(ROOT)), p.read_text())]
-    assert [c for c in found if not (c.startswith("src/qthermo/io.py:")
-                                     and c.endswith(" in _as_int"))] == []
-    assert len(found) == 2
+    assert found == []
     # The scan does see each form, and not a coercion of a local value.
     synthetic = ("def f(x, y, *, z):\n    a = float(x)\n    b = np.asarray(y, dtype=float)\n"
                  "    c = float(a) + complex(z)\n    return isinstance(a, (int, bool))\n\n\n"

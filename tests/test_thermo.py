@@ -674,6 +674,29 @@ def test_narrow_spectra_keep_a_finite_beta_star(levels, beta):
         assert abs(found - beta) <= 1e-9 * abs(beta)
 
 
+@pytest.mark.parametrize("c", [1e4, 1e6])
+def test_wide_spectra_keep_a_beta_star(c):
+    # The residual bound and the edge slack were an absolute 1e-12, below the rounding of
+    # energies of size c: beta* raised ConvergenceError (residual 6.4e-12 at c = 1e4) and
+    # rotated ground states InfeasibleEnergy.  Both now scale with max(1, |w_0|, |w_top|).
+    solver = GibbsSolver(HermitianMatrix(c * np.diag([0.0, 0.37, 1.0])))
+    target = solver.energy(0.5 / c)
+    for found in (solver.solve_beta(target), *solver.solve_beta_many([target, target])):
+        assert abs(found * c - 0.5) <= 1e-9
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 4, 5) * 10:
+        solver = GibbsSolver(c * rand_env_hamiltonian(rng, d).mat)
+        betas = rng.uniform(-5.0, 5.0, size=4) / c
+        targets = solver.energy(betas)
+        for found in (solver.solve_beta_many(targets), [solver.solve_beta(e) for e in targets]):
+            assert np.abs(solver.energy(np.asarray(found)) - targets).max() <= 1e-12 * c
+    for _ in range(50):
+        u = rand_unitary(rng, 3).mat
+        solver = GibbsSolver(u @ (c * np.diag([0.0, 0.37, 1.0])) @ u.conj().T)
+        ground = DensityMatrix(np.outer(solver.basis[:, 0], solver.basis[:, 0].conj()))
+        assert solver.beta_star(ground) * c > 20.0
+
+
 def test_near_degenerate_edge_levels_keep_both_paths_finite():
     # Edge levels 1.8e-11 apart leave energy(beta) flat to rounding from
     # beta = 21 far out, so the root is any point of that plateau: both paths
