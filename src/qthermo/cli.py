@@ -1,10 +1,11 @@
 """Command-line interface: simulate, verify, example, and sweep subcommands.
 
 Exit codes: 0 success, 1 verification failures, 2 input or validation
-error, 3 numerical failure.  Errors print one machine-readable JSON object
-to stderr.  Outputs land in --out, else $QTHERMO_OUT_DIR, else the working
-directory, and every file is written atomically after all computation has
-finished, so failed runs leave no partial outputs.
+error (an input too large for memory among them), 3 numerical failure.
+Errors print one machine-readable JSON object to stderr.  Outputs land in
+--out, else $QTHERMO_OUT_DIR, else the working directory, and every file is
+written atomically after all computation has finished, so failed runs leave
+no partial outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .dynamics import HamiltonianSchedule, Segment
 from .entropy_production import ConstantBeta, EnergyMatching, EPReport, TabulatedBeta
-from .errors import DomainError, InvalidInput, NumericalError, ScenarioError
+from .errors import DomainError, InvalidInput, NumericalError
 from .io import atomic_write_text, dump_json
 from .linalg import BipartiteState
 from .qubit_env import emit_region_map
@@ -83,24 +84,10 @@ def _parse_dims(values) -> tuple:
     return tuple(dims)
 
 
-def _parse_tols(values) -> dict:
-    tols = {}
-    for v in values:
-        name, sep, raw = v.partition("=")
-        if not sep:
-            raise InvalidInput(f"--tol expects NAME=VALUE, got {v!r}")
-        try:
-            tols[name] = float(raw)
-        except ValueError:
-            raise InvalidInput(f"--tol value must be a number, got {v!r}") from None
-    return tols
-
-
 def _cmd_verify(args) -> int:
     cfg = VerifySuiteConfig(
         num_random_scenarios=args.num,
         dims=_parse_dims(args.dims) if args.dims else VerifySuiteConfig.dims,
-        tolerances=_parse_tols(args.tol or []),
         seed=args.seed,
     )
     results = run_verify(cfg)
@@ -204,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", action="append",
                    help="dimension pair SYSxENV, repeatable (default 2x2 2x3 3x4)")
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a check tolerance, repeatable")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("example", help="evaluate a qubit-environment region map")
@@ -233,7 +218,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _print_error(exc)
         return 3
-    except (ScenarioError, InvalidInput, DomainError, OSError) as exc:
+    except (InvalidInput, DomainError, OSError, MemoryError) as exc:
         _print_error(exc)
         return 2
 

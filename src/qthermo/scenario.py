@@ -31,7 +31,6 @@ a number past the float range``.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,18 +83,21 @@ def _as_obj(value, where: str) -> dict:
     return value
 
 
-@contextmanager
-def _field(where: str):
+class _field:
     """Re-raise an InvalidInput as a ScenarioError naming ``where``.
 
     A ScenarioError passes through untouched: it already names its field.
     """
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except InvalidInput as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, InvalidInput) and not isinstance(exc, ScenarioError):
+            raise ScenarioError(f"{self.where}: {exc}") from exc
 
 
 def _matrix(cls, obj, where: str, dim: int | None = None):
@@ -170,7 +172,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a huge integer, deep nesting
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
 
 

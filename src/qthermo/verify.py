@@ -16,7 +16,7 @@ the configured case count to keep the default suite in the seconds range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     _as_int,
-    _as_real,
     _check_unitary,
     _dag,
     _expi,
@@ -82,14 +81,13 @@ _DEFAULT_DIMS = ((2, 2), (2, 3), (3, 4))
 class VerifySuiteConfig:
     """Knobs for the verification sweep.
 
-    ``tolerances`` overrides per-check tolerances by name; unknown names are
-    rejected by ``run_verify``.  ``dims`` lists (system, environment)
-    dimension pairs the scenario generators cycle through.
+    ``dims`` lists (system, environment) dimension pairs the scenario
+    generators cycle through.  Each check runs at its tolerance in
+    ``_REGISTRY``.
     """
 
     num_random_scenarios: int = 1000
     dims: tuple = _DEFAULT_DIMS
-    tolerances: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
@@ -105,11 +103,6 @@ class VerifySuiteConfig:
         if not dims:
             raise InvalidInput("dims must not be empty")
         object.__setattr__(self, "dims", dims)
-        tols = {name: _as_real(tol, f"tolerance {name}") for name, tol in self.tolerances.items()}
-        for name, tol in tols.items():
-            if tol < 0:
-                raise InvalidInput(f"tolerance {name} must be >= 0, got {tol!r}")
-        object.__setattr__(self, "tolerances", tols)
 
 
 @dataclass(frozen=True)
@@ -500,14 +493,10 @@ CHECK_NAMES = tuple(name for name, _, _ in _REGISTRY)
 
 
 def run_verify(cfg: VerifySuiteConfig = VerifySuiteConfig()) -> list[CheckResult]:
-    """Run every check with per-check seeded generators; returns all results."""
-    unknown = set(cfg.tolerances) - set(CHECK_NAMES)
-    if unknown:
-        raise InvalidInput(f"unknown check names in tolerances: {sorted(unknown)}")
+    """Run every check at its registry tolerance, each on its own seeded generator."""
     results = []
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_REGISTRY))
-    for (name, default_tol, check), seed in zip(_REGISTRY, seeds):
-        tol = cfg.tolerances.get(name, default_tol)
+    for (name, tol, check), seed in zip(_REGISTRY, seeds):
         cases = failures = 0
         worst = 0.0
         for residual in check(np.random.default_rng(seed), cfg):

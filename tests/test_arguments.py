@@ -258,8 +258,6 @@ _SCALARS = [
     ("VerifySuiteConfig.num_random_scenarios",
      lambda v: VerifySuiteConfig(num_random_scenarios=v), 5, COUNT),
     ("VerifySuiteConfig.dims", lambda v: VerifySuiteConfig(dims=((v, 2),)), 2, COUNT),
-    ("VerifySuiteConfig.tolerances",
-     lambda v: VerifySuiteConfig(tolerances={"pythagorean": v}), 1e-9, FINITE),
 ]
 
 # Arguments that take an array: each is called with a list holding a valid entry and
